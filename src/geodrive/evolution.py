@@ -3,9 +3,9 @@
 The propagator is the midpoint exponential: one step of size dt applies
 exp(-i H(t + dt/2) dt), computed exactly for Hermitian H (Bloch rotation
 formula for two levels, spectral decomposition otherwise), so every step is
-unitary by construction.  States at all step boundaries come out of a
-blocked prefix scan over the step unitaries, which keeps the big runs (2e6
-steps) in numpy instead of a python loop.
+unitary by construction.  The step unitaries are built vectorized, _CHUNK
+steps at a time, and one sequential pass psi_{k+1} = U_k psi_k turns them
+into the states at all step boundaries, for any level count D.
 
 Also here: instantaneous-band tracking with dynamic and Berry phase
 accumulators, the counterdiabatic term, and the first-order adiabatic
@@ -18,16 +18,18 @@ ergodic averages and insensitive to double-rounded chart coordinates.
 
 import math
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import DegeneracyError, ValidationError
-from .models import bloch_vector, eig_many, pauli_hamiltonian
+from .models import band_gap, bloch_vector, eig_many
 
 GAP_THRESHOLD = 1e-3
 NORM_TOL = 1e-10
-_CHUNK = 1 << 18
+# samples per vectorized block in every chunked loop of evolution and
+# response; bounds the (chunk, D, D) temporaries of long runs
+_CHUNK = 1 << 17
 
 
 def _points_velocities(model, trajectory):
@@ -59,21 +61,19 @@ def _eig_chunked(model, pts, bands=None):
     return energies, states
 
 
-def _gap_guard(model, trajectory, energies, band, threshold):
-    neighbors = [b for b in (band - 1, band + 1) if 0 <= b < model.dim]
-    for b in neighbors:
-        gaps = np.abs(energies[:, band] - energies[:, b])
-        k = int(np.argmin(gaps))
-        if gaps[k] <= threshold:
-            raise DegeneracyError(
-                f"band gap ({band},{b}) = {gaps[k]:.2e} at t = "
-                f"{trajectory.t[k]:.6g} (sample {k}) is at or below "
-                f"threshold {threshold:g}")
+def _gap_guard(trajectory, energies, band, threshold):
+    gap, k, b = band_gap(energies, band)
+    if gap <= threshold:
+        raise DegeneracyError(
+            f"band gap ({band},{b}) = {gap:.2e} at t = "
+            f"{trajectory.t[k]:.6g} (sample {k}) is at or below "
+            f"threshold {threshold:g}")
+    return gap
 
 
 @dataclass
 class EvolutionConfig:
-    """Propagation settings; the only method is the midpoint exponential.
+    """Midpoint-exponential step settings.
 
     dt is a request: the honored step is 2*k*spacing for integer k >= 1.
     With auto_refine on and headroom in the trajectory sampling (k > 1),
@@ -82,7 +82,6 @@ class EvolutionConfig:
     step actually used.
     """
     dt: float = 0.01
-    method: str = "midpoint-exponential"
     sampling_stride: int = 1
     auto_refine: bool = True
     step_tolerance: float = 1e-8
@@ -90,9 +89,6 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValidationError("EvolutionConfig: dt must be positive")
-        if self.method != "midpoint-exponential":
-            raise ValidationError(
-                f"unknown propagation method {self.method!r}")
         if self.sampling_stride < 1:
             raise ValidationError("sampling_stride must be >= 1")
         if self.step_tolerance <= 0:
@@ -136,40 +132,14 @@ def _step_unitaries(model, H, dt):
     return np.einsum("nij,nj,nkj->nik", v, phase, v.conj())
 
 
-def _prefix_apply(U, psi0):
-    """All states psi_k = U_{k-1} ... U_0 psi_0 via a blocked prefix scan."""
-    n, dim = len(U), len(psi0)
-    states = np.empty((n + 1, dim), dtype=complex)
-    states[0] = psi0
-    psi = np.asarray(psi0, dtype=complex)
-    chunk = max(1024, _CHUNK // (dim * dim // 4 or 1))
-    for start in range(0, n, chunk):
-        P = U[start:start + chunk].copy()
-        m = len(P)
-        shift = 1
-        while shift < m:
-            # P[j] holds U[j] ... U[j-shift+1]; extend the window leftwards
-            Q = P.copy()
-            Q[shift:] = P[shift:] @ P[:-shift]
-            P = Q
-            shift *= 2
-        states[start + 1:start + m + 1] = np.einsum("nij,j->ni", P, psi)
-        psi = states[start + m]
-    return states
-
-
 def _counterdiabatic_stack(model, pts, vel, band, threshold):
     """V + V^dagger at an array of points, vectorized."""
     energies, vecs = _eig_chunked(model, pts)
-    for b in range(model.dim):
-        if b == band:
-            continue
-        gaps = np.abs(energies[:, band] - energies[:, b])
-        k = int(np.argmin(gaps))
-        if gaps[k] <= threshold:
-            raise DegeneracyError(
-                f"counterdiabatic term near-degenerate: gap ({band},{b}) = "
-                f"{gaps[k]:.2e} at sample {k}")
+    gap, k, b = band_gap(energies, band)
+    if gap <= threshold:
+        raise DegeneracyError(
+            f"counterdiabatic term near-degenerate: gap ({band},{b}) = "
+            f"{gap:.2e} at sample {k}")
     grads = model.gradient_many(pts)
     dtH = (vel[:, 0, None, None] * grads[:, 0]
            + vel[:, 1, None, None] * grads[:, 1])
@@ -186,15 +156,20 @@ def _counterdiabatic_stack(model, pts, vel, band, threshold):
 def _propagate(model, pts, vel, psi0, h, k, n_steps, cd_band, gap_threshold):
     """States at the n_steps + 1 boundaries of steps of size 2*k*h."""
     mid = pts[k:2 * k * n_steps:2 * k]
-    H = np.empty((n_steps, model.dim, model.dim), dtype=complex)
+    if cd_band is not None:
+        cd = _counterdiabatic_stack(model, mid, vel[k:2 * k * n_steps:2 * k],
+                                    cd_band, gap_threshold)
+    states = np.empty((n_steps + 1, model.dim), dtype=complex)
+    psi = states[0] = psi0
     for start in range(0, n_steps, _CHUNK):
         sl = slice(start, min(start + _CHUNK, n_steps))
-        H[sl] = model.evaluate_many(mid[sl])
-    if cd_band is not None:
-        H += _counterdiabatic_stack(model, mid,
-                                    vel[k:2 * k * n_steps:2 * k],
-                                    cd_band, gap_threshold)
-    return _prefix_apply(_step_unitaries(model, H, 2 * k * h), psi0)
+        H = model.evaluate_many(mid[sl])
+        if cd_band is not None:
+            H = H + cd[sl]
+        for j, U in enumerate(_step_unitaries(model, H, 2 * k * h),
+                              start + 1):
+            psi = states[j] = U.dot(psi)
+    return states
 
 
 def _halving_error_rate(model, pts, vel, psi0, h, k, cd_band, gap_threshold):
@@ -308,20 +283,17 @@ def track_band(model, trajectory, n, gap_threshold=GAP_THRESHOLD):
         raise ValidationError(f"band index {n} out of range")
     pts, _ = _points_velocities(model, trajectory)
     energies, states = _eig_chunked(model, pts, bands=[n])
-    _gap_guard(model, trajectory, energies, n, gap_threshold)
+    min_gap = _gap_guard(trajectory, energies, n, gap_threshold)
     psi = states[:, :, 0]
     t = np.asarray(trajectory.t)
     overlaps = np.einsum("ni,ni->n", psi[:-1].conj(), psi[1:])
     berry = np.empty(len(t))
     berry[0] = 0.0
     np.cumsum(-np.log(overlaps).imag, out=berry[1:])
-    neighbors = [b for b in (n - 1, n + 1) if 0 <= b < model.dim]
-    min_gap = min(
-        np.abs(energies[:, n] - energies[:, b]).min() for b in neighbors)
     return BandTrack(
         t=t, band=n, energies=energies[:, n], states=psi,
         dynamic_phase=-_cumtrapz(energies[:, n], t), berry_phase=berry,
-        min_gap=float(min_gap))
+        min_gap=min_gap)
 
 
 def counterdiabatic_term(model, point, velocity, n,
@@ -368,7 +340,7 @@ def g_correction(model, trajectory, m, n, lam=None,
                 f"trajectory speed {trajectory.spec.speed} != lambda {lam}")
     pts, vel = _points_velocities(model, trajectory)
     energies, states = _eig_chunked(model, pts, bands=[m, n])
-    _gap_guard(model, trajectory, energies, n, gap_threshold)
+    _gap_guard(trajectory, energies, n, gap_threshold)
     psi_m, psi_n = states[:, :, 0], states[:, :, 1]
     t = np.asarray(trajectory.t)
     e_m, e_n = energies[:, m], energies[:, n]

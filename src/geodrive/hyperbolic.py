@@ -122,10 +122,6 @@ class MobiusMap:
     def inverse(self):
         return MobiusMap(_conj_exact(self.a), _neg_exact(self.b), check=False)
 
-    def su11_residual(self):
-        """|a|^2 - |b|^2 - 1; zero for an exact group element."""
-        return abs(self.a) ** 2 - abs(self.b) ** 2 - 1
-
     def __repr__(self):
         return f"MobiusMap(a={self.a!r}, b={self.b!r})"
 
@@ -198,12 +194,9 @@ class FundamentalOctagon:
                 return False
         return True
 
-    def edge_depths(self, z):
-        """|z - c_j| - r for each arc; negative means outside through arc j."""
-        return [abs(z - cj) - self.r for cj in self.centers]
-
     def min_depth(self, z):
-        return min(self.edge_depths(z))
+        """Least |z - c_j| - r over the arcs; negative means outside."""
+        return min(abs(z - cj) - self.r for cj in self.centers)
 
 
 class BolzaGroup:

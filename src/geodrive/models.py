@@ -434,6 +434,23 @@ def grad_H(model, point, h=1e-5):
 # ---------------------------------------------------------------------------
 # gap scans
 
+def band_gap(energies, band):
+    """Smallest gap from `band` to any other band over a stack of spectra.
+
+    energies is (N, D), ascending along each row as eigh returns it, so the
+    adjacent bands are the nearest ones.  Returns (gap, sample index,
+    nearest band); callers compare the gap with their threshold.
+    """
+    best = (math.inf, 0, band)
+    for b in (band - 1, band + 1):
+        if 0 <= b < energies.shape[1]:
+            gaps = np.abs(energies[:, band] - energies[:, b])
+            k = int(np.argmin(gaps))
+            if gaps[k] < best[0]:
+                best = (float(gaps[k]), k, b)
+    return best
+
+
 @dataclass
 class GapReport:
     """Adjacent-band gap minima over a sampling grid."""

@@ -21,14 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DegeneracyError, ValidationError
-from .evolution import (EvolutionConfig, GAP_THRESHOLD, _counterdiabatic_stack,
-                        _cumtrapz, evolve)
+from .evolution import (EvolutionConfig, GAP_THRESHOLD, _CHUNK,
+                        _counterdiabatic_stack, _cumtrapz, evolve)
 from .models import eigensystem, gap_report
 from .trajectories import GeodesicSpec, trajectory
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 IMAG_TOL = 1e-9
-_CHUNK = 1 << 17
 
 
 @dataclass

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DegeneracyError, ResolutionError, ValidationError
-from .models import (eig_many, gap_report, mirror_symmetry_residual,
-                     s_symmetry_residual)
+from .models import (band_gap, eig_many, gap_report,
+                     mirror_symmetry_residual, s_symmetry_residual)
 
 SYMMETRY_TOL = 1e-8
 OVERLAP_FLOOR = 1e-6
@@ -137,17 +137,13 @@ class InvariantResult:
 
 
 def _band_states(model, pts, band, threshold):
-    energies, vecs, _ = eig_many(model.evaluate_many(pts))
     if band < 0 or band >= model.dim:
         raise ValidationError(f"band index {band} out of range")
-    gaps = []
-    if band > 0:
-        gaps.append((energies[:, band] - energies[:, band - 1]).min())
-    if band < model.dim - 1:
-        gaps.append((energies[:, band + 1] - energies[:, band]).min())
-    if min(gaps) <= threshold:
+    energies, vecs, _ = eig_many(model.evaluate_many(pts))
+    gap = band_gap(energies, band)[0]
+    if gap <= threshold:
         raise DegeneracyError(
-            f"band {band} gap {min(gaps):.2e} at or below threshold "
+            f"band {band} gap {gap:.2e} at or below threshold "
             f"{threshold:g} on the invariant grid")
     return vecs[:, :, band]
 

@@ -276,12 +276,6 @@ def unit_geodesic_from_origin(direction, t, digits=None):
     return n * math.tanh(t / 2), n * (1 + math.cosh(t))
 
 
-def rebase(z0, direction, t, digits=None):
-    """Unit-speed geodesic started at z0: R(z) = (z+z0)/(1+conj(z0)z) applied
-    to the origin geodesic, with the momentum pushed forward."""
-    return bolza_closed_form(z0, direction, 1.0, t, digits)
-
-
 def bolza_closed_form(z0, direction, lam, t, digits=None):
     """Unreduced speed-lambda phase point at drive time t.
 
@@ -308,16 +302,6 @@ def bolza_closed_form(z0, direction, lam, t, digits=None):
     z = (m0.a * w + m0.b) / den
     p = lam * (2 / ((1 - w) * (1 + w))) * (den * den).conjugate()
     return z, p
-
-
-def rescale_speed(z, p, lam):
-    """Map a unit-speed sample to the speed-lambda one at the same point.
-
-    The speed-lambda geodesic at drive time t passes through the
-    unit-speed position at arc length lam*t with momentum scaled by lam,
-    so E(lam) = lam^2/2.
-    """
-    return z, lam * p
 
 
 # --------------------------------------------------------------------------
@@ -562,12 +546,40 @@ def _reentering_index(group_d, octagon, z_exit):
 # flat manifolds: closed formulas
 
 
+def _wrap_flat(manifold, theta0, omega, t):
+    """Wrapped angles and crossing counts (n_x, n_y) of a flat geodesic.
+
+    Each count is one floor of a lifted coordinate, and each angle is that
+    lift minus the counted periods, so angle and count describe the same
+    point even within a rounding of an edge.
+    """
+    t = np.asarray(t, dtype=float)
+    xlift = omega[0] * t + theta0[0]
+    ylift = omega[1] * t + theta0[1]
+    if manifold == "torus":
+        n_x = np.floor_divide(xlift, TWO_PI).astype(np.int64)
+        n_y = np.floor_divide(ylift, TWO_PI).astype(np.int64)
+        theta_x = xlift - TWO_PI * n_x
+        theta_y = ylift - TWO_PI * n_y
+    elif manifold == "klein":
+        n_x = np.floor_divide(xlift + math.pi, TWO_PI).astype(np.int64)
+        n_y = np.floor_divide(ylift, math.pi).astype(np.int64)
+        # theta_x changes sign at every y-edge crossing
+        theta_x = _parity(n_y) * (TWO_PI * n_x - xlift)
+        theta_y = ylift - math.pi * (n_y + 1)
+    else:  # rp2
+        n_x = np.floor_divide(xlift, math.pi).astype(np.int64)
+        n_y = np.floor_divide(ylift, math.pi).astype(np.int64)
+        sx, sy = _parity(n_y), _parity(n_x)
+        theta_x = sx * (xlift - math.pi * n_x) + (math.pi / 2) * (1 - sx)
+        theta_y = sy * (ylift - math.pi * n_y) + (math.pi / 2) * (1 - sy)
+    theta = np.stack(np.broadcast_arrays(theta_x, theta_y), axis=-1)
+    return theta, np.stack(np.broadcast_arrays(n_x, n_y), axis=-1)
+
+
 def torus_geodesic(theta0, omega, t):
     """Straight line on the 2-torus, wrapped into [0, 2pi) componentwise."""
-    t = np.asarray(t, dtype=float)
-    x = np.mod(omega[0] * t + theta0[0], TWO_PI)
-    y = np.mod(omega[1] * t + theta0[1], TWO_PI)
-    return np.stack(np.broadcast_arrays(x, y), axis=-1)
+    return _wrap_flat("torus", theta0, omega, t)[0]
 
 
 def klein_geodesic(theta0, omega, t):
@@ -577,14 +589,8 @@ def klein_geodesic(theta0, omega, t):
     n_y counts y-edge crossings of the lifted straight line.
     """
     _check_domain("klein", theta0)
-    t = np.asarray(t, dtype=float)
-    ylift = omega[1] * t + theta0[1]
-    n_y = np.floor_divide(ylift, math.pi).astype(np.int64)
-    theta_y = np.mod(ylift, math.pi) - math.pi
-    sgn = 1 - 2 * (n_y & 1)
-    theta_x = sgn * (math.pi - np.mod(omega[0] * t + theta0[0] + math.pi, TWO_PI))
-    theta = np.stack(np.broadcast_arrays(theta_x, theta_y), axis=-1)
-    return theta, sgn
+    theta, nn = _wrap_flat("klein", theta0, omega, t)
+    return theta, _parity(nn[..., 1])
 
 
 def rp2_geodesic(theta0, omega, t):
@@ -594,18 +600,9 @@ def rp2_geodesic(theta0, omega, t):
     omega_x(t) = (-1)^{n_y} omega_x, omega_y(t) = (-1)^{n_x} omega_y.
     """
     _check_domain("rp2", theta0)
-    t = np.asarray(t, dtype=float)
-    xlift = omega[0] * t + theta0[0]
-    ylift = omega[1] * t + theta0[1]
-    n_x = np.floor_divide(xlift, math.pi).astype(np.int64)
-    n_y = np.floor_divide(ylift, math.pi).astype(np.int64)
-    sx = 1 - 2 * (n_y & 1)
-    sy = 1 - 2 * (n_x & 1)
-    theta_x = sx * np.mod(xlift, math.pi) + (math.pi / 2) * (1 - sx)
-    theta_y = sy * np.mod(ylift, math.pi) + (math.pi / 2) * (1 - sy)
-    theta = np.stack(np.broadcast_arrays(theta_x, theta_y), axis=-1)
-    eff = np.stack(np.broadcast_arrays(sx * omega[0], sy * omega[1]), axis=-1)
-    nn = np.stack(np.broadcast_arrays(n_x, n_y), axis=-1)
+    theta, nn = _wrap_flat("rp2", theta0, omega, t)
+    eff = np.stack([_parity(nn[..., 1]) * omega[0],
+                    _parity(nn[..., 0]) * omega[1]], axis=-1)
     return theta, eff, nn
 
 
@@ -667,22 +664,8 @@ def flat_trajectory(spec):
     if spec.manifold == "bolza":
         raise ValidationError("flat_trajectory does not handle the Bolza surface")
     t = np.arange(spec.n_steps + 1) * spec.dt
-    if spec.manifold == "torus":
-        theta = torus_geodesic(spec.theta0, spec.omega, t)
-        n_x = np.floor_divide(spec.omega[0] * t + spec.theta0[0], TWO_PI)
-        n_y = np.floor_divide(spec.omega[1] * t + spec.theta0[1], TWO_PI)
-        crossings = np.stack([n_x, n_y], axis=-1).astype(np.int32)
-    elif spec.manifold == "klein":
-        theta, _ = klein_geodesic(spec.theta0, spec.omega, t)
-        n_x = np.floor_divide(
-            spec.omega[0] * t + spec.theta0[0] + math.pi, TWO_PI
-        )
-        n_y = np.floor_divide(spec.omega[1] * t + spec.theta0[1], math.pi)
-        crossings = np.stack([n_x, n_y], axis=-1).astype(np.int32)
-    else:
-        theta, _, nn = rp2_geodesic(spec.theta0, spec.omega, t)
-        crossings = nn.astype(np.int32)
-    return FlatTrajectory(spec, t, theta, crossings)
+    theta, nn = _wrap_flat(spec.manifold, spec.theta0, spec.omega, t)
+    return FlatTrajectory(spec, t, theta, nn.astype(np.int32))
 
 
 def trajectory(spec):

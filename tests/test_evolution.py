@@ -53,8 +53,6 @@ class TestEvolutionConfig:
         with pytest.raises(ValidationError):
             EvolutionConfig(dt=0.0)
         with pytest.raises(ValidationError):
-            EvolutionConfig(method="rk4")
-        with pytest.raises(ValidationError):
             EvolutionConfig(sampling_stride=0)
         with pytest.raises(ValidationError):
             EvolutionConfig(step_tolerance=0.0)
@@ -75,6 +73,23 @@ class TestEvolve:
 
         res = evolve(UP, klein_qubit(2.0), traj, EvolutionConfig(dt=0.01))
         assert len(res.states) == 1_000_001
+        assert np.abs(res.norms - 1.0).max() < 1e-12
+
+    def test_three_level_constant_field(self):
+        # the generic D > 2 route: spectral step unitaries, same state loop
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        H = (A + A.conj().T) / 2
+        model = ParentHamiltonian(
+            "const3", "klein", 3, global_chart=True,
+            evaluate_many=lambda th: np.broadcast_to(H, (len(th), 3, 3)))
+        psi0 = np.array([1.0, 1.0j, -1.0]) / math.sqrt(3)
+        res = evolve(psi0, model, klein_traj(T=2.0, dt=0.005),
+                     EvolutionConfig(dt=0.01))
+        w, V = np.linalg.eigh(H)
+        want = V @ (np.exp(-1j * w * res.t[-1]) * (V.conj().T @ psi0))
+        assert res.t[-1] == pytest.approx(2.0)
+        assert_allclose(res.final, want, atol=1e-12)
         assert np.abs(res.norms - 1.0).max() < 1e-12
 
     def test_second_order_step_halving(self):
