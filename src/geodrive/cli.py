@@ -17,6 +17,7 @@ identical configs produce byte-identical files.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -243,7 +244,8 @@ def _run_trajectory(cfg, prefix):
         summary = {"samples": len(traj.t), "digits": traj.digits,
                    "final_word_length": int(traj.word_len[-1]),
                    "max_energy_drift":
-                       float(np.abs(energy - traj.spec.speed ** 2 / 2).max())}
+                       float(np.abs(energy - traj.spec.speed ** 2 / 2).max()),
+                   "propagation": traj.stats}
     else:
         vel = traj.velocities()
         _write_csv(path, [("t", traj.t, "f"),
@@ -315,6 +317,8 @@ def _run_response(cfg, prefix):
                "final_running_average": curve.final_value,
                "normalization": curve.normalization,
                "norm_deviation": run.norm_deviation}
+    if run.propagation is not None:
+        summary["propagation"] = run.propagation
     return [path], summary
 
 
@@ -374,7 +378,8 @@ def _run_ergodicity(cfg, prefix):
                "chi_square": hist.chi_square,
                "p_value": float(hist.p_value),
                "max_density_deviation":
-                   float(np.abs(hist.density - 1 / (2 * math.pi)).max())}
+                   float(np.abs(hist.density - 1 / (2 * math.pi)).max()),
+               "propagation": traj.stats}
     return files, summary
 
 
@@ -732,6 +737,10 @@ def cmd_preset(args):
     return 0
 
 
+# built once per process: main runs once per config when callers such as
+# the tests drive the CLI in-process, and argparse set-up costs about a
+# millisecond each time
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="geodrive",

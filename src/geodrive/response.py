@@ -65,6 +65,7 @@ class ResponseRun:
     norm_deviation: float
     band: int
     spec: GeodesicSpec
+    propagation: dict | None = None  # BolzaTrajectory.stats of a Bolza drive
 
 
 def running_average(series, normalization, target=None):
@@ -248,7 +249,7 @@ def run_hdqs(model, lam=0.05, T=2000.0, dt=0.01, band=1, z0=0j,
     return ResponseRun(
         curve=running_average(series, lam ** 2, target=target),
         series=series, norm_deviation=float(np.abs(result.norms - 1).max()),
-        band=band, spec=spec)
+        band=band, spec=spec, propagation=traj.stats)
 
 
 def _run_flat(model, manifold, omega, T, dt, band, theta0, target,

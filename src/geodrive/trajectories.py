@@ -4,12 +4,16 @@ Bolza-surface geodesics are propagated with exact closed-form segments:
 the unit-speed geodesic through the origin is z(s) = n tanh(s/2) with
 momentum covector p(s) = n (1 + cosh s), and an SU(1,1) word accumulated
 from the side pairings keeps every sample inside the closed fundamental
-octagon.  The only numerical content is the bisection that locates each
-boundary-crossing time.  Because the flow has unit Lyapunov exponent, a
+octagon.  Each boundary-crossing time is a root of a real quadratic, one
+per octagon arc, so nothing is solved iteratively.  The word's entries
+grow like e^{s/2} and the flow amplifies errors like e^{s}, so a
 speed-lambda run over horizon T needs roughly 0.434*lambda*T decimal
-digits of headroom; arithmetic runs under mpmath at that precision and
-samples are returned in double precision after reduction (reduced
-positions and momenta are O(1), so doubles lose nothing downstream).
+digits of headroom.  Only the word and one anchor per crossing run under
+mpmath at that precision: the anchor (the word composed with the
+translation to the segment's first sample) has O(1) entries, is rounded
+to double-double, and yields the segment's samples under numpy, each the
+correctly rounded closed-form value.  A copy of the word at 20 more
+digits certifies the precision at every anchor.
 
 A high-order Taylor-series integrator for the cogeodesic ODE is kept as
 an independent oracle.  It evolves v = 1 - |z|^2 as a third dynamical
@@ -25,6 +29,7 @@ the deck transformations literally and serve as oracles for them.
 import cmath
 import math
 import os
+import time
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -137,6 +142,10 @@ class BolzaTrajectory:
     word_len[k] says how many of them had been applied by sample k, so
     word[:word_len[k]] reproduces the chart of sample k.  crossings
     records (arc-length time, signed index) for each boundary crossing.
+    stats records what the propagation did: working digits, crossings,
+    mpmath anchors, vertex passages (steps needing more than one side
+    pairing), the largest disagreement of the precision certificate and
+    the wall time in seconds.
     """
 
     spec: GeodesicSpec
@@ -147,6 +156,7 @@ class BolzaTrajectory:
     word_len: np.ndarray
     word: list
     crossings: list
+    stats: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.t)
@@ -193,7 +203,7 @@ class BolzaTrajectory:
         sl = slice(offset, None, step)
         return BolzaTrajectory(
             self.spec, self.digits, self.t[sl], self.z[sl], self.p[sl],
-            self.word_len[sl], self.word, self.crossings,
+            self.word_len[sl], self.word, self.crossings, self.stats,
         )
 
 
@@ -406,18 +416,246 @@ def cogeodesic_energy(sample):
 # --------------------------------------------------------------------------
 # Bolza propagation with exact segments
 
+# samples evaluated per vectorized window, which bounds the temporaries
+# whatever the length of a segment
+_WINDOW = 1 << 12
+
+# the certificate copy of the chart map carries this many extra digits, and
+# its rounded anchors may differ from the working ones by at most _CERT_TOL
+_CERT_DIGITS = 20
+_CERT_TOL = 1e-13
+
+_SPLIT = 134217729.0  # 2**27 + 1, splits a double into two 26-bit halves
+
+
+class _DD:
+    """Double-double numbers hi + lo, about 32 digits, elementwise on arrays.
+
+    Samples are evaluated in this precision and rounded once, so each
+    stored double is the correctly rounded closed-form value, the same
+    double an evaluation at the working precision gives.  Every last bit
+    can matter downstream: a direction histogram, for one, has bin edges
+    at multiples of pi/18, where all momenta of a radial drive can sit.
+    """
+
+    __slots__ = ("hi", "lo")
+
+    def __init__(self, hi, lo=0.0):
+        self.hi, self.lo = hi, lo
+
+    @classmethod
+    def from_mp(cls, values):
+        """Round mpmath reals (one or an array-like of them) to double-double."""
+        if isinstance(values, mp.mpf):
+            hi = float(values)
+            return cls(hi, float(values - hi))
+        hi = np.array([float(v) for v in values])
+        return cls(hi, np.array([float(v - h) for v, h in zip(values, hi)]))
+
+    def __getitem__(self, key):
+        return _DD(self.hi[key], self.lo[key])
+
+    @staticmethod
+    def _norm(s, e):
+        hi = s + e
+        return _DD(hi, e - (hi - s))
+
+    def __add__(self, other):
+        other = other if isinstance(other, _DD) else _DD(other)
+        s = self.hi + other.hi
+        v = s - self.hi
+        e = (self.hi - (s - v)) + (other.hi - v) + self.lo + other.lo
+        return _DD._norm(s, e)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _DD(-self.hi, -self.lo)
+
+    def __sub__(self, other):
+        return self + -(other if isinstance(other, _DD) else _DD(other))
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = other if isinstance(other, _DD) else _DD(other)
+        p = self.hi * other.hi
+        # Dekker's exact product of the high parts
+        t = _SPLIT * self.hi
+        ah = t - (t - self.hi)
+        t = _SPLIT * other.hi
+        bh = t - (t - other.hi)
+        al, bl = self.hi - ah, other.hi - bh
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        return _DD._norm(p, e + (self.hi * other.lo + self.lo * other.hi))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = other if isinstance(other, _DD) else _DD(other)
+        q1 = self.hi / other.hi
+        r = self - other * q1
+        q2 = r.hi / other.hi
+        r = r - other * q2
+        return _DD._norm(q1, q2) + r.hi / other.hi
+
+    def __rtruediv__(self, other):
+        return _DD(other) / self
+
+
+def _tanh_table(n, half_ds):
+    """tanh(j ds/2) for j < n as a double-double array.
+
+    mpmath evaluates about 2 sqrt(n) of them, at the first B multiples of
+    ds/2 and at the multiples of B ds/2; tanh(x + y) = (tanh x + tanh y) /
+    (1 + tanh x tanh y) fills in the rest.
+    """
+    B = max(1, math.isqrt(n))
+    with mp.workdps(40):
+        low = _DD.from_mp([mp.tanh(j * half_ds) for j in range(B)])
+        high = _DD.from_mp([mp.tanh(i * B * half_ds) for i in range(-(-n // B))])
+    x, y = high[:, None], low[None, :]
+    t = (x + y) / (1 + x * y)
+    return _DD(t.hi.ravel()[:n], t.lo.ravel()[:n])
+
+
+class _Chart:
+    """The chart map W at the working precision and at the certificate's.
+
+    W (side pairings applied so far, times the initial frame) sends the
+    unit-speed geodesic w = tanh(s/2) through the origin into the current
+    chart.  The anchor at sample k is M = W o T(k ds), with T(s) the
+    translation by arc s along the real axis, so sample k + j sits at
+    M(tanh(j ds/2)).  M(0) is a sample inside the octagon, so M has O(1)
+    entries and rounds to double-double and double without loss.
+    """
+
+    def __init__(self, spec, digits):
+        self.digits = (digits, digits + _CERT_DIGITS)
+        self.maps, self.half_ds = [], []
+        for d in self.digits:
+            with mp.workdps(d):
+                self.maps.append(
+                    MobiusMap.translation_to(spec.z0, d)
+                    @ MobiusMap.rotation(spec.direction, d))
+                self.half_ds.append(mp.mpf(spec.speed) * mp.mpf(spec.dt) / 2)
+        self.anchors = 0
+        self.max_diff = 0.0
+
+    def apply(self, idx):
+        """Compose the side pairing idx onto both copies of W."""
+        for i, d in enumerate(self.digits):
+            with mp.workdps(d):
+                self.maps[i] = bolza_group(d).element(idx) @ self.maps[i]
+
+    def anchor(self, k, t):
+        """Anchors at sample k: the working one as a double MobiusMap and as
+        double-double parts (Re a, Im a, Re b, Im b), the certificate's as a
+        double MobiusMap.
+
+        Raises PropagationError when the two rounded anchors differ by more
+        than _CERT_TOL: the working digits no longer carry the chart map at
+        drive time t.
+        """
+        anchors = []
+        for d, w_map, half_ds in zip(self.digits, self.maps, self.half_ds):
+            with mp.workdps(d):
+                e = mp.exp(k * half_ds)  # T(k ds) = (cosh, sinh) of k ds/2
+                anchors.append(w_map @ MobiusMap((e + 1 / e) / 2, (e - 1 / e) / 2,
+                                                 check=False))
+        m, m_cert = (MobiusMap(complex(a.a), complex(a.b), check=False)
+                     for a in anchors)
+        diff = max(abs(m.a - m_cert.a), abs(m.b - m_cert.b))
+        self.anchors += 1
+        self.max_diff = max(self.max_diff, diff)
+        if not diff <= _CERT_TOL:
+            raise PropagationError(
+                f"precision certificate failed at t = {float(t)!r}: the chart map at "
+                f"{self.digits[0]} digits is off by {diff:.1e} from the one at "
+                f"{self.digits[1]} digits; raise digits")
+        a, b = anchors[0].a, anchors[0].b
+        m_dd = tuple(_DD.from_mp(x) for x in (a.real, a.imag, b.real, b.imag))
+        return m, m_dd, m_cert
+
+
+def _segment_samples(m_dd, tau, lam):
+    """Positions M(tau) and momenta lam 2/(1-tau^2) conj(den^2), rounded once.
+
+    M is given by the double-double parts of its a and b, tau is a
+    double-double scalar or array, and den = conj(b) tau + conj(a).
+    """
+    ar, ai, br, bi = m_dd
+    dr, di = br * tau + ar, -(bi * tau + ai)
+    nr, ni = ar * tau + br, ai * tau + bi
+    dr2, di2 = dr * dr, di * di
+    norm = dr2 + di2
+    z_re = (nr * dr + ni * di) / norm
+    z_im = (ni * dr - nr * di) / norm
+    q = (2 * lam) / ((1 - tau) * (1 + tau))
+    p_re = q * (dr2 - di2)
+    p_im = q * (-2 * (dr * di))
+    return z_re.hi + 1j * z_im.hi, p_re.hi + 1j * p_im.hi
+
+
+def _outside(z, centers, r_slack):
+    """Per sample: more than the slack inside some arc circle."""
+    out = np.zeros(z.shape, dtype=bool)
+    for c in centers:
+        out |= np.abs(z - c) < r_slack
+    return out
+
+
+def _entry_params(m, centers, r):
+    """Parameter w in (-1, 1) at which w -> M(w) enters each arc disk.
+
+    |M(w) - c|^2 = r^2 is the real quadratic alpha w^2 + 2 beta w + gamma
+    = 0, negative inside the disk; the entering root is the one where it
+    decreases.  NaN for arcs whose disk the geodesic does not enter.
+    """
+    a, b = m.a, m.b
+    P = a - centers * b.conjugate()
+    Q = b - centers * a.conjugate()
+    r2 = r * r
+    alpha = np.abs(P) ** 2 - r2 * abs(b) ** 2
+    beta = (P * Q.conjugate()).real - r2 * (b.conjugate() * a).real
+    gamma = np.abs(Q) ** 2 - r2 * abs(a) ** 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root = np.sqrt(beta * beta - alpha * gamma)
+        # (-beta - root)/alpha, in the form that does not cancel
+        w = np.where(beta > 0, -(beta + root) / alpha, gamma / (root - beta))
+    return np.where(np.abs(w) < 1, w, np.nan)
+
+
+def _first_exit(m, centers, r, arcs, s_anchor):
+    """Arc time and point where w -> M(w) first enters one of the arcs' disks."""
+    w = np.fmin.reduce(np.where(arcs, _entry_params(m, centers, r), np.nan))
+    if np.isnan(w):
+        raise PropagationError(
+            f"no boundary crossing found after arc length {s_anchor!r}")
+    return s_anchor + 2 * math.atanh(w), m(w)
+
 
 def propagate_bolza(spec):
     """Sample the reduced speed-lambda Bolza geodesic at t_k = k*dt.
 
-    Between boundary crossings the chart map W (an SU(1,1) word times the
-    initial frame) is constant and positions are W(tanh(s/2)) exactly; at
-    each domain exit the crossing time is located by bisection to
-    10^(-digits/2) in arc length and the unique re-entering side pairing
-    is composed onto W.  Momenta are pushed forward through the same map.
+    Between boundary crossings the chart map W is constant.  Each segment
+    is anchored at its first sample k as M = W o T(k ds), built under
+    mpmath and rounded to double-double, and its samples are M(tau_j) with
+    tau_j = tanh(j ds/2) from one shared double-double table, evaluated a
+    window at a time and rounded once to double.  A sample is outside when
+    it lies more than 1e-12 inside an arc circle; the crossing before it
+    is the earliest root of the real quadratics |M(w) - c_j| = r, the side
+    pairing that maps that exit point back inside is composed onto W, and
+    the sample is re-anchored and tested again (several times at a vertex
+    passage).  mpmath work thus scales with crossings, not samples.  A
+    copy of W at 20 more digits is anchored alongside and must agree to
+    1e-13 and pick the same side pairings, or PropagationError reports the
+    digits as too few.
     """
     if spec.manifold != "bolza":
         raise ValidationError("propagate_bolza needs a bolza-manifold spec")
+    start = time.perf_counter()
     lam = float(spec.speed)
     dt = float(spec.dt)
     N = spec.n_steps
@@ -430,115 +668,100 @@ def propagate_bolza(spec):
     wlen_arr = np.empty(n_out, dtype=np.int32)
     word = []
     crossings = []
-
-    oct_d = bolza_group().octagon
-    centers_d = list(oct_d.centers)
-    r_slack = oct_d.r - 1e-12
-
-    def inside(zc):
-        for cj in centers_d:
-            if abs(zc - cj) < r_slack:
-                return False
-        return True
+    vertex_passages = 0
 
     group_d = bolza_group()
+    octagon = group_d.octagon
+    centers = np.array(octagon.centers)
+    r_slack = octagon.r - 1e-12
+    ds = lam * dt
+    # a segment is a chord of the octagon, at most its diameter long
+    diameter = 4 * math.atanh(octagon.vertex_radius)
+    chart = _Chart(spec, digits)
+    tau = _tanh_table(min(n_out, int(diameter / ds) + 3), chart.half_ds[0])
 
-    with mp.workdps(digits):
-        group = bolza_group(digits)
-        W = MobiusMap.translation_to(spec.z0, digits) @ MobiusMap.rotation(
-            spec.direction, digits
-        )
-        ds = mp.mpf(lam) * mp.mpf(dt)
-        tau_step = mp.tanh(ds / 2)
-        # dyadic arc-length offsets for crossing bisection
-        n_bis = max(4, math.ceil(digits / 2 * math.log2(10) + math.log2(float(ds))))
-        dyadic = [tau_step]
-        for _ in range(n_bis):
-            # tanh(delta/4) from tanh(delta/2) via the half-argument formula
-            tprev = dyadic[-1]
-            dyadic.append(tprev / (1 + mp.sqrt((1 - tprev) * (1 + tprev))))
-
-        def advance(wv, tau):
-            return (wv + tau) / (1 + wv * tau)
-
-        def emit(k, wv):
-            den = W.b.conjugate() * wv + W.a.conjugate()
-            zv = (W.a * wv + W.b) / den
-            pv = lam * (2 / ((1 - wv) * (1 + wv))) * (den * den).conjugate()
-            z_arr[k] = complex(zv)
-            p_arr[k] = complex(pv)
-            wlen_arr[k] = len(word)
-            return z_arr[k]
-
-        w_cur = mp.mpf(0)
-        zc = emit(0, w_cur)
-        if not inside(zc):
-            raise PropagationError("initial position is outside the fundamental domain")
-        for k in range(1, n_out):
-            if k % 4096 == 0:
-                # resynchronize against incremental-update rounding drift
-                w_cur = mp.tanh(mp.mpf(k) * ds / 2)
-            else:
-                w_cur = advance(w_cur, tau_step)
-            zc = emit(k, w_cur)
-            applications = 0
-            w_lo = advance(w_cur, -tau_step)  # sample k-1 (inside by induction)
-            s_lo = (k - 1) * lam * dt
-            while not inside(complex(z_arr[k])):
-                applications += 1
-                if applications > 12:
-                    raise PropagationError(
-                        f"could not re-enter the fundamental domain near t = {t_arr[k]!r}"
-                    )
-                # bisect the crossing inside (s_lo, s_k]
-                wl, wh = w_lo, w_cur
-                s_off = 0.0
-                step_frac = 0.5
-                for i in range(1, n_bis + 1):
-                    wm = advance(wl, dyadic[i])
-                    zm = complex((W.a * wm + W.b) / (W.b.conjugate() * wm + W.a.conjugate()))
-                    if inside(zm):
-                        wl = wm
-                        s_off += step_frac
-                    else:
-                        wh = wm
-                    step_frac *= 0.5
-                s_star = s_lo + float(ds) * s_off
-                z_exit = complex((W.a * wh + W.b) / (W.b.conjugate() * wh + W.a.conjugate()))
-                idx = _reentering_index(group_d, oct_d, z_exit)
-                if idx is None:
-                    raise PropagationError(
-                        f"no re-entering side pairing found at t = {t_arr[k]!r}"
-                    )
-                W = group.element(idx) @ W
-                word.append(idx)
-                crossings.append((s_star, idx))
-                zc = emit(k, w_cur)
-                w_lo = wh
-                s_lo = s_star
-        return BolzaTrajectory(
-            spec, digits, t_arr, z_arr, p_arr, wlen_arr, word, crossings
-        )
+    m, m_dd, m_cert = chart.anchor(0, 0.0)
+    z_arr[0], p_arr[0] = _segment_samples(m_dd, _DD(0.0), lam)
+    wlen_arr[0] = 0
+    if (np.abs(z_arr[0] - centers) < r_slack).any():
+        raise PropagationError("initial position is outside the fundamental domain")
+    k = 0  # anchor sample of the current segment
+    while k < n_out - 1:
+        # emit up to the sample past the predicted exit, then window by window
+        w_exit = np.fmin.reduce(_entry_params(m, centers, octagon.r))
+        stop = max(1, int(np.searchsorted(tau.hi, w_exit, side="right")))
+        j0 = 1
+        while True:
+            j1 = min(stop, j0 + _WINDOW - 1, n_out - 1 - k, len(tau.hi) - 1)
+            if j1 < j0:
+                raise PropagationError(
+                    f"segment from t = {float(t_arr[k])!r} outran the octagon's diameter")
+            z, p = _segment_samples(m_dd, tau[j0:j1 + 1], lam)
+            hits = np.flatnonzero(_outside(z, centers, r_slack))
+            n_in = int(hits[0]) if len(hits) else len(z)
+            sl = slice(k + j0, k + j0 + n_in)
+            z_arr[sl], p_arr[sl], wlen_arr[sl] = z[:n_in], p[:n_in], len(word)
+            if len(hits) or k + j1 == n_out - 1:
+                break
+            j0, stop = j1 + 1, max(stop, 2 * j1)
+        if not len(hits):
+            break
+        # re-enter at sample k_out, one side pairing per crossing
+        k_anchor, k = k, k + j0 + n_in
+        arcs = np.abs(z[n_in] - centers) < r_slack
+        applications = 0
+        while arcs.any():
+            applications += 1
+            if applications > 12:
+                raise PropagationError(
+                    f"could not re-enter the fundamental domain near t = {t_arr[k]!r}"
+                )
+            s_anchor = float(k_anchor * ds)
+            s_star, z_exit = _first_exit(m, centers, octagon.r, arcs, s_anchor)
+            _, z_check = _first_exit(m_cert, centers, octagon.r, arcs, s_anchor)
+            # at a vertex the pairing just applied has an inverse that maps
+            # the exit point inside too; taking it would step straight back
+            back = -word[-1] if applications > 1 else None
+            idx = _reentering_index(group_d, octagon, z_exit, back)
+            if idx is None:
+                depth = max(octagon.min_depth(g(z_exit)) for _, g in group_d.items())
+                raise PropagationError(
+                    f"vertex passage near t = {float(t_arr[k])!r}, side pairing "
+                    f"{applications} of the step: none maps the exit point "
+                    f"{z_exit!r} back into the octagon (best image depth {depth:.1e})")
+            if _reentering_index(group_d, octagon, z_check, back) != idx:
+                raise PropagationError(
+                    f"precision certificate failed at t = {float(t_arr[k])!r}: "
+                    f"{digits} and {digits + _CERT_DIGITS} digits pick "
+                    "different side pairings; raise digits")
+            chart.apply(idx)
+            word.append(idx)
+            crossings.append((s_star, idx))
+            k_anchor = k
+            m, m_dd, m_cert = chart.anchor(k, t_arr[k])
+            z_arr[k], p_arr[k] = _segment_samples(m_dd, _DD(0.0), lam)
+            arcs = np.abs(z_arr[k] - centers) < r_slack
+        vertex_passages += applications > 1
+        wlen_arr[k] = len(word)
+    stats = {"digits": digits, "crossings": len(crossings),
+             "anchors": chart.anchors, "vertex_passages": vertex_passages,
+             "certificate_max_diff": chart.max_diff,
+             "propagate_s": time.perf_counter() - start}
+    return BolzaTrajectory(
+        spec, digits, t_arr, z_arr, p_arr, wlen_arr, word, crossings, stats
+    )
 
 
-def _reentering_index(group_d, octagon, z_exit):
+def _reentering_index(group_d, octagon, z_exit, back=None):
     """Signed index of the side pairing that maps the exit point back inside.
 
     Exact boundary points land on the paired edge, so membership is tested
     with a little slack; ties break toward the lowest canonical index, and
-    if the point sits in a corner sliver none may match, in which case the
-    least-violating element is taken.
+    the index back is never taken.  None if no image is inside.
     """
-    best = None
     for idx, g in group_d.items():
-        img = g(z_exit)
-        if octagon.contains(img, tol=1e-9):
+        if idx != back and octagon.contains(g(z_exit), tol=1e-9):
             return idx
-        depth = octagon.min_depth(img)
-        if best is None or depth > best[0]:
-            best = (depth, idx)
-    if best is not None and best[0] > -0.5:
-        return best[1]
     return None
 
 

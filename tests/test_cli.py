@@ -210,8 +210,25 @@ class TestRunKinds:
         summary = manifest["summary"]
         assert summary["r"] == 0.6
         assert summary["final_relative_error"] < 0.5
+        assert summary["propagation"]["crossings"] > 0
         assert os.path.exists(prefix + "area.csv")
         assert os.path.exists(prefix + "angles.csv")
+
+    def test_bolza_runs_report_propagation(self, tmp_path):
+        drive = {"T": 4.0, "dt": 0.01, "lambda": 1.0, "direction": 0.3}
+        keys = {"digits", "crossings", "anchors", "vertex_passages",
+                "certificate_max_diff", "propagate_s"}
+        traj_cfg = {"kind": "trajectory", "manifold": "bolza", "drive": drive,
+                    "output": {"prefix": str(tmp_path / "traj_")}}
+        resp_cfg = {"kind": "response", "manifold": "bolza",
+                    "model": {"name": "bolza_qubit", "epsilon": 0.5},
+                    "drive": dict(drive, **{"lambda": 0.05, "T": 2.0}),
+                    "output": {"prefix": str(tmp_path / "resp_")}}
+        for cfg in (traj_cfg, resp_cfg):
+            summary = self.run_ok(tmp_path, cfg)["summary"]
+            assert set(summary["propagation"]) == keys
+            assert summary["propagation"]["anchors"] == \
+                summary["propagation"]["crossings"] + 1
 
 
 class TestPreset:

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from geodrive import ValidationError
-from geodrive.hyperbolic import in_fundamental_domain, kinetic_energy
+from geodrive import PropagationError, ValidationError
+from geodrive.hyperbolic import bolza_group, in_fundamental_domain, kinetic_energy
 from geodrive.trajectories import (
     GeodesicSpec,
     bolza_closed_form,
@@ -201,6 +201,22 @@ class TestPropagateBolza:
                 assert abs(z_pred - traj.z[k]) < 1e-12
                 assert abs(p_pred - traj.p[k]) < 1e-11
 
+    def test_samples_are_correctly_rounded(self, short_bolza_run):
+        # each stored sample is the exact closed form pushed through its
+        # chart, rounded once to double: bit for bit what an evaluation at
+        # the working precision gives
+        traj = short_bolza_run
+        spec = traj.spec
+        for k in range(0, len(traj), 97):
+            with mp.workdps(traj.digits):
+                t = mp.mpf(k) * mp.mpf(spec.dt)
+            z_ref, p_ref = bolza_closed_form(spec.z0, spec.direction,
+                                             spec.speed, t, digits=traj.digits)
+            m = traj.chart_map(k)
+            with mp.workdps(traj.digits):
+                assert complex(m(z_ref)) == traj.z[k], k
+                assert complex(m.push_forward(z_ref, p_ref)) == traj.p[k], k
+
     def test_unreduced_phase_inverts_the_word(self, short_bolza_run):
         # at double accuracy (the samples are stored rounded) the
         # unreduced phase point is the closed-form geodesic
@@ -237,6 +253,60 @@ class TestPropagateBolza:
         traj = trajectory(spec)
         assert_allclose(traj.z[0], 0.3 + 0.1j, atol=1e-14)
         assert np.abs(traj.energies() - 0.5).max() < 1e-12
+
+    def test_crossings_lie_on_arcs(self, short_bolza_run):
+        # each recorded crossing, pulled back through the chart of the sample
+        # before it, sits on an octagon arc far inside the 1e-12 membership
+        # slack: the crossing is a root, not the end of a bisection
+        traj = short_bolza_run
+        octagon = bolza_group().octagon
+        spec = traj.spec
+        for i, (s, _) in enumerate(traj.crossings):
+            k = int(np.flatnonzero(traj.word_len == i)[-1])
+            z_raw, _ = bolza_closed_form(spec.z0, spec.direction, spec.speed,
+                                         s / spec.speed, digits=traj.digits)
+            with mp.workdps(traj.digits):
+                z = complex(traj.chart_map(k)(z_raw))
+            miss = min(abs(abs(z - c) - octagon.r) for c in octagon.centers)
+            assert miss < 1e-13, (i, s, miss)
+
+    def test_vertex_passage(self):
+        # aimed from the origin at the vertex at angle pi/8, the geodesic
+        # leaves through the corner where two arcs meet: one step takes
+        # several side pairings, going round the vertex without stepping back
+        spec = GeodesicSpec(manifold="bolza", T=5.0, dt=0.01,
+                            direction=math.pi / 8)
+        traj = trajectory(spec)
+        assert traj.stats["vertex_passages"] == 1
+        assert all(in_fundamental_domain(z, tol=1e-9) for z in traj.z)
+        k = int(np.flatnonzero(np.diff(traj.word_len))[0])
+        assert traj.word_len[k + 1] - traj.word_len[k] > 1
+        for j in (k - 1, k, k + 1, k + 2, len(traj) - 1):
+            m = traj.chart_map(j)
+            z_ref, p_ref = bolza_closed_form(0j, math.pi / 8, 1.0, traj.t[j],
+                                             digits=traj.digits)
+            with mp.workdps(traj.digits):
+                assert abs(m(z_ref) - traj.z[j]) < 1e-12
+                assert abs(m.push_forward(z_ref, p_ref) - traj.p[j]) \
+                    < 1e-12 * abs(traj.p[j])
+
+    def test_certificate_rejects_too_few_digits(self):
+        # 30 digits carry the chart map only to arc length ~40 of 150
+        spec = GeodesicSpec(manifold="bolza", T=150.0, dt=0.01,
+                            direction=math.pi / 9, digits=30)
+        with pytest.raises(PropagationError, match="precision certificate"):
+            trajectory(spec)
+
+    def test_stats(self, short_bolza_run):
+        stats = short_bolza_run.stats
+        assert stats["digits"] == short_bolza_run.digits
+        assert stats["crossings"] == len(short_bolza_run.crossings)
+        # one anchor at the start and one after each side pairing
+        assert stats["anchors"] == stats["crossings"] + 1
+        assert stats["vertex_passages"] == 0
+        assert stats["certificate_max_diff"] <= 1e-13
+        assert stats["propagate_s"] > 0
+        assert short_bolza_run.subsample(2).stats is stats
 
     def test_subsample_alignment(self, short_bolza_run):
         sub = short_bolza_run.subsample(2)
