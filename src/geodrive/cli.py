@@ -13,7 +13,9 @@ time, the file list and summary metrics.  Exit codes: 0 success, 2 config
 error, 3 runtime error.
 
 CSV cells use the shortest round-trip decimal form of each double, so
-identical configs produce byte-identical files.
+identical configs produce byte-identical files.  Rows are written in
+blocks, and within a block each distinct double is formatted once; the
+bytes are those of formatting every cell on its own.
 """
 
 import argparse
@@ -167,18 +169,41 @@ def validate_config(cfg):
 # artifact writers
 
 
+# rows formatted and written at a time: the heap that a block's strings
+# grow stays resident after the writer returns and adds to the peak of the
+# drive that follows (about 0.15 MiB at 256 rows, 0.6 MiB at 1024)
+_BLOCK_ROWS = 256
+
+
+def _cells(a, kind):
+    """CSV cells of one column block: repr of each double, str of each int.
+
+    Each distinct double (by bit pattern, so -0.0 and 0.0 stay apart) is
+    formatted once: grid columns repeat a few hundred axis values.
+    """
+    if kind == "i":
+        return list(map(str, a.tolist()))
+    bits = a.astype(np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(np.float64).tolist())),
+                    dtype=object)
+    return text[inverse].tolist()
+
+
 def _write_csv(path, cols):
     """Write columns as CSV; cols is a list of (name, array, 'f'|'i')."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     arrays = [(np.asarray(a), k) for _, a, k in cols]
+    n = len(arrays[0][0])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(name for name, _, _ in cols) + "\n")
-        for i in range(len(arrays[0][0])):
-            cells = (repr(float(a[i])) if k == "f" else str(int(a[i]))
-                     for a, k in arrays)
-            fh.write(",".join(cells) + "\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            block = [_cells(a[start:start + _BLOCK_ROWS], k)
+                     for a, k in arrays]
+            fh.write("\n".join(map(",".join, zip(*block, strict=True)))
+                     + "\n")
     return path
 
 
@@ -311,12 +336,13 @@ def _run_response(cfg, prefix):
     curve = run.curve
     path = _write_csv(prefix + "response.csv",
                       [("T", curve.T, "f"),
-                       ("expectation", run.series.values[-len(curve.T):], "f"),
+                       ("expectation", curve.expectation, "f"),
                        ("running_average", curve.values, "f")])
     summary = {"band": run.band, "samples": len(run.series.t),
                "final_running_average": curve.final_value,
                "normalization": curve.normalization,
-               "norm_deviation": run.norm_deviation}
+               "norm_deviation": run.norm_deviation,
+               "max_imag_expectation": run.worst_imag}
     if run.propagation is not None:
         summary["propagation"] = run.propagation
     return [path], summary

@@ -65,6 +65,7 @@ class ResponseRun:
     norm_deviation: float
     band: int
     spec: GeodesicSpec
+    worst_imag: float  # largest |Im <psi|O|psi>|, checked against IMAG_TOL
     propagation: dict | None = None  # BolzaTrajectory.stats of a Bolza drive
 
 
@@ -199,6 +200,7 @@ def _require_gapped(model, threshold):
 
 
 def _expectation_values(states, builder, n):
+    """Real parts of <psi|O|psi> and the largest imaginary part dropped."""
     values = np.empty(n)
     worst_imag = 0.0
     for start in range(0, n, _CHUNK):
@@ -212,7 +214,7 @@ def _expectation_values(states, builder, n):
         raise ValidationError(
             f"observable expectation has imaginary part {worst_imag:.2e}; "
             "observable is not Hermitian")
-    return values
+    return values, float(worst_imag)
 
 
 def run_hdqs(model, lam=0.05, T=2000.0, dt=0.01, band=1, z0=0j,
@@ -244,12 +246,12 @@ def run_hdqs(model, lam=0.05, T=2000.0, dt=0.01, band=1, z0=0j,
                                         threshold=gap_threshold)
         return _hdqs_stack(model, zb[sl], pb[sl])
 
-    series = ObservableSeries(result.t,
-                              _expectation_values(result.states, builder, n))
+    values, worst_imag = _expectation_values(result.states, builder, n)
+    series = ObservableSeries(result.t, values)
     return ResponseRun(
         curve=running_average(series, lam ** 2, target=target),
         series=series, norm_deviation=float(np.abs(result.norms - 1).max()),
-        band=band, spec=spec, propagation=traj.stats)
+        band=band, spec=spec, worst_imag=worst_imag, propagation=traj.stats)
 
 
 def _run_flat(model, manifold, omega, T, dt, band, theta0, target,
@@ -274,12 +276,12 @@ def _run_flat(model, manifold, omega, T, dt, band, theta0, target,
         builder = lambda sl: _rp2_stack(model, thb[sl], vyb[sl])
     else:
         builder = lambda sl: _klein_stack(model, thb[sl], omega[1])
-    series = ObservableSeries(result.t,
-                              _expectation_values(result.states, builder, n))
+    values, worst_imag = _expectation_values(result.states, builder, n)
+    series = ObservableSeries(result.t, values)
     return ResponseRun(
         curve=running_average(series, omega[1] ** 2 / math.pi, target=target),
         series=series, norm_deviation=float(np.abs(result.norms - 1).max()),
-        band=band, spec=spec)
+        band=band, spec=spec, worst_imag=worst_imag)
 
 
 def run_klein(model, omega=None, T=None, dt=0.01, band=1,

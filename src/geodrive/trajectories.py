@@ -794,10 +794,33 @@ def _wrap_flat(manifold, theta0, omega, t):
         n_x = np.floor_divide(xlift, math.pi).astype(np.int64)
         n_y = np.floor_divide(ylift, math.pi).astype(np.int64)
         sx, sy = _parity(n_y), _parity(n_x)
-        theta_x = sx * (xlift - math.pi * n_x) + (math.pi / 2) * (1 - sx)
-        theta_y = sy * (ylift - math.pi * n_y) + (math.pi / 2) * (1 - sy)
+        theta_x = np.asarray(sx * (xlift - math.pi * n_x)
+                             + (math.pi / 2) * (1 - sx))
+        theta_y = np.asarray(sy * (ylift - math.pi * n_y)
+                             + (math.pi / 2) * (1 - sy))
+        n_x, n_y = np.asarray(n_x), np.asarray(n_y)
+        # the y edge, the x edge, then the y edge again, as in
+        # rp2_lift_project
+        _rp2_recross(theta_y, theta_x, n_y, n_x)
+        _rp2_recross(theta_x, theta_y, n_x, n_y)
+        _rp2_recross(theta_y, theta_x, n_y, n_x)
     theta = np.stack(np.broadcast_arrays(theta_x, theta_y), axis=-1)
     return theta, np.stack(np.broadcast_arrays(n_x, n_y), axis=-1)
+
+
+def _rp2_recross(a, b, n_a, n_b):
+    """Move RP2 points whose angle a rounded up to pi across that edge.
+
+    A reflection pi - a rounds to pi for a within half an ulp of 0.  The
+    point (a, b) is the image of (a - pi, pi - b) in the cell one crossing
+    over, n_a + (-1)^{n_b}, since the parity of the other crossing count
+    sets the direction of a.  The arrays are updated in place, at the
+    flagged points only.
+    """
+    over = a >= math.pi
+    a[over] -= math.pi
+    b[over] = math.pi - b[over]
+    n_a[over] += _parity(n_b[over])
 
 
 def torus_geodesic(theta0, omega, t):
@@ -817,10 +840,12 @@ def klein_geodesic(theta0, omega, t):
 
 
 def rp2_geodesic(theta0, omega, t):
-    """RP2 geodesic in [0,pi]^2 with effective velocities and crossing numbers.
+    """RP2 geodesic in [0,pi)^2 with effective velocities and crossing numbers.
 
     The x-velocity flips sign at every y-edge crossing and vice versa:
-    omega_x(t) = (-1)^{n_y} omega_x, omega_y(t) = (-1)^{n_x} omega_y.
+    omega_x(t) = (-1)^{n_y} omega_x, omega_y(t) = (-1)^{n_x} omega_y.  The
+    corner point {(0, pi), (pi, 0)}, which has no image in [0,pi)^2, is
+    returned as (pi, 0).
     """
     _check_domain("rp2", theta0)
     theta, nn = _wrap_flat("rp2", theta0, omega, t)
@@ -879,6 +904,11 @@ def rp2_lift_project(theta0, omega, t):
         guard += 1
         if guard > 20_000_000:
             raise PropagationError("lift-project loop did not terminate")
+    # an x move sends y to pi - y, which is pi for y within half an ulp of
+    # 0; the corner point {(0, pi), (pi, 0)} has no image in [0,pi)^2 and
+    # comes out as (pi, 0)
+    if y >= math.pi:
+        x, y = math.pi - x, y - math.pi
     return np.array([x, y])
 
 

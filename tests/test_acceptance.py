@@ -79,7 +79,7 @@ def hdqs_pipeline(model, traj, lam):
                     EvolutionConfig(dt=2 * traj.spec.dt))
     n = len(result.states)
     zb, pb = traj.z[::2][:n], traj.p[::2][:n]
-    values = _expectation_values(
+    values, _ = _expectation_values(
         result.states, lambda sl: _hdqs_stack(model, zb[sl], pb[sl]), n)
     curve = running_average(ObservableSeries(result.t, values), lam ** 2)
     return track, result, curve
@@ -191,7 +191,7 @@ def test_criterion_8_counterdiabatic_fast_drive():
     fid = fidelity(result.states, track.states)
     n = len(result.states)
     zb, pb = traj.z[::2][:n], traj.p[::2][:n]
-    values = _expectation_values(
+    values, _ = _expectation_values(
         result.states,
         lambda sl: _cd_observable_stack(model, zb[sl], pb[sl], 1), n)
     curve = running_average(ObservableSeries(result.t, values), lam ** 2)

@@ -5,9 +5,12 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from geodrive.cli import PRESETS, main, validate_config
+from geodrive.cli import (_BLOCK_ROWS, PRESETS, _write_csv, main,
+                          validate_config)
+from geodrive.response import IMAG_TOL
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -199,6 +202,7 @@ class TestRunKinds:
         assert summary["norm_deviation"] < 1e-9
         assert summary["normalization"] == pytest.approx(0.81 ** 2 / math.pi)
         assert math.isfinite(summary["final_running_average"])
+        assert 0 <= summary["max_imag_expectation"] < IMAG_TOL
 
     def test_ergodicity_short(self, tmp_path):
         prefix = str(tmp_path / "erg_")
@@ -242,3 +246,57 @@ class TestPreset:
         assert len(rows) == 7
         assert all(row["within_tolerance"] for row in rows)
         assert os.path.exists(os.path.join(out, "summary.csv"))
+
+
+def per_row_csv(cols):
+    """The CSV text of the per-row rule: repr of each double, str of each int."""
+    lines = [",".join(name for name, _, _ in cols)]
+    for i in range(len(cols[0][1])):
+        lines.append(",".join(repr(float(a[i])) if k == "f" else str(int(a[i]))
+                              for _, a, k in cols))
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteCsv:
+    SPECIAL = [-0.0, 0.0, 5e-324, 1e16, 1e22, 0.1, 1 / 3, math.nan,
+               math.inf, -math.inf]
+
+    def check(self, tmp_path, cols):
+        path = str(tmp_path / "sub" / "out.csv")
+        assert _write_csv(path, cols) == path
+        with open(path, "rb") as fh:
+            assert fh.read() == per_row_csv(cols).encode()
+
+    def test_special_values(self, tmp_path):
+        vals = np.array(self.SPECIAL * 3)
+        self.check(tmp_path, [
+            ("f64", vals, "f"),
+            ("f32", vals.astype(np.float32), "f"),
+            ("n", np.arange(len(vals)) - 7, "i"),
+        ])
+        text = (tmp_path / "sub" / "out.csv").read_text()
+        assert text.splitlines()[1].startswith("-0.0,-0.0,-7")
+        assert "5e-324" in text and "1e+16" in text and "nan" in text
+
+    def test_header_only(self, tmp_path):
+        self.check(tmp_path, [("a", np.empty(0), "f"),
+                              ("b", np.empty(0, dtype=int), "i")])
+        assert (tmp_path / "sub" / "out.csv").read_text() == "a,b\n"
+
+    def test_short_column_is_an_error(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_csv(str(tmp_path / "out.csv"),
+                       [("a", np.zeros(5), "f"), ("b", np.zeros(4), "f")])
+
+    def test_grid_columns_across_blocks(self, tmp_path):
+        # repeat/tile grid columns, a strided column, and a row count that
+        # is not a multiple of the block size
+        n1, n2 = 7, _BLOCK_ROWS // 3 + 5
+        x1 = np.linspace(-math.pi, math.pi, n1)
+        x2 = np.linspace(-math.pi, 0.0, n2)
+        omega = np.random.default_rng(0).standard_normal((n1 * n2, 2))
+        assert (n1 * n2) % _BLOCK_ROWS
+        self.check(tmp_path, [("x1", np.repeat(x1, n2), "f"),
+                              ("x2", np.tile(x2, n1), "f"),
+                              ("omega", omega[:, 1], "f"),
+                              ("k", np.arange(n1 * n2, dtype=np.int32), "i")])

@@ -329,6 +329,12 @@ def _fold_rp2(theta):
     return rp2_lift_project(tuple(theta), (0.0, 0.0), 0.0)
 
 
+def _in_rp2_domain(theta):
+    # [0, pi)^2 plus (pi, 0), the corner point {(0, pi), (pi, 0)}
+    x, y = theta
+    return (0 <= x < math.pi and 0 <= y < math.pi) or (x, y) == (math.pi, 0)
+
+
 class TestFlatGeodesics:
     def test_torus_wraps(self):
         theta = torus_geodesic((0.5, 1.0), (1.0, 2.0), TWO_PI)
@@ -363,9 +369,15 @@ class TestFlatGeodesics:
            wx=st.floats(0.1, 3.0), wy=st.floats(0.1, 3.0),
            t=st.floats(0.0, 30.0))
     @settings(max_examples=60, deadline=None)
+    # an x move rounds y up to pi, then a y move rounds x up to pi
+    @example(x0=math.pi, y0=0.0, wx=2.0, wy=1.0, t=2.2e-16)
+    @example(x0=0.0, y0=math.pi, wx=0.5, wy=3.0, t=1e-16)
+    # the corner point, which has no image in [0, pi)^2
+    @example(x0=0.0, y0=math.pi, wx=1.0, wy=1.0, t=0.0)
     def test_rp2_oracle_property(self, x0, y0, wx, wy, t):
         got, _, _ = rp2_geodesic((x0, y0), (wx, wy), t)
         want = rp2_lift_project((x0, y0), (wx, wy), t)
+        assert _in_rp2_domain(got) and _in_rp2_domain(want)
         assert_allclose(_fold_rp2(got), want, atol=1e-8)
 
     def test_klein_sign_parity(self):
