@@ -31,10 +31,12 @@ import jsonschema
 import numpy as np
 
 from . import GeodriveError, ValidationError, __version__
-from .trajectories import GeodesicSpec, trajectory, default_digits
+from .hyperbolic import in_fundamental_domain
+from .trajectories import (GeodesicSpec, _check_domain, default_digits,
+                           trajectory)
 from .models import BUILTIN_MODELS, bolza_qubit
-from .evolution import EvolutionConfig, evolve, fidelity, g_correction, track_band
-from .response import GOLDEN, run_hdqs, run_klein, run_rp2
+from .evolution import evolve, fidelity, g_correction, track_band
+from .response import GOLDEN, drive_spec, run_hdqs, run_klein, run_rp2
 from .topology import chern_bolza, dipolar_chern, quadrupole_chern
 from .ergodicity import disk_area_exact, ergodicity_report
 
@@ -132,6 +134,20 @@ def validate_config(cfg):
         errors.append(("numerics.digits", "must be at least 30"))
     if "r" in numerics and not 0 <= numerics["r"] < 1:
         errors.append(("numerics.r", "must lie in [0, 1)"))
+    if ("omega" in drive and "T" not in drive and manifold != "bolza"
+            and drive["omega"][0] <= 0):
+        errors.append(("drive.omega",
+                       "omega_x must be positive when T is not given"))
+    if manifold == "bolza" and "z0" in drive:
+        z0 = complex(*drive["z0"])
+        if not (abs(z0) < 1 and in_fundamental_domain(z0)):
+            errors.append(("drive.z0",
+                           "must lie in the closed fundamental octagon"))
+    if "theta0" in drive:
+        try:
+            _check_domain(manifold, drive["theta0"])
+        except ValidationError as err:
+            errors.append(("drive.theta0", str(err)))
 
     if model is not None:
         name = model["name"]
@@ -232,22 +248,32 @@ def _write_manifest(path, payload):
 # executors (one per config kind), each returning (files, summary)
 
 
-def _geodesic_spec(cfg, half_dt=False):
+def _drive_args(cfg):
+    """Drive arguments that a config sets, and only those, so that the
+    defaults stay with the code that builds the drive: response.drive_spec
+    for response runs, GeodesicSpec for the others."""
     drive = cfg.get("drive", {})
-    numerics = cfg.get("numerics", {})
-    dt = float(drive.get("dt", 0.01))
-    kw = dict(manifold=cfg["manifold"], T=float(drive["T"]),
-              dt=dt / 2 if half_dt else dt)
-    if cfg["manifold"] == "bolza":
-        z0 = drive.get("z0", (0.0, 0.0))
-        kw.update(z0=complex(z0[0], z0[1]),
-                  direction=float(drive.get("direction", 0.0)),
-                  speed=float(drive.get("lambda", 1.0)),
-                  digits=numerics.get("digits"))
-    else:
-        kw.update(theta0=tuple(drive.get("theta0", (0.0, 0.0))),
-                  omega=tuple(drive.get("omega", (1.0, 1.0))))
-    return GeodesicSpec(**kw)
+    args = {key: float(drive[key]) for key in ("T", "dt", "direction")
+            if key in drive}
+    if "lambda" in drive:
+        args["lam"] = float(drive["lambda"])
+    if "z0" in drive:
+        args["z0"] = complex(*drive["z0"])
+    for key in ("omega", "theta0"):
+        if key in drive:
+            args[key] = tuple(drive[key])
+    if "digits" in cfg.get("numerics", {}):
+        args["digits"] = cfg["numerics"]["digits"]
+    return args
+
+
+def _geodesic_spec(cfg, half_dt=False):
+    args = _drive_args(cfg)
+    dt = args.pop("dt", 0.01)
+    if "lam" in args:
+        args["speed"] = args.pop("lam")
+    return GeodesicSpec(manifold=cfg["manifold"],
+                        dt=dt / 2 if half_dt else dt, **args)
 
 
 def _build_model(cfg):
@@ -288,12 +314,11 @@ def _run_trajectory(cfg, prefix):
 def _run_evolve(cfg, prefix):
     model = _build_model(cfg)
     band = cfg.get("numerics", {}).get("band", 1)
-    dt = float(cfg.get("drive", {}).get("dt", 0.01))
     gap = cfg.get("numerics", {}).get("gap_threshold", 1e-3)
     traj = trajectory(_geodesic_spec(cfg, half_dt=True))
     bound = traj.subsample(2)
     track = track_band(model, bound, band, gap_threshold=gap)
-    result = evolve(track.states[0], model, traj, EvolutionConfig(dt=dt),
+    result = evolve(track.states[0], model, traj, 2 * traj.spec.dt,
                     gap_threshold=gap)
     fid = fidelity(result.states, track.states[: len(result.states)])
     path = _write_csv(prefix + "evolve.csv",
@@ -310,27 +335,15 @@ def _run_evolve(cfg, prefix):
 
 def _run_response(cfg, prefix):
     model = _build_model(cfg)
-    drive = cfg.get("drive", {})
     numerics = cfg.get("numerics", {})
-    kw = dict(dt=float(drive.get("dt", 0.01)),
-              band=numerics.get("band", 1))
+    kw = _drive_args(cfg)
+    kw["band"] = numerics.get("band", 1)
     if "gap_threshold" in numerics:
         kw["gap_threshold"] = numerics["gap_threshold"]
-    if "T" in drive:
-        kw["T"] = float(drive["T"])
     if cfg["manifold"] == "bolza":
-        z0 = drive.get("z0", (0.0, 0.0))
-        run = run_hdqs(model,
-                       lam=float(drive.get("lambda", 0.05)),
-                       z0=complex(z0[0], z0[1]),
-                       direction=float(drive.get("direction", math.pi / 9)),
-                       counterdiabatic=drive.get("counterdiabatic", False),
-                       digits=numerics.get("digits"), **kw)
+        counterdiabatic = cfg.get("drive", {}).get("counterdiabatic", False)
+        run = run_hdqs(model, counterdiabatic=counterdiabatic, **kw)
     else:
-        if "omega" in drive:
-            kw["omega"] = tuple(drive["omega"])
-        if "theta0" in drive:
-            kw["theta0"] = tuple(drive["theta0"])
         runner = run_klein if cfg["manifold"] == "klein" else run_rp2
         run = runner(model, **kw)
     curve = run.curve
@@ -719,23 +732,21 @@ def cmd_validate(args):
         _report_config_errors(errors)
         return 2
     kind, manifold = cfg["kind"], cfg["manifold"]
-    drive = cfg.get("drive", {})
     numerics = cfg.get("numerics", {})
     print(f"config OK: kind={kind} manifold={manifold}")
-    T = drive.get("T", 2000.0 if kind == "response" else None)
-    dt = drive.get("dt", 0.01)
-    if T is not None:
-        steps = int(round(T / dt))
-        samples = 2 * steps + 1 if kind in ("evolve", "response") \
-            else steps + 1
-        print(f"  steps: {steps} (dt = {dt:g}), trajectory samples: "
-              f"{samples}")
-        if manifold == "bolza" and kind != "invariant":
-            lam = drive.get("lambda",
-                            0.05 if kind == "response" else 1.0)
-            digits = numerics.get("digits") or default_digits(lam * T)
-            print(f"  precision digits: {digits} (arc length "
-                  f"{lam * T:g})")
+    if kind != "invariant":
+        # the drive the run builds; evolve and response sample it at dt/2
+        half = kind in ("evolve", "response")
+        spec = (drive_spec(manifold, **_drive_args(cfg))
+                if kind == "response" else _geodesic_spec(cfg, half_dt=half))
+        steps, dt = ((spec.n_steps // 2, 2 * spec.dt) if half
+                     else (spec.n_steps, spec.dt))
+        print(f"  steps: {steps} (dt = {dt:g}), "
+              f"trajectory samples: {spec.n_steps + 1}")
+        if manifold == "bolza":
+            arc = spec.speed * spec.n_steps * spec.dt
+            digits = spec.digits or default_digits(arc)
+            print(f"  precision digits: {digits} (arc length {arc:g})")
     if "grid" in numerics:
         print(f"  grid: {numerics['grid']}")
     return 0

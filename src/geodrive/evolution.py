@@ -18,7 +18,7 @@ ergodic averages and insensitive to double-rounded chart coordinates.
 
 import math
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .models import band_gap, bloch_vector, eig_many
 
 GAP_THRESHOLD = 1e-3
 NORM_TOL = 1e-10
+# halving error per unit time below which a refined step is accepted
+STEP_TOLERANCE = 1e-8
 # samples per vectorized block in every chunked loop of evolution and
 # response; bounds the (chunk, D, D) temporaries of long runs
 _CHUNK = 1 << 17
@@ -72,44 +74,12 @@ def _gap_guard(trajectory, energies, band, threshold):
 
 
 @dataclass
-class EvolutionConfig:
-    """Midpoint-exponential step settings.
-
-    dt is a request: the honored step is 2*k*spacing for integer k >= 1.
-    With auto_refine on and headroom in the trajectory sampling (k > 1),
-    the step is halved until a short probe estimates the halving error
-    below step_tolerance per unit time; the result's config carries the
-    step actually used.
-    """
-    dt: float = 0.01
-    sampling_stride: int = 1
-    auto_refine: bool = True
-    step_tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValidationError("EvolutionConfig: dt must be positive")
-        if self.sampling_stride < 1:
-            raise ValidationError("sampling_stride must be >= 1")
-        if self.step_tolerance <= 0:
-            raise ValidationError("step_tolerance must be positive")
-
-
-@dataclass
 class EvolutionResult:
-    """States at (strided) step boundaries plus norm diagnostics."""
+    """States at the step boundaries t, their norms, and the step dt used."""
     t: np.ndarray
     states: np.ndarray
     norms: np.ndarray
-    config: EvolutionConfig
-    band: int = None
-
-    def __len__(self):
-        return len(self.t)
-
-    @property
-    def final(self):
-        return self.states[-1]
+    dt: float
 
 
 def _step_unitaries(model, H, dt):
@@ -132,8 +102,17 @@ def _step_unitaries(model, H, dt):
     return np.einsum("nij,nj,nkj->nik", v, phase, v.conj())
 
 
-def _counterdiabatic_stack(model, pts, vel, band, threshold):
-    """V + V^dagger at an array of points, vectorized."""
+def counterdiabatic_term(model, pts, vel, band, threshold):
+    """Hermitized counterdiabatic term at an array of phase-space samples.
+
+    pts are N manifold points, vel the (N, 2) chart velocities; returns
+    (N, D, D).  V = i sum_{m != n} |psi_m><psi_m| dH/dt |psi_n><psi_n| /
+    (E_n - E_m) for n = band, with dH/dt the velocity-contracted spatial
+    gradients.  V alone is not Hermitian; V^dagger annihilates band-n
+    states, so V + V^dagger drives band n identically while being a
+    legitimate Hamiltonian term, and that is what is returned.  Raises
+    DegeneracyError where the band's gap is at or below threshold.
+    """
     energies, vecs = _eig_chunked(model, pts)
     gap, k, b = band_gap(energies, band)
     if gap <= threshold:
@@ -157,8 +136,8 @@ def _propagate(model, pts, vel, psi0, h, k, n_steps, cd_band, gap_threshold):
     """States at the n_steps + 1 boundaries of steps of size 2*k*h."""
     mid = pts[k:2 * k * n_steps:2 * k]
     if cd_band is not None:
-        cd = _counterdiabatic_stack(model, mid, vel[k:2 * k * n_steps:2 * k],
-                                    cd_band, gap_threshold)
+        cd = counterdiabatic_term(model, mid, vel[k:2 * k * n_steps:2 * k],
+                                 cd_band, gap_threshold)
     states = np.empty((n_steps + 1, model.dim), dtype=complex)
     psi = states[0] = psi0
     for start in range(0, n_steps, _CHUNK):
@@ -187,56 +166,45 @@ def _halving_error_rate(model, pts, vel, psi0, h, k, cd_band, gap_threshold):
     return float(np.linalg.norm(coarse - fine)) / (2 * k * h * m)
 
 
-def evolve(psi0, model, trajectory, config=None, counterdiabatic_band=None,
-           horizon=None, gap_threshold=GAP_THRESHOLD):
+def evolve(psi0, model, trajectory, dt=0.01, counterdiabatic_band=None,
+           gap_threshold=GAP_THRESHOLD):
     """Propagate psi0 along a sampled trajectory.
 
     The trajectory must be sampled so that step midpoints land on samples:
-    with sample spacing h, config.dt = 2*k*h for a positive integer k.  Each
-    step applies exp(-i H(midpoint) dt); with counterdiabatic_band = n the
+    with sample spacing h, dt = 2*k*h for a positive integer k.  Each step
+    applies exp(-i H(midpoint) dt); with counterdiabatic_band = n the
     Hermitized counterdiabatic term for band n is added to H at the
-    midpoints.  When the sampling leaves headroom (k > 1) and auto_refine
-    is on, k is halved until a short probe puts the halving error below
-    config.step_tolerance per unit time; the returned config records the
-    step actually used.  Returns states at (strided) step boundaries.
+    midpoints.  When the sampling leaves headroom (k > 1), k is halved
+    until a short probe puts the halving error below STEP_TOLERANCE per
+    unit time.  Returns the states at every step boundary, with the step
+    actually used as the result's dt.
     """
-    config = config or EvolutionConfig()
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (model.dim,):
         raise ValidationError(
             f"psi0 must have {model.dim} amplitudes, got {psi0.shape}")
     if abs(np.linalg.norm(psi0) - 1.0) > NORM_TOL:
         raise ValidationError("psi0 is not normalized")
-    if horizon is not None and trajectory.spec.T < horizon - 1e-12:
-        raise ValidationError(
-            f"trajectory covers T = {trajectory.spec.T}, shorter than the "
-            f"requested horizon {horizon}")
     h = trajectory.spec.dt
-    k = round(config.dt / (2 * h))
-    if k < 1 or abs(2 * k * h - config.dt) > 1e-9 * max(1.0, config.dt):
+    k = round(dt / (2 * h))
+    if k < 1 or abs(2 * k * h - dt) > 1e-9 * max(1.0, dt):
         raise ValidationError(
             f"trajectory sampling {h} does not provide midpoints for "
-            f"dt = {config.dt}; need dt = 2*k*spacing")
+            f"dt = {dt}; need dt = 2*k*spacing")
     pts, vel = _points_velocities(model, trajectory)
     if (len(pts) - 1) // (2 * k) < 1:
         raise ValidationError("trajectory too short for a single step")
-    if config.auto_refine:
-        while k > 1 and _halving_error_rate(
-                model, pts, vel, psi0, h, k, counterdiabatic_band,
-                gap_threshold) > config.step_tolerance:
-            k = max(1, k // 2)
-    if abs(2 * k * h - config.dt) > 1e-9 * max(1.0, config.dt):
-        config = replace(config, dt=2 * k * h)
+    while k > 1 and _halving_error_rate(
+            model, pts, vel, psi0, h, k, counterdiabatic_band,
+            gap_threshold) > STEP_TOLERANCE:
+        k //= 2
+        dt = 2 * k * h
     n_steps = (len(pts) - 1) // (2 * k)
     states = _propagate(model, pts, vel, psi0, h, k, n_steps,
                         counterdiabatic_band, gap_threshold)
-    t = np.asarray(trajectory.t)[::2 * k][:n_steps + 1]
-    stride = config.sampling_stride
-    states = states[::stride]
     return EvolutionResult(
-        t=t[::stride], states=states,
-        norms=np.linalg.norm(states, axis=-1), config=config,
-        band=counterdiabatic_band)
+        t=np.asarray(trajectory.t)[::2 * k][:n_steps + 1], states=states,
+        norms=np.linalg.norm(states, axis=-1), dt=dt)
 
 
 def fidelity(psi, phi):
@@ -294,22 +262,6 @@ def track_band(model, trajectory, n, gap_threshold=GAP_THRESHOLD):
         t=t, band=n, energies=energies[:, n], states=psi,
         dynamic_phase=-_cumtrapz(energies[:, n], t), berry_phase=berry,
         min_gap=min_gap)
-
-
-def counterdiabatic_term(model, point, velocity, n,
-                         gap_threshold=GAP_THRESHOLD):
-    """Hermitized counterdiabatic term at one phase-space sample.
-
-    V = i sum_{m != n} |psi_m><psi_m| dH/dt |psi_n><psi_n| / (E_n - E_m)
-    with dH/dt the velocity-contracted spatial gradients.  V alone is not
-    Hermitian; V^dagger annihilates band-n states, so V + V^dagger drives
-    band n identically while being a legitimate Hamiltonian term, and that
-    is what is returned.
-    """
-    pts = (np.asarray([point], dtype=complex) if model.manifold == "bolza"
-           else np.asarray(point, dtype=float).reshape(1, 2))
-    vel = np.asarray(velocity, dtype=float).reshape(1, 2)
-    return _counterdiabatic_stack(model, pts, vel, n, gap_threshold)[0]
 
 
 @dataclass

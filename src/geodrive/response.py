@@ -9,9 +9,10 @@ and their averages scaled by pi/omega_y^2 converge to the dipolar and
 quadrupolar invariants.  The counterdiabatic observable replaces H with
 H + V_Q, removing the adiabatic limit: w_CD converges at order-one speed.
 
-Pipelines (run_hdqs, run_klein, run_rp2) wire trajectory -> evolution ->
-expectation series -> running average and are what the CLI and the
-acceptance checks call.
+Each observable builder takes arrays of N samples and returns the (N, D, D)
+matrices.  Pipelines (run_hdqs, run_klein, run_rp2) wire trajectory ->
+evolution -> expectation series -> running average along the drive that
+drive_spec builds; they are what the CLI and the acceptance checks call.
 """
 
 import math
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DegeneracyError, ValidationError
-from .evolution import (EvolutionConfig, GAP_THRESHOLD, _CHUNK,
-                        _counterdiabatic_stack, _cumtrapz, evolve)
+from .evolution import (GAP_THRESHOLD, _CHUNK, _cumtrapz,
+                        counterdiabatic_term, evolve)
 from .models import eigensystem, gap_report
 from .trajectories import GeodesicSpec, trajectory
 
@@ -89,99 +90,62 @@ def running_average(series, normalization, target=None):
 
 
 # ---------------------------------------------------------------------------
-# observable matrices (vectorized builders + single-sample wrappers)
+# observable matrices: arrays of N samples in, (N, D, D) out
+
+# central-difference step of the spatial partials of V_Q
+_FD_STEP = 1e-5
 
 
 def _ginv(z):
     return (1.0 - (z * z.conjugate()).real) ** 2 / 4.0
 
 
-def _hdqs_stack(model, z, p):
+def observable_hdqs(model, z, p):
+    """O = 2 g^{-1} (p_2 d1 H - p_1 d2 H) at chart-reduced disk samples."""
     grads = model.gradient_many(z)
     w = 2.0 * _ginv(z)
     return (w * p.imag)[:, None, None] * grads[:, 0] \
         - (w * p.real)[:, None, None] * grads[:, 1]
 
 
-def _vq_stack(model, z, p, band, threshold):
-    # counterdiabatic term with the chart velocity g^{-1} p at each z
-    vdot = _ginv(z) * p
-    vel = np.stack([vdot.real, vdot.imag], axis=-1)
-    return _counterdiabatic_stack(model, z, vel, band, threshold)
+def observable_cd(model, z, p, band, threshold):
+    """Counterdiabatic response observable at disk samples.
 
+    The plain observable with H replaced by H + V_Q; the spatial partials
+    of V_Q are central finite differences over phase-space points (step
+    _FD_STEP, momentum held fixed).
+    """
+    def vq(zs):
+        # counterdiabatic term with the chart velocity g^{-1} p at each zs
+        vdot = _ginv(zs) * p
+        return counterdiabatic_term(
+            model, zs, np.stack([vdot.real, vdot.imag], axis=-1), band,
+            threshold)
 
-def _cd_observable_stack(model, z, p, band, h=1e-5,
-                         threshold=GAP_THRESHOLD):
+    h = _FD_STEP
     grads = model.gradient_many(z)
-    d1v = (_vq_stack(model, z + h, p, band, threshold)
-           - _vq_stack(model, z - h, p, band, threshold)) / (2 * h)
-    d2v = (_vq_stack(model, z + 1j * h, p, band, threshold)
-           - _vq_stack(model, z - 1j * h, p, band, threshold)) / (2 * h)
+    d1v = (vq(z + h) - vq(z - h)) / (2 * h)
+    d2v = (vq(z + 1j * h) - vq(z - 1j * h)) / (2 * h)
     w = 2.0 * _ginv(z)
     return (w * p.imag)[:, None, None] * (grads[:, 0] + d1v) \
         - (w * p.real)[:, None, None] * (grads[:, 1] + d2v)
 
 
-def _klein_stack(model, theta, omega_y):
+def observable_klein(model, theta, omega_y):
+    """O = omega_y theta_y d_{theta_x} H at Klein samples."""
     grads = model.gradient_many(theta)
     return (omega_y * theta[:, 1])[:, None, None] * grads[:, 0]
 
 
-def _rp2_stack(model, theta, vy):
+def observable_rp2(model, theta, vy):
+    """O = omega_y(t) theta_x theta_y d_{theta_x} H at RP2 samples.
+
+    vy holds the signed instantaneous dtheta_y/dt at each sample.  Only its
+    sign varies, so omega_y(t)^2 = omega_y^2 identically (the mu
+    normalization constant).
+    """
     grads = model.gradient_many(theta)
     return (vy * theta[:, 0] * theta[:, 1])[:, None, None] * grads[:, 0]
-
-
-def observable_hdqs(model, sample, lam=None):
-    """O = 2 g^{-1} (p_2 d1 H - p_1 d2 H) at one chart-reduced sample.
-
-    sample is anything with .z and .p (or a (z, p) pair).  lam is accepted
-    for interface symmetry with the other observables; when given, the
-    sample's kinetic energy is checked against lam^2/2.
-    """
-    z, p = (sample.z, sample.p) if hasattr(sample, "z") else sample
-    z = np.asarray([z], dtype=complex)
-    p = np.asarray([p], dtype=complex)
-    if lam is not None:
-        energy = _ginv(z[0]) * abs(p[0]) ** 2 / 2
-        if abs(energy - lam ** 2 / 2) > 1e-6 * max(1.0, lam ** 2):
-            raise ValidationError(
-                f"sample kinetic energy {energy:.3e} does not match "
-                f"lambda^2/2 = {lam ** 2 / 2:.3e}")
-    return _hdqs_stack(model, z, p)[0]
-
-
-def observable_klein(model, sample, omega):
-    """O = omega_y theta_y d_{theta_x} H at one Klein sample."""
-    theta = np.asarray(sample, dtype=float).reshape(1, 2)
-    return _klein_stack(model, theta, omega[1])[0]
-
-
-def observable_rp2(model, sample, omega, y_velocity=None):
-    """O = omega_y(t) theta_x theta_y d_{theta_x} H at one RP2 sample.
-
-    omega_y(t) is the signed instantaneous dtheta_y/dt; it defaults to
-    +omega[1] when no velocity is supplied.  Only its sign varies, so
-    omega_y(t)^2 = omega_y^2 identically (the mu normalization constant).
-    """
-    theta = np.asarray(sample, dtype=float).reshape(1, 2)
-    vy = np.asarray([omega[1] if y_velocity is None else y_velocity],
-                    dtype=float)
-    return _rp2_stack(model, theta, vy)[0]
-
-
-def observable_cd(model, sample, lam, n, h=1e-5,
-                  gap_threshold=GAP_THRESHOLD):
-    """Counterdiabatic response observable at one bolza sample.
-
-    The plain observable with H replaced by H + V_Q; the spatial partials
-    of V_Q are central finite differences over phase-space points (step h,
-    momentum held fixed).
-    """
-    z, p = (sample.z, sample.p) if hasattr(sample, "z") else sample
-    return _cd_observable_stack(
-        model, np.asarray([z], dtype=complex), np.asarray([p], dtype=complex),
-        n, h=h, threshold=gap_threshold)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -217,24 +181,47 @@ def _expectation_values(states, builder, n):
     return values, float(worst_imag)
 
 
-def run_hdqs(model, lam=0.05, T=2000.0, dt=0.01, band=1, z0=0j,
-             direction=math.pi / 9, counterdiabatic=False, digits=None,
-             target=None, gap_threshold=GAP_THRESHOLD):
+def drive_spec(manifold, T=None, dt=0.01, lam=0.05, z0=0j,
+               direction=math.pi / 9, digits=None, omega=None, theta0=None):
+    """The drive of a response pipeline, sampled at dt/2.
+
+    Steps of size dt then have their midpoints on samples.  The Bolza
+    drive reads lam, z0, direction and digits; the flat drives read omega
+    and theta0.  Defaults follow the reference runs: a lam = 0.05 Bolza
+    drive from the origin in direction pi/9 over T = 2000; flat drives at
+    omega_x = 0.02, omega_y = golden ratio * omega_x over omega_x T = 400,
+    from the domain corner (-pi, -pi) on the Klein bottle and from (0, 0)
+    on RP2.
+    """
+    if manifold == "bolza":
+        return GeodesicSpec(manifold=manifold,
+                            T=2000.0 if T is None else T, dt=dt / 2, z0=z0,
+                            direction=direction, speed=lam, digits=digits)
+    omega = (0.02, GOLDEN * 0.02) if omega is None else tuple(omega)
+    if theta0 is None:
+        theta0 = (-math.pi, -math.pi) if manifold == "klein" else (0.0, 0.0)
+    return GeodesicSpec(manifold=manifold,
+                        T=400.0 / omega[0] if T is None else T, dt=dt / 2,
+                        theta0=theta0, omega=omega)
+
+
+def run_hdqs(model, band=1, counterdiabatic=False, target=None,
+             gap_threshold=GAP_THRESHOLD, **drive):
     """Hyperbolically driven response w(T) (or w_CD with counterdiabatic).
 
-    Steers the model along a speed-lam Bolza geodesic from z0, evolves the
-    band-`band` eigenstate, and averages the response observable; w(T) is
-    the average divided by lam^2, which converges to the band's Chern
-    number in the adiabatic (small lam) and long-time limits.
+    Steers the model along the Bolza geodesic drive_spec("bolza", **drive)
+    builds, evolves the band-`band` eigenstate, and averages the response
+    observable; w(T) is the average divided by lam^2, which converges to
+    the band's Chern number in the adiabatic (small lam) and long-time
+    limits.
     """
     if model.manifold != "bolza":
         raise ValidationError("run_hdqs expects a disk model")
     _require_gapped(model, gap_threshold)
-    spec = GeodesicSpec(manifold="bolza", T=T, dt=dt / 2, z0=z0,
-                        direction=direction, speed=lam, digits=digits)
+    spec = drive_spec("bolza", **drive)
     traj = trajectory(spec)
     psi0 = _band_state_at(model, traj.z[0], band)
-    result = evolve(psi0, model, traj, EvolutionConfig(dt=dt),
+    result = evolve(psi0, model, traj, 2 * spec.dt,
                     counterdiabatic_band=band if counterdiabatic else None,
                     gap_threshold=gap_threshold)
     n = len(result.states)
@@ -242,64 +229,58 @@ def run_hdqs(model, lam=0.05, T=2000.0, dt=0.01, band=1, z0=0j,
 
     def builder(sl):
         if counterdiabatic:
-            return _cd_observable_stack(model, zb[sl], pb[sl], band,
-                                        threshold=gap_threshold)
-        return _hdqs_stack(model, zb[sl], pb[sl])
+            return observable_cd(model, zb[sl], pb[sl], band, gap_threshold)
+        return observable_hdqs(model, zb[sl], pb[sl])
 
     values, worst_imag = _expectation_values(result.states, builder, n)
     series = ObservableSeries(result.t, values)
     return ResponseRun(
-        curve=running_average(series, lam ** 2, target=target),
+        curve=running_average(series, spec.speed ** 2, target=target),
         series=series, norm_deviation=float(np.abs(result.norms - 1).max()),
         band=band, spec=spec, worst_imag=worst_imag, propagation=traj.stats)
 
 
-def _run_flat(model, manifold, omega, T, dt, band, theta0, target,
-              gap_threshold):
+def _run_flat(model, manifold, band, target, gap_threshold, drive):
     if model.manifold != manifold:
         raise ValidationError(f"model lives on {model.manifold}, "
                               f"pipeline expects {manifold}")
     _require_gapped(model, gap_threshold)
-    omega = (0.02, GOLDEN * 0.02) if omega is None else tuple(omega)
-    if T is None:
-        T = 400.0 / omega[0]
-    spec = GeodesicSpec(manifold=manifold, T=T, dt=dt / 2, theta0=theta0,
-                        omega=omega)
+    spec = drive_spec(manifold, **drive)
     traj = trajectory(spec)
     psi0 = _band_state_at(model, traj.theta[0], band)
-    result = evolve(psi0, model, traj, EvolutionConfig(dt=dt),
+    result = evolve(psi0, model, traj, 2 * spec.dt,
                     gap_threshold=gap_threshold)
     n = len(result.states)
     thb = traj.theta[::2][:n]
+    omega_y = spec.omega[1]
     if manifold == "rp2":
         vyb = traj.velocities()[::2][:n, 1]
-        builder = lambda sl: _rp2_stack(model, thb[sl], vyb[sl])
+        builder = lambda sl: observable_rp2(model, thb[sl], vyb[sl])
     else:
-        builder = lambda sl: _klein_stack(model, thb[sl], omega[1])
+        builder = lambda sl: observable_klein(model, thb[sl], omega_y)
     values, worst_imag = _expectation_values(result.states, builder, n)
     series = ObservableSeries(result.t, values)
     return ResponseRun(
-        curve=running_average(series, omega[1] ** 2 / math.pi, target=target),
+        curve=running_average(series, omega_y ** 2 / math.pi, target=target),
         series=series, norm_deviation=float(np.abs(result.norms - 1).max()),
         band=band, spec=spec, worst_imag=worst_imag)
 
 
-def run_klein(model, omega=None, T=None, dt=0.01, band=1,
-              theta0=(-math.pi, -math.pi), target=None,
-              gap_threshold=GAP_THRESHOLD):
+def run_klein(model, band=1, target=None, gap_threshold=GAP_THRESHOLD,
+              **drive):
     """Klein-bottle response nu(T) = (pi / omega_y^2 T) integral <O> dt.
 
     Converges (in absolute value) to the dipolar Chern number |D_y| of the
-    band for incommensurate frequencies; defaults follow the reference
-    runs: omega_x = 0.02, omega_y = golden ratio * omega_x, start at the
-    domain corner (-pi, -pi), horizon omega_x T = 400.
+    band for incommensurate frequencies; the drive is the one
+    drive_spec("klein", **drive) builds.
     """
-    return _run_flat(model, "klein", omega, T, dt, band, theta0, target,
-                     gap_threshold)
+    return _run_flat(model, "klein", band, target, gap_threshold, drive)
 
 
-def run_rp2(model, omega=None, T=None, dt=0.01, band=1, theta0=(0.0, 0.0),
-            target=None, gap_threshold=GAP_THRESHOLD):
-    """Projective-plane response mu(T), converging to the quadrupole Q_xy."""
-    return _run_flat(model, "rp2", omega, T, dt, band, theta0, target,
-                     gap_threshold)
+def run_rp2(model, band=1, target=None, gap_threshold=GAP_THRESHOLD,
+            **drive):
+    """Projective-plane response mu(T), converging to the quadrupole Q_xy.
+
+    The drive is the one drive_spec("rp2", **drive) builds.
+    """
+    return _run_flat(model, "rp2", band, target, gap_threshold, drive)

@@ -28,7 +28,6 @@ the deck transformations literally and serve as oracles for them.
 
 import cmath
 import math
-import os
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -51,12 +50,8 @@ def default_digits(arc_length):
     """Working decimal digits for a Bolza run of the given total arc length.
 
     max(50, ceil(0.434*arc) + 30): the flow amplifies errors like e^{s},
-    i.e. 0.434 digits per unit arc length, plus a 30-digit margin.  The
-    GEODRIVE_DIGITS environment variable overrides the rule.
+    i.e. 0.434 digits per unit arc length, plus a 30-digit margin.
     """
-    env = os.environ.get("GEODRIVE_DIGITS")
-    if env:
-        return int(env)
     return max(50, math.ceil(0.434 * arc_length) + 30)
 
 
@@ -858,17 +853,15 @@ def klein_lift_project(theta0, omega, t):
     """Oracle: project the lifted straight line with literal tau moves.
 
     tau_1(x,y) = (x+2pi, y) and tau_2(x,y) = (2pi-x, y+pi) generate the
-    Klein-bottle group; inverses are applied one at a time until the point
-    lands in [-pi,pi)x[-pi,0).
+    Klein-bottle group.  The y moves apply tau_1^-1 tau_2^{-+1}(x,y) =
+    (-x, y -+ pi), which is exact in floating point where 2pi - x can round
+    across the x seam; tau_1 moves then bring x into [-pi,pi).
     """
     x = theta0[0] + omega[0] * t
     y = theta0[1] + omega[1] * t
     guard = 0
     while not (-math.pi <= y < 0):
-        if y >= 0:
-            x, y = TWO_PI - x, y - math.pi
-        else:
-            x, y = TWO_PI - x, y + math.pi
+        x, y = -x, (y - math.pi if y >= 0 else y + math.pi)
         guard += 1
         if guard > 10_000_000:
             raise PropagationError("lift-project loop did not terminate")

@@ -97,6 +97,11 @@ class TestValidateConfig:
         cfg["numerics"] = {"digits": 20, "r": 1.5}
         paths = error_paths(cfg)
         assert {"drive.dt", "numerics.digits", "numerics.r"} <= set(paths)
+        # a flat response without T runs for a horizon set by omega_x
+        flat = {"kind": "response", "manifold": "klein",
+                "model": {"name": "klein_qubit", "m": 2.0},
+                "drive": {"omega": [0.0, 0.08]}, "output": {"prefix": "x_"}}
+        assert error_paths(flat) == ["drive.omega"]
 
     def test_preset_configs_pass_validation(self):
         for build in PRESETS.values():
@@ -126,6 +131,44 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "config OK: kind=trajectory manifold=torus" in out
         assert "steps: 500" in out
+
+    def test_validate_plans_the_response_drive_the_run_takes(
+            self, tmp_path, capsys):
+        # a flat response without T runs for omega_x T = 400, at dt/2
+        cfg = {"kind": "response", "manifold": "klein",
+               "model": {"name": "klein_qubit", "m": 2.0},
+               "drive": {"omega": [0.05, 0.08]},
+               "output": {"prefix": "x_"}}
+        assert main(["validate", write_cfg(tmp_path, cfg)]) == 0
+        assert "steps: 800000 (dt = 0.01), trajectory samples: 1600001" \
+            in capsys.readouterr().out
+        del cfg["drive"]
+        assert main(["validate", write_cfg(tmp_path, cfg)]) == 0
+        assert "steps: 2000000 " in capsys.readouterr().out
+        cfg = {"kind": "response", "manifold": "bolza",
+               "model": {"name": "bolza_qubit", "epsilon": 0.5},
+               "output": {"prefix": "x_"}}
+        assert main(["validate", write_cfg(tmp_path, cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "steps: 200000 " in out
+        assert "precision digits: 74 (arc length 100)" in out
+
+    def test_start_outside_the_domain_is_config_error(self, tmp_path,
+                                                      capsys):
+        # named at the start's field path, by the predicates GeodesicSpec
+        # applies, instead of failing the run
+        starts = {"bolza": ("z0", [0.9, 0.0]),
+                  "klein": ("theta0", [0.5, 0.5])}
+        for manifold, (key, start) in starts.items():
+            cfg = {"kind": "trajectory", "manifold": manifold,
+                   "drive": {"T": 1.0, key: start},
+                   "output": {"prefix": str(tmp_path / "d_")}}
+            path = write_cfg(tmp_path, cfg)
+            for command in ("validate", "run"):
+                assert main([command, path]) == 2
+                err = capsys.readouterr().err
+                assert f"config error: drive.{key}: " in err
+                assert len(err.splitlines()) == 1
 
     def test_bad_json_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

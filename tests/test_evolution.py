@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from geodrive import DegeneracyError, ValidationError
 from geodrive.evolution import (
-    EvolutionConfig,
+    GAP_THRESHOLD,
     counterdiabatic_term,
     evolve,
     fidelity,
@@ -48,21 +48,11 @@ def klein_traj(T=20.0, dt=0.0025, theta0=(-math.pi, -math.pi),
                                    theta0=theta0, omega=omega))
 
 
-class TestEvolutionConfig:
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            EvolutionConfig(dt=0.0)
-        with pytest.raises(ValidationError):
-            EvolutionConfig(sampling_stride=0)
-        with pytest.raises(ValidationError):
-            EvolutionConfig(step_tolerance=0.0)
-
-
 class TestEvolve:
     def test_constant_sigma_z_phase(self):
         traj = klein_traj(T=3.0, dt=0.005, omega=(1.0, 1.0))
-        res = evolve(UP, constant_model(), traj, EvolutionConfig(dt=0.01))
-        assert_allclose(res.final, np.exp(-3.0j) * UP, atol=1e-12)
+        res = evolve(UP, constant_model(), traj, 0.01)
+        assert_allclose(res.states[-1], np.exp(-3.0j) * UP, atol=1e-12)
         assert res.t[-1] == pytest.approx(3.0)
 
     def test_unitarity_over_a_million_steps(self):
@@ -71,7 +61,7 @@ class TestEvolve:
             theta0=(-math.pi, -math.pi), omega=(0.31, 0.17)))
         from geodrive.models import klein_qubit
 
-        res = evolve(UP, klein_qubit(2.0), traj, EvolutionConfig(dt=0.01))
+        res = evolve(UP, klein_qubit(2.0), traj, 0.01)
         assert len(res.states) == 1_000_001
         assert np.abs(res.norms - 1.0).max() < 1e-12
 
@@ -84,31 +74,28 @@ class TestEvolve:
             "const3", "klein", 3, global_chart=True,
             evaluate_many=lambda th: np.broadcast_to(H, (len(th), 3, 3)))
         psi0 = np.array([1.0, 1.0j, -1.0]) / math.sqrt(3)
-        res = evolve(psi0, model, klein_traj(T=2.0, dt=0.005),
-                     EvolutionConfig(dt=0.01))
+        res = evolve(psi0, model, klein_traj(T=2.0, dt=0.005), 0.01)
         w, V = np.linalg.eigh(H)
         want = V @ (np.exp(-1j * w * res.t[-1]) * (V.conj().T @ psi0))
         assert res.t[-1] == pytest.approx(2.0)
-        assert_allclose(res.final, want, atol=1e-12)
+        assert_allclose(res.states[-1], want, atol=1e-12)
         assert np.abs(res.norms - 1.0).max() < 1e-12
 
     def test_second_order_step_halving(self):
         from geodrive.models import klein_qubit
 
-        traj = klein_traj()
-        finals = [evolve(UP, klein_qubit(0.5), traj,
-                         EvolutionConfig(dt=d, auto_refine=False)).final
-                  for d in (0.02, 0.04, 0.08)]
+        # one trajectory per step, sampled at d/2, so no refinement applies
+        finals = [evolve(UP, klein_qubit(0.5), klein_traj(dt=d / 2),
+                         d).states[-1] for d in (0.02, 0.04, 0.08)]
         e1 = np.linalg.norm(finals[0] - finals[1])
         e2 = np.linalg.norm(finals[1] - finals[2])
         assert 3.5 < e2 / e1 < 4.5
 
     def test_midpoint_alignment_required(self):
         traj = klein_traj(T=2.0, dt=0.005)
-        with pytest.raises(ValidationError):
-            evolve(UP, constant_model(), traj, EvolutionConfig(dt=0.005))
-        with pytest.raises(ValidationError):
-            evolve(UP, constant_model(), traj, EvolutionConfig(dt=0.013))
+        for dt in (0.0, 0.005, 0.013):
+            with pytest.raises(ValidationError):
+                evolve(UP, constant_model(), traj, dt)
 
     def test_psi0_validation(self):
         traj = klein_traj(T=1.0, dt=0.005)
@@ -118,38 +105,25 @@ class TestEvolve:
         with pytest.raises(ValidationError):
             evolve(2.0 * UP, constant_model(), traj)
 
-    def test_horizon_check(self):
-        traj = klein_traj(T=2.0, dt=0.005)
-        with pytest.raises(ValidationError):
-            evolve(UP, constant_model(), traj, horizon=5.0)
-
     def test_auto_refine_takes_coarse_requests_down(self):
         from geodrive.models import klein_qubit
 
         model = klein_qubit(0.5)
         traj = klein_traj(T=30.0, dt=0.005, omega=(0.4, 0.65))
-        res = evolve(UP, model, traj, EvolutionConfig(dt=0.8))
-        assert res.config.dt < 0.8
-        ref = evolve(UP, model, traj, EvolutionConfig(dt=0.01))
-        coarse = evolve(UP, model, traj,
-                        EvolutionConfig(dt=0.8, auto_refine=False))
-        assert (np.linalg.norm(res.final - ref.final)
-                < np.linalg.norm(coarse.final - ref.final))
+        res = evolve(UP, model, traj, 0.8)
+        assert res.dt < 0.8
+        ref = evolve(UP, model, traj, 0.01)
+        # sampled at half the step, so the 0.8 request is taken as it is
+        coarse = evolve(UP, model, klein_traj(T=30.0, dt=0.4,
+                                              omega=(0.4, 0.65)), 0.8)
+        assert (np.linalg.norm(res.states[-1] - ref.states[-1])
+                < np.linalg.norm(coarse.states[-1] - ref.states[-1]))
 
-    def test_auto_refine_off_keeps_request(self):
-        traj = klein_traj(T=5.0, dt=0.005)
-        res = evolve(UP, constant_model(), traj,
-                     EvolutionConfig(dt=0.5, auto_refine=False))
-        assert res.config.dt == 0.5
+    def test_k1_request_is_honoured(self):
+        traj = klein_traj(T=5.0, dt=0.25)
+        res = evolve(UP, constant_model(), traj, 0.5)
+        assert res.dt == 0.5
         assert_allclose(np.diff(res.t), 0.5)
-
-    def test_sampling_stride(self):
-        traj = klein_traj(T=2.0, dt=0.005)
-        full = evolve(UP, constant_model(), traj, EvolutionConfig(dt=0.01))
-        strided = evolve(UP, constant_model(), traj,
-                         EvolutionConfig(dt=0.01, sampling_stride=10))
-        assert_allclose(strided.t, full.t[::10])
-        assert_allclose(strided.states, full.states[::10], atol=1e-15)
 
     def test_two_level_fast_path_matches_spectral(self):
         # same physics through the generic eigendecomposition route
@@ -227,19 +201,27 @@ class TestTrackBand:
         assert abs(phases[0]) > 1e-3  # the loop is not trivially flat
 
 
+def cd_at(model, point, vel):
+    """counterdiabatic_term for band 1 at one sample, as (D, D)."""
+    pts = np.array([point], dtype=complex if model.manifold == "bolza"
+                   else float)
+    return counterdiabatic_term(model, pts, np.array([vel], dtype=float), 1,
+                                GAP_THRESHOLD)[0]
+
+
 class TestCounterdiabaticTerm:
     def test_zero_where_field_is_frozen(self, meron):
-        V = counterdiabatic_term(meron, 0.75 + 0j, (0.3, -0.2), 1)
+        V = cd_at(meron, 0.75 + 0j, (0.3, -0.2))
         assert np.abs(V).max() < 1e-14
 
     def test_hermitian(self, meron):
-        V = counterdiabatic_term(meron, 0.2 + 0.3j, (0.5, 0.1), 1)
+        V = cd_at(meron, 0.2 + 0.3j, (0.5, 0.1))
         assert_allclose(V, V.conj().T, atol=1e-14)
 
     def test_matches_bloch_formula(self, meron):
         # for a qubit, V + V^dag = (d x d_dot) . sigma / (2 |d|^2)
         z, vel = 0.25 + 0.15j, (0.4, -0.7)
-        V = counterdiabatic_term(meron, z, vel, 1)
+        V = cd_at(meron, z, vel)
         zs = np.array([z])
         d = meron.d_field(zs)[0]
         g = meron.d_gradient(zs)[0]
@@ -252,8 +234,7 @@ class TestCounterdiabaticTerm:
         from geodrive.models import klein_qubit
 
         with pytest.raises(DegeneracyError):
-            counterdiabatic_term(klein_qubit(1.0),
-                                 (math.pi, -math.pi / 2), (0.1, 0.1), 1)
+            cd_at(klein_qubit(1.0), (math.pi, -math.pi / 2), (0.1, 0.1))
 
     def test_cancels_diabatic_transitions(self):
         # driving with H + V pins the evolution to the band
@@ -262,10 +243,9 @@ class TestCounterdiabaticTerm:
         model = klein_qubit(2.0)
         traj = klein_traj(T=20.0, dt=0.005, omega=(0.9, 1.3))
         track = track_band(model, traj.subsample(2), 1)
-        with_cd = evolve(track.states[0], model, traj,
-                         EvolutionConfig(dt=0.01), counterdiabatic_band=1)
-        without = evolve(track.states[0], model, traj,
-                         EvolutionConfig(dt=0.01))
+        with_cd = evolve(track.states[0], model, traj, 0.01,
+                         counterdiabatic_band=1)
+        without = evolve(track.states[0], model, traj, 0.01)
         f_cd = fidelity(with_cd.states, track.states)
         f_plain = fidelity(without.states, track.states)
         assert f_cd.min() > 1.0 - 1e-6

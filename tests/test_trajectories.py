@@ -78,10 +78,6 @@ class TestDefaultDigits:
     def test_long_run(self):
         assert default_digits(2000.0) == math.ceil(0.434 * 2000) + 30
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("GEODRIVE_DIGITS", "123")
-        assert default_digits(2000.0) == 123
-
 
 class TestClosedForms:
     def test_origin_geodesic_start(self):
@@ -360,6 +356,8 @@ class TestFlatGeodesics:
     @settings(max_examples=60, deadline=None)
     # a start within one rounding of the y = 0 edge
     @example(x0=0.5, y0=-5.46e-40, wx=1.0, wy=1.0, t=0.0)
+    # two ulp inside the x seam, where 2pi - x rounds across it
+    @example(x0=-3.1415926535897922, y0=0.0, wx=1.0, wy=1.0, t=0.0)
     def test_klein_oracle_property(self, x0, y0, wx, wy, t):
         got, _ = klein_geodesic((x0, y0), (wx, wy), t)
         want = klein_lift_project((x0, y0), (wx, wy), t)
