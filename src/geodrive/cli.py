@@ -311,15 +311,23 @@ def _run_trajectory(cfg, prefix):
     return [path], summary
 
 
+def _gap_args(numerics):
+    """The gap threshold a config sets, if any, as keyword arguments; the
+    default stays with models.GAP_THRESHOLD."""
+    if "gap_threshold" in numerics:
+        return {"gap_threshold": numerics["gap_threshold"]}
+    return {}
+
+
 def _run_evolve(cfg, prefix):
     model = _build_model(cfg)
-    band = cfg.get("numerics", {}).get("band", 1)
-    gap = cfg.get("numerics", {}).get("gap_threshold", 1e-3)
+    numerics = cfg.get("numerics", {})
+    band = numerics.get("band", 1)
+    gap = _gap_args(numerics)
     traj = trajectory(_geodesic_spec(cfg, half_dt=True))
     bound = traj.subsample(2)
-    track = track_band(model, bound, band, gap_threshold=gap)
-    result = evolve(track.states[0], model, traj, 2 * traj.spec.dt,
-                    gap_threshold=gap)
+    track = track_band(model, bound, band, **gap)
+    result = evolve(track.states[0], model, traj, 2 * traj.spec.dt, **gap)
     fid = fidelity(result.states, track.states[: len(result.states)])
     path = _write_csv(prefix + "evolve.csv",
                       [("t", result.t, "f"),
@@ -337,9 +345,7 @@ def _run_response(cfg, prefix):
     model = _build_model(cfg)
     numerics = cfg.get("numerics", {})
     kw = _drive_args(cfg)
-    kw["band"] = numerics.get("band", 1)
-    if "gap_threshold" in numerics:
-        kw["gap_threshold"] = numerics["gap_threshold"]
+    kw.update(_gap_args(numerics), band=numerics.get("band", 1))
     if cfg["manifold"] == "bolza":
         counterdiabatic = cfg.get("drive", {}).get("counterdiabatic", False)
         run = run_hdqs(model, counterdiabatic=counterdiabatic, **kw)
@@ -355,7 +361,8 @@ def _run_response(cfg, prefix):
                "final_running_average": curve.final_value,
                "normalization": curve.normalization,
                "norm_deviation": run.norm_deviation,
-               "max_imag_expectation": run.worst_imag}
+               "max_imag_expectation": run.worst_imag,
+               "min_gap": run.min_gap}
     if run.propagation is not None:
         summary["propagation"] = run.propagation
     return [path], summary
@@ -366,12 +373,12 @@ def _run_invariant(cfg, prefix):
     numerics = cfg.get("numerics", {})
     band = numerics.get("band", 1)
     grid = numerics.get("grid")
-    gap = numerics.get("gap_threshold", 1e-3)
+    gap = _gap_args(numerics)
     if cfg["manifold"] == "bolza":
         result, field = chern_bolza(model, band=band,
                                     resolution=grid[0] if grid else 200,
                                     radius=numerics.get("radius", 0.62),
-                                    gap_threshold=gap, with_field=True)
+                                    with_field=True, **gap)
     else:
         compute = dipolar_chern if cfg["manifold"] == "klein" \
             else quadrupole_chern
@@ -383,7 +390,7 @@ def _run_invariant(cfg, prefix):
         else:
             resolution = (grid[0], grid[0])
         result, field = compute(model, band=band, resolution=resolution,
-                                gap_threshold=gap, with_field=True)
+                                with_field=True, **gap)
     n1, n2 = len(field.x1), len(field.x2)
     path = _write_csv(prefix + "curvature.csv",
                       [("x1", np.repeat(field.x1, n2), "f"),
@@ -633,8 +640,8 @@ def _write_sweep_csv(path, rows):
                     cells.append("")
                 elif isinstance(v, bool):
                     cells.append(str(v).lower())
-                elif isinstance(v, float):
-                    cells.append(repr(v))
+                elif isinstance(v, (float, np.floating)):
+                    cells.append(repr(float(v)))
                 else:
                     cells.append(str(v))
             fh.write(",".join(cells) + "\n")

@@ -1,11 +1,22 @@
 """Schrodinger propagation along a geodesic drive.
 
 The propagator is the midpoint exponential: one step of size dt applies
-exp(-i H(t + dt/2) dt), computed exactly for Hermitian H (Bloch rotation
-formula for two levels, spectral decomposition otherwise), so every step is
-unitary by construction.  The step unitaries are built vectorized, _CHUNK
-steps at a time, and one sequential pass psi_{k+1} = U_k psi_k turns them
-into the states at all step boundaries, for any level count D.
+exp(-i H(t + dt/2) dt), computed exactly for Hermitian H, so every step is
+unitary by construction.  Two routes share that step:
+
+- a two-level model with a Bloch field, H = d . sigma, builds each step
+  from d at the midpoint as the unit quaternion (cos |d|dt,
+  dt sinc(|d|dt/pi) d), stored as four reals, and a blocked scan turns the
+  steps into states: prefix products inside _BLOCK-step blocks, vectorized
+  across blocks, then one sequential pass over the block totals.  The
+  smallest gap 2|d| at the midpoints comes with it;
+- any other model (D > 2, no Bloch field, or the counterdiabatic drive)
+  builds the step unitaries from H (Bloch rotation formula for two levels,
+  spectral decomposition otherwise) and runs one sequential pass
+  psi_{k+1} = U_k psi_k.
+
+Both work _CHUNK steps at a time, so no stack the length of the drive is
+built besides the states.
 
 Also here: instantaneous-band tracking with dynamic and Berry phase
 accumulators, the counterdiabatic term, and the first-order adiabatic
@@ -23,15 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DegeneracyError, ValidationError
-from .models import band_gap, bloch_vector, eig_many
+from .models import GAP_THRESHOLD, band_gap, bloch_vector, eig_many
 
-GAP_THRESHOLD = 1e-3
 NORM_TOL = 1e-10
 # halving error per unit time below which a refined step is accepted
 STEP_TOLERANCE = 1e-8
 # samples per vectorized block in every chunked loop of evolution and
 # response; bounds the (chunk, D, D) temporaries of long runs
 _CHUNK = 1 << 17
+# steps per block of the two-level scan
+_BLOCK = 64
 
 
 def _points_velocities(model, trajectory):
@@ -75,11 +87,16 @@ def _gap_guard(trajectory, energies, band, threshold):
 
 @dataclass
 class EvolutionResult:
-    """States at the step boundaries t, their norms, and the step dt used."""
+    """States at the step boundaries t, their norms, and the step dt used.
+
+    min_gap is the smallest band gap 2|d| at the step midpoints on the
+    Bloch-field route, None on the generic one.
+    """
     t: np.ndarray
     states: np.ndarray
     norms: np.ndarray
     dt: float
+    min_gap: float | None
 
 
 def _step_unitaries(model, H, dt):
@@ -100,6 +117,66 @@ def _step_unitaries(model, H, dt):
     w, v = np.linalg.eigh(H)
     phase = np.exp(-1j * w * dt)
     return np.einsum("nij,nj,nkj->nik", v, phase, v.conj())
+
+
+def _su2_steps(d, dt):
+    """exp(-i dt d . sigma) for a stack of Bloch vectors d (m, 3).
+
+    The step is the unit quaternion q = (cos |d|dt, dt sinc(|d|dt/pi) d),
+    U = q0 - i q . sigma = [[a, -conj(b)], [b, conj(a)]], kept as its four
+    reals in the pair a = q0 - i q3, b = q2 - i q1.  Returns (a, b, |d|).
+    """
+    r = np.linalg.norm(d, axis=-1)
+    theta = r * dt
+    # sin(theta)/|d| written through sinc so d -> 0 is regular
+    amp = dt * np.sinc(theta / math.pi)
+    a = np.empty(len(d), dtype=complex)
+    b = np.empty(len(d), dtype=complex)
+    a.real = np.cos(theta)
+    a.imag = -amp * d[:, 2]
+    b.real = amp * d[:, 1]
+    b.imag = -amp * d[:, 0]
+    return a, b, r
+
+
+def _su2_scan(a, b, psi, out):
+    """out[j] = U_j ... U_0 psi for the steps (a, b) of _su2_steps.
+
+    The steps are laid out _BLOCK to a column, so row j holds step j of
+    every block.  One pass down the rows turns each column into its prefix
+    products, vectorized across blocks; one sequential pass over the block
+    totals gives the state entering each block; one vectorized product
+    then gives every state.  Identity steps pad the last block.  Returns
+    the last state.
+    """
+    m = len(a)
+    nb = -(-m // _BLOCK)
+    A = np.ones(nb * _BLOCK, dtype=complex)
+    B = np.zeros(nb * _BLOCK, dtype=complex)
+    A[:m], B[:m] = a, b
+    A = A.reshape(nb, _BLOCK).T.copy()
+    B = B.reshape(nb, _BLOCK).T.copy()
+    for j in range(1, _BLOCK):
+        a1, b1, a0, b0 = A[j], B[j], A[j - 1], B[j - 1]
+        A[j], B[j] = a1 * a0 - b1.conj() * b0, b1 * a0 + a1.conj() * b0
+    p, q = complex(psi[0]), complex(psi[1])
+    v0, v1 = [], []
+    for ta, tb in zip(A[-1].tolist(), B[-1].tolist()):
+        v0.append(p)
+        v1.append(q)
+        p, q = ta * p - tb.conjugate() * q, tb * p + ta.conjugate() * q
+    v0, v1 = np.array(v0), np.array(v1)
+    s0 = A * v0 - B.conj() * v1
+    s1 = B * v0 + A.conj() * v1
+    full = m // _BLOCK
+    blocks = out[:full * _BLOCK].reshape(full, _BLOCK, 2)
+    blocks[..., 0] = s0[:, :full].T
+    blocks[..., 1] = s1[:, :full].T
+    tail = m - full * _BLOCK
+    if tail:
+        out[full * _BLOCK:, 0] = s0[:tail, full]
+        out[full * _BLOCK:, 1] = s1[:tail, full]
+    return out[-1]
 
 
 def counterdiabatic_term(model, pts, vel, band, threshold):
@@ -133,22 +210,34 @@ def counterdiabatic_term(model, pts, vel, band, threshold):
 
 
 def _propagate(model, pts, vel, psi0, h, k, n_steps, cd_band, gap_threshold):
-    """States at the n_steps + 1 boundaries of steps of size 2*k*h."""
+    """States at the n_steps + 1 boundaries of steps of size 2*k*h.
+
+    Returns (states, min_gap); min_gap is the smallest 2|d| at the step
+    midpoints on the Bloch-field route and None on the generic one.
+    """
     mid = pts[k:2 * k * n_steps:2 * k]
+    dt = 2 * k * h
+    states = np.empty((n_steps + 1, model.dim), dtype=complex)
+    psi = states[0] = psi0
+    chunks = [slice(start, min(start + _CHUNK, n_steps))
+              for start in range(0, n_steps, _CHUNK)]
+    if cd_band is None and model.has_d_field:
+        min_gap = math.inf
+        for sl in chunks:
+            a, b, r = _su2_steps(model.d_field(mid[sl]), dt)
+            min_gap = min(min_gap, 2.0 * float(r.min()))
+            psi = _su2_scan(a, b, psi, states[sl.start + 1:sl.stop + 1])
+        return states, min_gap
     if cd_band is not None:
         cd = counterdiabatic_term(model, mid, vel[k:2 * k * n_steps:2 * k],
                                  cd_band, gap_threshold)
-    states = np.empty((n_steps + 1, model.dim), dtype=complex)
-    psi = states[0] = psi0
-    for start in range(0, n_steps, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, n_steps))
+    for sl in chunks:
         H = model.evaluate_many(mid[sl])
         if cd_band is not None:
             H = H + cd[sl]
-        for j, U in enumerate(_step_unitaries(model, H, 2 * k * h),
-                              start + 1):
+        for j, U in enumerate(_step_unitaries(model, H, dt), sl.start + 1):
             psi = states[j] = U.dot(psi)
-    return states
+    return states, None
 
 
 def _halving_error_rate(model, pts, vel, psi0, h, k, cd_band, gap_threshold):
@@ -160,9 +249,9 @@ def _halving_error_rate(model, pts, vel, psi0, h, k, cd_band, gap_threshold):
     m = (len(pts) - 1) // (2 * k)
     m = min(m, max(2, int(round(1.0 / (2 * k * h)))))
     coarse = _propagate(model, pts, vel, psi0, h, k, m, cd_band,
-                        gap_threshold)[-1]
+                        gap_threshold)[0][-1]
     fine = _propagate(model, pts, vel, psi0, h, 1, k * m, cd_band,
-                      gap_threshold)[-1]
+                      gap_threshold)[0][-1]
     return float(np.linalg.norm(coarse - fine)) / (2 * k * h * m)
 
 
@@ -200,11 +289,11 @@ def evolve(psi0, model, trajectory, dt=0.01, counterdiabatic_band=None,
         k //= 2
         dt = 2 * k * h
     n_steps = (len(pts) - 1) // (2 * k)
-    states = _propagate(model, pts, vel, psi0, h, k, n_steps,
-                        counterdiabatic_band, gap_threshold)
+    states, min_gap = _propagate(model, pts, vel, psi0, h, k, n_steps,
+                                 counterdiabatic_band, gap_threshold)
     return EvolutionResult(
         t=np.asarray(trajectory.t)[::2 * k][:n_steps + 1], states=states,
-        norms=np.linalg.norm(states, axis=-1), dt=dt)
+        norms=np.linalg.norm(states, axis=-1), dt=dt, min_gap=min_gap)
 
 
 def fidelity(psi, phi):

@@ -24,6 +24,8 @@ from .hyperbolic import in_fundamental_domain
 from .trajectories import MANIFOLDS, klein_lift_project, rp2_lift_project
 
 HERMITICITY_TOL = 1e-12
+# smallest band gap that gap checks accept, unless a caller passes its own
+GAP_THRESHOLD = 1e-3
 
 # sigma_x, sigma_y, sigma_z
 PAULI = np.array(
@@ -83,7 +85,9 @@ class ParentHamiltonian:
     supply only a single-point `evaluate`; the batched methods then fall back
     to a python loop.  `global_chart` marks fields defined by a single global
     formula (all built-ins), which finite differences may probe outside the
-    fundamental domain.
+    fundamental domain.  A model that passes d_field and d_gradient is a
+    two-level H = d . sigma, and has_d_field routes it through the Bloch-vector
+    paths of topology, evolution and response.
     """
 
     def __init__(self, name, manifold, dim, evaluate=None, gradient=None,
@@ -96,6 +100,8 @@ class ParentHamiltonian:
             raise ValidationError("model needs evaluate or evaluate_many")
         if int(dim) < 2:
             raise ValidationError("model dimension must be at least 2")
+        if int(dim) != 2 and (d_field is not None or d_gradient is not None):
+            raise ValidationError("a Bloch vector field needs dim = 2")
         self.name = name
         self.manifold = manifold
         self.dim = int(dim)
@@ -120,7 +126,8 @@ class ParentHamiltonian:
 
     @property
     def has_d_field(self):
-        return self._d_field is not None
+        """True if H = d . sigma with both d and its partials available."""
+        return self._d_field is not None and self._d_gradient is not None
 
     def evaluate(self, point):
         """H at a single manifold point, shape (dim, dim)."""
@@ -499,7 +506,18 @@ def _gap_grid(manifold, grid):
     return pts, (len(pts),)
 
 
-def gap_report(model, grid=None, threshold=1e-3):
+def adjacent_gaps(model, pts):
+    """Gaps between adjacent bands at an array of points, shape (N, D - 1).
+
+    A two-level model with a Bloch field has the single gap 2|d|; any other
+    model is diagonalized.
+    """
+    if model.has_d_field:
+        return 2.0 * np.linalg.norm(model.d_field(pts), axis=-1)[:, None]
+    return np.diff(eig_many(model.evaluate_many(pts)).energies, axis=-1)
+
+
+def gap_report(model, grid=None, threshold=GAP_THRESHOLD):
     """Scan adjacent-band gaps of a model over a grid.
 
     grid can be None (manifold default), an (nx, ny) tuple, or an explicit
@@ -509,8 +527,7 @@ def gap_report(model, grid=None, threshold=1e-3):
     pts, shape = _gap_grid(model.manifold, grid)
     if len(pts) == 0:
         raise ValidationError("gap_report: empty grid")
-    bands = eig_many(model.evaluate_many(pts)).energies
-    gaps = np.diff(bands, axis=-1)
+    gaps = adjacent_gaps(model, pts)
     k = np.argmin(gaps, axis=0)
     return GapReport(
         min_gaps=gaps[k, np.arange(gaps.shape[1])],

@@ -9,10 +9,14 @@ and their averages scaled by pi/omega_y^2 converge to the dipolar and
 quadrupolar invariants.  The counterdiabatic observable replaces H with
 H + V_Q, removing the adiabatic limit: w_CD converges at order-one speed.
 
-Each observable builder takes arrays of N samples and returns the (N, D, D)
-matrices.  Pipelines (run_hdqs, run_klein, run_rp2) wire trajectory ->
-evolution -> expectation series -> running average along the drive that
-drive_spec builds; they are what the CLI and the acceptance checks call.
+Each observable is a weighted sum of the spatial gradients of H,
+O = c_1 d1 H + c_2 d2 H.  The builders take arrays of N samples and return
+the (N, D, D) matrices.  For a two-level model with a Bloch field the
+pipelines skip the matrices: <psi|O|psi> = c_1 s . d1 d + c_2 s . d2 d with
+s = <psi|sigma|psi>, real by construction.  Pipelines (run_hdqs, run_klein,
+run_rp2) wire trajectory -> evolution -> expectation series -> running
+average along the drive that drive_spec builds; they are what the CLI and
+the acceptance checks call.
 """
 
 import math
@@ -22,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DegeneracyError, ValidationError
-from .evolution import (GAP_THRESHOLD, _CHUNK, _cumtrapz,
-                        counterdiabatic_term, evolve)
-from .models import eigensystem, gap_report
+from .evolution import _CHUNK, _cumtrapz, counterdiabatic_term, evolve
+from .models import GAP_THRESHOLD, eigensystem, gap_report
 from .trajectories import GeodesicSpec, trajectory
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -68,6 +71,8 @@ class ResponseRun:
     spec: GeodesicSpec
     worst_imag: float  # largest |Im <psi|O|psi>|, checked against IMAG_TOL
     propagation: dict | None = None  # BolzaTrajectory.stats of a Bolza drive
+    # smallest gap 2|d| at the step midpoints; None off the Bloch-field route
+    min_gap: float | None = None
 
 
 def running_average(series, normalization, target=None):
@@ -100,12 +105,25 @@ def _ginv(z):
     return (1.0 - (z * z.conjugate()).real) ** 2 / 4.0
 
 
+def _contract(weights, grads):
+    # sum_i weights[:, i] d_i H over a stack of (N, 2, D, D) gradients
+    return weights[:, 0, None, None] * grads[:, 0] \
+        + weights[:, 1, None, None] * grads[:, 1]
+
+
+def _hdqs_weights(z, p):
+    w = 2.0 * _ginv(z)
+    return np.stack([w * p.imag, -(w * p.real)], axis=-1)
+
+
+def _x_weights(c):
+    # observables of the flat drives use the theta_x gradient only
+    return np.stack([c, np.zeros_like(c)], axis=-1)
+
+
 def observable_hdqs(model, z, p):
     """O = 2 g^{-1} (p_2 d1 H - p_1 d2 H) at chart-reduced disk samples."""
-    grads = model.gradient_many(z)
-    w = 2.0 * _ginv(z)
-    return (w * p.imag)[:, None, None] * grads[:, 0] \
-        - (w * p.real)[:, None, None] * grads[:, 1]
+    return _contract(_hdqs_weights(z, p), model.gradient_many(z))
 
 
 def observable_cd(model, z, p, band, threshold):
@@ -123,18 +141,15 @@ def observable_cd(model, z, p, band, threshold):
             threshold)
 
     h = _FD_STEP
-    grads = model.gradient_many(z)
-    d1v = (vq(z + h) - vq(z - h)) / (2 * h)
-    d2v = (vq(z + 1j * h) - vq(z - 1j * h)) / (2 * h)
-    w = 2.0 * _ginv(z)
-    return (w * p.imag)[:, None, None] * (grads[:, 0] + d1v) \
-        - (w * p.real)[:, None, None] * (grads[:, 1] + d2v)
+    dv = np.stack([vq(z + h) - vq(z - h), vq(z + 1j * h) - vq(z - 1j * h)],
+                  axis=1) / (2 * h)
+    return _contract(_hdqs_weights(z, p), model.gradient_many(z) + dv)
 
 
 def observable_klein(model, theta, omega_y):
     """O = omega_y theta_y d_{theta_x} H at Klein samples."""
-    grads = model.gradient_many(theta)
-    return (omega_y * theta[:, 1])[:, None, None] * grads[:, 0]
+    return _contract(_x_weights(omega_y * theta[:, 1]),
+                     model.gradient_many(theta))
 
 
 def observable_rp2(model, theta, vy):
@@ -144,8 +159,8 @@ def observable_rp2(model, theta, vy):
     sign varies, so omega_y(t)^2 = omega_y^2 identically (the mu
     normalization constant).
     """
-    grads = model.gradient_many(theta)
-    return (vy * theta[:, 0] * theta[:, 1])[:, None, None] * grads[:, 0]
+    return _contract(_x_weights(vy * theta[:, 0] * theta[:, 1]),
+                     model.gradient_many(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +196,32 @@ def _expectation_values(states, builder, n):
     return values, float(worst_imag)
 
 
+def _gradient_expectations(model, states, pts, weights):
+    """<psi|O|psi> for O = sum_i weights[:, i] d_i H along a drive.
+
+    A two-level model with a Bloch field contracts the weights with
+    s . d_i d, s = (2 Re a*b, 2 Im a*b, |a|^2 - |b|^2) for psi = (a, b);
+    the value is real by construction, so the imaginary part dropped is 0.
+    Any other model goes through the (N, D, D) matrices.
+    """
+    n = len(weights)
+    if not model.has_d_field:
+        return _expectation_values(
+            states, lambda sl: _contract(weights[sl],
+                                         model.gradient_many(pts[sl])), n)
+    values = np.empty(n)
+    for start in range(0, n, _CHUNK):
+        sl = slice(start, min(start + _CHUNK, n))
+        a, b = states[sl, 0], states[sl, 1]
+        s = np.stack([2.0 * (a.real * b.real + a.imag * b.imag),
+                      2.0 * (a.real * b.imag - a.imag * b.real),
+                      a.real ** 2 + a.imag ** 2 - b.real ** 2 - b.imag ** 2],
+                     axis=-1)
+        grad_s = np.einsum("nik,nk->ni", model.d_gradient(pts[sl]), s)
+        values[sl] = np.einsum("ni,ni->n", weights[sl], grad_s)
+    return values, 0.0
+
+
 def drive_spec(manifold, T=None, dt=0.01, lam=0.05, z0=0j,
                direction=math.pi / 9, digits=None, omega=None, theta0=None):
     """The drive of a response pipeline, sampled at dt/2.
@@ -191,13 +232,17 @@ def drive_spec(manifold, T=None, dt=0.01, lam=0.05, z0=0j,
     drive from the origin in direction pi/9 over T = 2000; flat drives at
     omega_x = 0.02, omega_y = golden ratio * omega_x over omega_x T = 400,
     from the domain corner (-pi, -pi) on the Klein bottle and from (0, 0)
-    on RP2.
+    on RP2.  Without T the horizon is omega_x T = 400, so omega_x must then
+    be positive.
     """
     if manifold == "bolza":
         return GeodesicSpec(manifold=manifold,
                             T=2000.0 if T is None else T, dt=dt / 2, z0=z0,
                             direction=direction, speed=lam, digits=digits)
     omega = (0.02, GOLDEN * 0.02) if omega is None else tuple(omega)
+    if T is None and not omega[0] > 0:
+        raise ValidationError(
+            "omega_x must be positive when T is not given")
     if theta0 is None:
         theta0 = (-math.pi, -math.pi) if manifold == "klein" else (0.0, 0.0)
     return GeodesicSpec(manifold=manifold,
@@ -226,18 +271,20 @@ def run_hdqs(model, band=1, counterdiabatic=False, target=None,
                     gap_threshold=gap_threshold)
     n = len(result.states)
     zb, pb = traj.z[::2][:n], traj.p[::2][:n]
-
-    def builder(sl):
-        if counterdiabatic:
-            return observable_cd(model, zb[sl], pb[sl], band, gap_threshold)
-        return observable_hdqs(model, zb[sl], pb[sl])
-
-    values, worst_imag = _expectation_values(result.states, builder, n)
+    if counterdiabatic:
+        values, worst_imag = _expectation_values(
+            result.states,
+            lambda sl: observable_cd(model, zb[sl], pb[sl], band,
+                                     gap_threshold), n)
+    else:
+        values, worst_imag = _gradient_expectations(
+            model, result.states, zb, _hdqs_weights(zb, pb))
     series = ObservableSeries(result.t, values)
     return ResponseRun(
         curve=running_average(series, spec.speed ** 2, target=target),
         series=series, norm_deviation=float(np.abs(result.norms - 1).max()),
-        band=band, spec=spec, worst_imag=worst_imag, propagation=traj.stats)
+        band=band, spec=spec, worst_imag=worst_imag, propagation=traj.stats,
+        min_gap=result.min_gap)
 
 
 def _run_flat(model, manifold, band, target, gap_threshold, drive):
@@ -254,16 +301,16 @@ def _run_flat(model, manifold, band, target, gap_threshold, drive):
     thb = traj.theta[::2][:n]
     omega_y = spec.omega[1]
     if manifold == "rp2":
-        vyb = traj.velocities()[::2][:n, 1]
-        builder = lambda sl: observable_rp2(model, thb[sl], vyb[sl])
+        weight = traj.velocities()[::2][:n, 1] * thb[:, 0] * thb[:, 1]
     else:
-        builder = lambda sl: observable_klein(model, thb[sl], omega_y)
-    values, worst_imag = _expectation_values(result.states, builder, n)
+        weight = omega_y * thb[:, 1]
+    values, worst_imag = _gradient_expectations(
+        model, result.states, thb, _x_weights(weight))
     series = ObservableSeries(result.t, values)
     return ResponseRun(
         curve=running_average(series, omega_y ** 2 / math.pi, target=target),
         series=series, norm_deviation=float(np.abs(result.norms - 1).max()),
-        band=band, spec=spec, worst_imag=worst_imag)
+        band=band, spec=spec, worst_imag=worst_imag, min_gap=result.min_gap)
 
 
 def run_klein(model, band=1, target=None, gap_threshold=GAP_THRESHOLD,

@@ -1,12 +1,18 @@
 """Static topological invariants from Berry curvature fields.
 
-Two curvature discretizations with one fixed sign convention: the analytic
-two-level formula Omega = s (1/2) dhat . (d1 dhat x d2 dhat) and the
-gauge-invariant plaquette (link-variable) phase.  The band sign s (+1 upper,
--1 lower for a qubit) is anchored so that the upper band of the meron model
-at epsilon = 0.5 integrates to Chern number +1; the same convention then
-feeds the dipolar and quadrupolar moments, so their signs are not free.
+Three curvature discretizations with one fixed sign convention: the
+analytic two-level formula Omega = s (1/2) dhat . (d1 dhat x d2 dhat), the
+gauge-invariant plaquette (link-variable) phase of an eigenvector grid, and
+the same plaquette phase of a two-level band read off its unit Bloch vectors
+as -s/2 times the solid angle of each plaquette's dhat quadrilateral.  The
+band sign s (+1 upper, -1 lower for a qubit) is anchored so that the upper
+band of the meron model at epsilon = 0.5 integrates to Chern number +1; the
+same convention then feeds the dipolar and quadrupolar moments, so their
+signs are not free.
 
+The invariants take the solid-angle route for models with a Bloch field
+(no eigensolve, no gauge) and the eigenvector route otherwise; the
+eigenvector plaquette stays the reference the two are checked against.
 Invariants are midpoint-rule sums of plaquette phases times coordinate
 weights (1, theta_y, theta_x theta_y), reported next to their nearest
 quantized value.
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DegeneracyError, ResolutionError, ValidationError
-from .models import (band_gap, eig_many, gap_report,
+from .models import (GAP_THRESHOLD, band_gap, eig_many, gap_report,
                      mirror_symmetry_residual, s_symmetry_residual)
 
 SYMMETRY_TOL = 1e-8
@@ -109,11 +115,75 @@ def curvature_plaquette(states, spacing, origin=(0.0, 0.0), band=0,
             "grid too coarse near a near-degeneracy")
     loop = (u2[:-1, :] * u1[:, 1:]
             * np.conj(u2[1:, :]) * np.conj(u1[:, :-1]))
+    return _plaquette_field(-np.log(loop).imag, spacing, origin, band)
+
+
+def _plaquette_field(phases, spacing, origin, band):
     h1, h2 = spacing
-    omega = -np.log(loop).imag / (h1 * h2)
-    x1 = origin[0] + h1 * (0.5 + np.arange(omega.shape[0]))
-    x2 = origin[1] + h2 * (0.5 + np.arange(omega.shape[1]))
-    return BerryField(x1, x2, omega, (h1, h2), band, "plaquette")
+    x1 = origin[0] + h1 * (0.5 + np.arange(phases.shape[0]))
+    x2 = origin[1] + h2 * (0.5 + np.arange(phases.shape[1]))
+    return BerryField(x1, x2, phases / (h1 * h2), (h1, h2), band,
+                      "plaquette")
+
+
+def _dot(a, b):
+    return np.einsum("...k,...k->...", a, b)
+
+
+def _triple(a, b, c):
+    # a . (b x c)
+    return (a[..., 0] * (b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1])
+            + a[..., 1] * (b[..., 2] * c[..., 0] - b[..., 0] * c[..., 2])
+            + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0]))
+
+
+def curvature_solid_angle(dhat, spacing, origin=(0.0, 0.0), band=1,
+                          wrap_x=False):
+    """Plaquette curvature of a two-level band from its unit Bloch vectors.
+
+    Parameters
+    ----------
+    dhat : (n1, n2, 3) array of unit vectors d / |d|, one per node
+    spacing : (h1, h2) node steps
+    band : 1 (upper, the state along dhat) or 0 (lower, along -dhat)
+    wrap_x : close the grid periodically along the first axis
+
+    The plaquette a = (i,j), b = (i,j+1), c = (i+1,j+1), d = (i+1,j) has
+    Berry phase -s/2 Omega, Omega the solid angle of the dhat quadrilateral
+    a b c d, so this is the phase curvature_plaquette gives for the band's
+    eigenvectors.  Omega is the sum of the triangles (a,b,c) and (a,c,d),
+    each from tan(Omega/2) = a.(b x c) / (1 + a.b + b.c + c.a) (Van
+    Oosterom and Strackee); the phase is taken modulo 2 pi into [-pi, pi],
+    as -Im log takes that of the Wilson loop.  Link overlaps
+    |<psi_i|psi_j>|^2 = (1 + dhat_i . dhat_j) / 2 are checked against
+    OVERLAP_FLOOR.
+    """
+    n = np.asarray(dhat, dtype=float)
+    if n.ndim != 3 or n.shape[-1] != 3:
+        raise ValidationError("curvature_solid_angle: field must be "
+                              "(n1, n2, 3)")
+    if band not in (0, 1):
+        raise ValidationError("curvature_solid_angle: band must be 0 or 1")
+    if wrap_x:
+        n = np.concatenate([n, n[:1]], axis=0)
+    link1 = _dot(n[:-1], n[1:])        # (i,j) - (i+1,j)
+    link2 = _dot(n[:, :-1], n[:, 1:])  # (i,j) - (i,j+1)
+    small = 1.0 + min(link1.min(), link2.min())
+    if small < 2 * OVERLAP_FLOOR ** 2:
+        raise ResolutionError(
+            f"plaquette link overlap {math.sqrt(max(small, 0.0) / 2):.2e} "
+            f"below {OVERLAP_FLOOR:g}; grid too coarse near a "
+            "near-degeneracy")
+    # tan(Omega_abc / 2) and tan(Omega_acd / 2) as the arguments of two
+    # complex numbers; their product carries the quadrilateral, wrapped
+    a, b, c, d = n[:-1, :-1], n[:-1, 1:], n[1:, 1:], n[1:, :-1]
+    ac = _dot(a, c)
+    x1 = 1.0 + link2[:-1] + link1[:, 1:] + ac
+    x2 = 1.0 + ac + link2[1:] + link1[:, :-1]
+    y1, y2 = _triple(a, b, c), _triple(a, c, d)
+    omega_half = np.arctan2(x1 * y2 + y1 * x2, x1 * x2 - y1 * y2)
+    phases = -omega_half if band == 1 else omega_half
+    return _plaquette_field(phases, spacing, origin, band)
 
 
 @dataclass
@@ -136,20 +206,37 @@ class InvariantResult:
                 f" {self.residue:.2e})")
 
 
-def _band_states(model, pts, band, threshold):
-    if band < 0 or band >= model.dim:
-        raise ValidationError(f"band index {band} out of range")
-    energies, vecs, _ = eig_many(model.evaluate_many(pts))
-    gap = band_gap(energies, band)[0]
+def _require_gap(gap, band, threshold):
     if gap <= threshold:
         raise DegeneracyError(
             f"band {band} gap {gap:.2e} at or below threshold "
             f"{threshold:g} on the invariant grid")
-    return vecs[:, :, band]
+
+
+def _band_field(model, pts, shape, band, threshold, spacing, origin,
+                wrap_x=False):
+    """Plaquette curvature of one band over a node grid of the given shape.
+
+    A two-level model with a Bloch field takes the solid-angle route, whose
+    gap is 2 min |d|; any other model is diagonalized at every node.
+    """
+    if band < 0 or band >= model.dim:
+        raise ValidationError(f"band index {band} out of range")
+    if model.has_d_field:
+        d = model.d_field(pts)
+        r = np.linalg.norm(d, axis=-1)
+        _require_gap(2.0 * r.min(), band, threshold)
+        return curvature_solid_angle((d / r[:, None]).reshape(shape + (3,)),
+                                     spacing, origin, band, wrap_x)
+    energies, vecs, _ = eig_many(model.evaluate_many(pts))
+    _require_gap(band_gap(energies, band)[0], band, threshold)
+    return curvature_plaquette(
+        vecs[:, :, band].reshape(shape + (model.dim,)), spacing, origin,
+        band, wrap_x=wrap_x)
 
 
 def chern_bolza(model, band=1, resolution=200, radius=0.62,
-                gap_threshold=1e-3, with_field=False):
+                gap_threshold=GAP_THRESHOLD, with_field=False):
     """First Chern number of a compact-texture disk model band.
 
     Integrates the plaquette curvature over a Cartesian grid on
@@ -177,18 +264,16 @@ def chern_bolza(model, band=1, resolution=200, radius=0.62,
     nodes = np.linspace(-radius, radius, resolution + 1)
     h = nodes[1] - nodes[0]
     zg = nodes[:, None] + 1j * nodes[None, :]
-    psi = _band_states(model, zg.ravel(), band, gap_threshold).reshape(
-        resolution + 1, resolution + 1, model.dim)
-    field = curvature_plaquette(
-        psi, (h, h), origin=(-radius, -radius), band=band)
+    field = _band_field(model, zg.ravel(), zg.shape, band, gap_threshold,
+                        (h, h), (-radius, -radius))
     mask = (field.x1[:, None] ** 2 + field.x2[None, :] ** 2) <= radius ** 2
     total = (field.omega * mask).sum() * h * h / (2 * math.pi)
     result = InvariantResult.quantize(total, 1.0, (resolution, resolution))
     return (result, field) if with_field else result
 
 
-def dipolar_chern(model, band=1, resolution=(400, 200), gap_threshold=1e-3,
-                  with_field=False):
+def dipolar_chern(model, band=1, resolution=(400, 200),
+                  gap_threshold=GAP_THRESHOLD, with_field=False):
     """Dipolar Chern number D_y on the Klein bottle.
 
     D_y = (1/2 pi) integral of theta_y Omega over [-pi, pi] x [-pi, 0],
@@ -209,10 +294,9 @@ def dipolar_chern(model, band=1, resolution=(400, 200), gap_threshold=1e-3,
     ys = np.linspace(-math.pi, 0.0, ny + 1)
     hx, hy = 2 * math.pi / nx, math.pi / ny
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
-    psi = _band_states(model, pts.reshape(-1, 2), band, gap_threshold)
-    field = curvature_plaquette(
-        psi.reshape(nx, ny + 1, model.dim), (hx, hy),
-        origin=(-math.pi, -math.pi), band=band, wrap_x=True)
+    field = _band_field(model, pts.reshape(-1, 2), (nx, ny + 1), band,
+                        gap_threshold, (hx, hy), (-math.pi, -math.pi),
+                        wrap_x=True)
     phases = field.omega * hx * hy
     value = (phases * field.x2[None, :]).sum() / (2 * math.pi)
     result = InvariantResult.quantize(value, math.pi / 2, (nx, ny))
@@ -220,7 +304,7 @@ def dipolar_chern(model, band=1, resolution=(400, 200), gap_threshold=1e-3,
 
 
 def quadrupole_chern(model, band=1, resolution=(200, 200),
-                     gap_threshold=1e-3, with_field=False):
+                     gap_threshold=GAP_THRESHOLD, with_field=False):
     """Quadrupolar Chern number Q_xy on the projective plane.
 
     Q_xy = (1/pi) integral of theta_x theta_y Omega over [0, pi]^2 via
@@ -241,10 +325,8 @@ def quadrupole_chern(model, band=1, resolution=(200, 200),
     ys = np.linspace(0.0, math.pi, ny + 1)
     hx, hy = math.pi / nx, math.pi / ny
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
-    psi = _band_states(model, pts.reshape(-1, 2), band, gap_threshold)
-    field = curvature_plaquette(
-        psi.reshape(nx + 1, ny + 1, model.dim), (hx, hy),
-        origin=(0.0, 0.0), band=band)
+    field = _band_field(model, pts.reshape(-1, 2), (nx + 1, ny + 1), band,
+                        gap_threshold, (hx, hy), (0.0, 0.0))
     phases = field.omega * hx * hy
     value = (phases * field.x1[:, None] * field.x2[None, :]).sum() / math.pi
     result = InvariantResult.quantize(value, math.pi ** 2 / 2, (nx, ny))

@@ -2,14 +2,17 @@
 
 The unit-speed reference trajectory (T = 2000, 1239 boundary crossings at
 898 digits) takes a few seconds to propagate, so it is session-scoped and
-only built when a test actually asks for it.
+only built when a test actually asks for it.  `generic` strips a model's
+Bloch field, so the same model runs through the eigensolver and matrix
+paths that the Bloch-field paths are checked against.
 """
 
 import math
 
 import pytest
 
-from geodrive.models import bolza_qubit, klein_qubit, rp2_qubit
+from geodrive.models import (ParentHamiltonian, bolza_qubit, klein_qubit,
+                             rp2_qubit)
 from geodrive.trajectories import GeodesicSpec, trajectory
 
 
@@ -26,6 +29,20 @@ def klein_m2():
 @pytest.fixture(scope="session")
 def rp2_m1():
     return rp2_qubit(1.0)
+
+
+def _without_bloch_field(model):
+    return ParentHamiltonian(
+        model.name, model.manifold, model.dim,
+        evaluate_many=model.evaluate_many, gradient_many=model.gradient_many,
+        global_chart=model.global_chart,
+        compact_support=model.compact_support, params=model.params)
+
+
+@pytest.fixture(scope="session")
+def generic():
+    """model -> the same H and gradients without the Bloch field."""
+    return _without_bloch_field
 
 
 @pytest.fixture(scope="session")

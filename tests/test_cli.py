@@ -1,6 +1,7 @@
 """Tests for the config runner: validation diagnostics, exit codes,
 artifact layout, and reproducibility of the CSV output."""
 
+import csv
 import json
 import math
 import os
@@ -246,6 +247,8 @@ class TestRunKinds:
         assert summary["normalization"] == pytest.approx(0.81 ** 2 / math.pi)
         assert math.isfinite(summary["final_running_average"])
         assert 0 <= summary["max_imag_expectation"] < IMAG_TOL
+        # the minimum gap along the drive, 2|d| at the step midpoints
+        assert 0 < summary["min_gap"] < math.inf
 
     def test_ergodicity_short(self, tmp_path):
         prefix = str(tmp_path / "erg_")
@@ -288,7 +291,14 @@ class TestPreset:
         rows = manifest["summary"]["comparisons"]
         assert len(rows) == 7
         assert all(row["within_tolerance"] for row in rows)
-        assert os.path.exists(os.path.join(out, "summary.csv"))
+        with open(os.path.join(out, "summary.csv"), newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert [row["label"] for row in table] == \
+            [row["label"] for row in rows]
+        for row in table:
+            for key, cell in row.items():
+                if key != "label" and cell not in ("", "true", "false"):
+                    float(cell)  # a plain number, not np.float64(...)
 
 
 def per_row_csv(cols):

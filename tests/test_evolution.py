@@ -63,6 +63,8 @@ class TestEvolve:
 
         res = evolve(UP, klein_qubit(2.0), traj, 0.01)
         assert len(res.states) == 1_000_001
+        # the Bloch-field scan ran (eight chunks, 15,625 blocks)
+        assert res.min_gap is not None
         assert np.abs(res.norms - 1.0).max() < 1e-12
 
     def test_three_level_constant_field(self):

@@ -234,8 +234,17 @@ class TestParentHamiltonian:
         model = ParentHamiltonian(
             "plain", "torus", 2,
             evaluate=lambda th: np.eye(2, dtype=complex))
+        assert not model.has_d_field
         with pytest.raises(ValidationError):
             model.d_field(np.zeros((1, 2)))
+
+    def test_bloch_field_needs_two_levels(self, klein_m2):
+        with pytest.raises(ValidationError, match="dim = 2"):
+            ParentHamiltonian(
+                "three", "klein", 3,
+                evaluate=lambda th: np.eye(3, dtype=complex),
+                d_field=klein_m2.d_field, d_gradient=klein_m2.d_gradient)
+        assert klein_m2.has_d_field
 
 
 class TestGradH:

@@ -11,6 +11,7 @@ from geodrive.evolution import GAP_THRESHOLD
 from geodrive.response import (
     GOLDEN,
     ObservableSeries,
+    drive_spec,
     observable_cd,
     observable_hdqs,
     observable_klein,
@@ -152,6 +153,13 @@ class TestRunKlein:
     def test_wrong_manifold(self, meron):
         with pytest.raises(ValidationError, match="lives on"):
             run_klein(meron)
+
+    def test_horizon_needs_a_positive_omega_x(self, klein_m2):
+        # without T the horizon is omega_x T = 400
+        for omega in ((0.0, 0.1), (-0.02, 0.1)):
+            with pytest.raises(ValidationError, match="omega_x"):
+                run_klein(klein_m2, omega=omega)
+        assert drive_spec("rp2", T=5.0, omega=(0.0, 0.1)).T == 5.0
 
     def test_gap_closing_model_rejected(self):
         from geodrive.models import klein_qubit
