@@ -31,7 +31,15 @@ class GeodriveError(Exception):
 
 
 class ValidationError(GeodriveError, ValueError):
-    """A precondition on user input failed."""
+    """A precondition on user input failed.
+
+    param names the argument that was rejected, where a single argument is
+    at fault, so that a caller can point at the input it came from.
+    """
+
+    def __init__(self, message, param=None):
+        super().__init__(message)
+        self.param = param
 
 
 class ReductionError(GeodriveError, RuntimeError):

@@ -3,14 +3,19 @@
 Three commands:
 
     geodrive run <config.json>        execute one experiment config
-    geodrive validate <config.json>   schema/consistency report, no execution
+    geodrive validate <config.json>   check a config and print its plan
     geodrive preset <name> [--out DIR] [--jobs N]
 
 Configs are JSON documents with top-level keys kind / manifold / model /
 drive / numerics / output.  Every successful run writes its artifacts
 (CSV) plus a manifest JSON echoing the config, the library version, wall
 time, the file list and summary metrics.  Exit codes: 0 success, 2 config
-error, 3 runtime error.
+error, 3 runtime error, 4 a preset row outside its tolerance.
+
+validate builds the model and drive the run builds, so a value the
+library rejects is reported at the config field it came from before
+anything runs.  A config passes the library only the keys it sets: every
+default lives with the function that takes the argument.
 
 CSV cells use the shortest round-trip decimal form of each double, so
 identical configs produce byte-identical files.  Rows are written in
@@ -20,6 +25,7 @@ bytes are those of formatting every cell on its own.
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import os
@@ -31,9 +37,7 @@ import jsonschema
 import numpy as np
 
 from . import GeodriveError, ValidationError, __version__
-from .hyperbolic import in_fundamental_domain
-from .trajectories import (GeodesicSpec, _check_domain, default_digits,
-                           trajectory)
+from .trajectories import GeodesicSpec, default_digits, trajectory
 from .models import BUILTIN_MODELS, bolza_qubit
 from .evolution import evolve, fidelity, g_correction, track_band
 from .response import GOLDEN, drive_spec, run_hdqs, run_klein, run_rp2
@@ -54,26 +58,22 @@ SCHEMA = {
         "model": {
             "type": "object",
             "required": ["name"],
-            "additionalProperties": False,
-            "properties": {
-                "name": {"enum": sorted(BUILTIN_MODELS)},
-                "epsilon": {"type": "number"},
-                "m": {"type": "number"},
-                "rho": {"type": "number", "exclusiveMinimum": 0,
-                        "exclusiveMaximum": 1},
-            },
+            # the other keys are the factory's parameters, checked against
+            # its signature
+            "additionalProperties": {"type": "number"},
+            "properties": {"name": {"enum": sorted(BUILTIN_MODELS)}},
         },
         "drive": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "lambda": {"type": "number"},
+                "lambda": {"type": "number", "exclusiveMinimum": 0},
                 "omega": _PAIR,
                 "z0": _PAIR,
                 "direction": {"type": "number"},
                 "theta0": _PAIR,
-                "T": {"type": "number"},
-                "dt": {"type": "number"},
+                "T": {"type": "number", "minimum": 0},
+                "dt": {"type": "number", "exclusiveMinimum": 0},
                 "counterdiabatic": {"type": "boolean"},
             },
         },
@@ -81,12 +81,13 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "digits": {"type": "integer"},
+                "digits": {"type": "integer", "minimum": 30},
                 "grid": {"type": "array", "minItems": 1, "maxItems": 2,
                          "items": {"type": "integer", "minimum": 2}},
                 "band": {"type": "integer", "minimum": 0},
                 "radius": {"type": "number"},
-                "r": {"type": "number"},
+                "r": {"type": "number", "minimum": 0,
+                      "exclusiveMaximum": 1},
                 "bins": {"type": "integer", "minimum": 1},
                 "gap_threshold": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -100,16 +101,65 @@ SCHEMA = {
     },
 }
 
-_MODEL_MANIFOLD = {"bolza_qubit": "bolza", "klein_qubit": "klein",
-                   "rp2_qubit": "rp2"}
+# config key -> (library keyword, conversion), one table per config section.
+# A run passes only the keys its config sets, so each default stays with the
+# function that takes the argument; a ValidationError's param is mapped back
+# to the config field through the same tables.
+_KEYWORDS = {
+    "drive": {
+        "lambda": ("lam", float), "T": ("T", float), "dt": ("dt", float),
+        "direction": ("direction", float),
+        "z0": ("z0", lambda xy: complex(*xy)),
+        "omega": ("omega", tuple), "theta0": ("theta0", tuple),
+        "counterdiabatic": ("counterdiabatic", bool),
+    },
+    "numerics": {
+        "digits": ("digits", int), "band": ("band", int),
+        # grid [n] means n x n on the flat manifolds
+        "grid": ("resolution", lambda grid: (grid[0], grid[-1])),
+        "radius": ("radius", float), "r": ("r", float),
+        "bins": ("bins", int), "gap_threshold": ("gap_threshold", float),
+    },
+}
+
+_FIELDS = {keyword: f"{section}.{key}"
+           for section, table in _KEYWORDS.items()
+           for key, (keyword, _) in table.items()}
 
 
 def _path(parts):
     return ".".join(str(p) for p in parts) or "(root)"
 
 
+def _model_errors(cfg):
+    """The model's keys against its factory's signature, then the model
+    built as the run builds it."""
+    name, manifold = cfg["model"]["name"], cfg["manifold"]
+    params = inspect.signature(BUILTIN_MODELS[name]).parameters
+    errors = [(f"model.{key}", f"not a parameter of {name}")
+              for key in cfg["model"] if key != "name" and key not in params]
+    errors += [(f"model.{key}", f"required by {name}")
+               for key, param in params.items()
+               if param.default is param.empty and key not in cfg["model"]]
+    if errors:
+        return errors
+    try:
+        model = _build_model(cfg)
+    except ValidationError as err:
+        return [(f"model.{err.param}" if err.param else "model", str(err))]
+    if model.manifold != manifold:
+        return [("model.name",
+                 f"{name} lives on {model.manifold}, config says {manifold}")]
+    return []
+
+
 def validate_config(cfg):
-    """All diagnostics for a config dict as (field-path, message) pairs."""
+    """All diagnostics for a config dict as (field-path, message) pairs.
+
+    After the schema and the rules on what each kind runs, the model and
+    the drive are built as the run builds them; a ValidationError they
+    raise is reported at the config field of the argument it names.
+    """
     validator = jsonschema.Draft202012Validator(SCHEMA)
     errors = [(_path(e.absolute_path), e.message)
               for e in sorted(validator.iter_errors(cfg),
@@ -120,51 +170,7 @@ def validate_config(cfg):
 
     kind, manifold = cfg["kind"], cfg["manifold"]
     drive = cfg.get("drive", {})
-    numerics = cfg.get("numerics", {})
-    model = cfg.get("model")
-
-    lam = drive.get("lambda")
-    if lam is not None and lam <= 0:
-        errors.append(("drive.lambda", "must be positive"))
-    if "dt" in drive and drive["dt"] <= 0:
-        errors.append(("drive.dt", "must be positive"))
-    if "T" in drive and drive["T"] < 0:
-        errors.append(("drive.T", "must be nonnegative"))
-    if "digits" in numerics and numerics["digits"] < 30:
-        errors.append(("numerics.digits", "must be at least 30"))
-    if "r" in numerics and not 0 <= numerics["r"] < 1:
-        errors.append(("numerics.r", "must lie in [0, 1)"))
-    if ("omega" in drive and "T" not in drive and manifold != "bolza"
-            and drive["omega"][0] <= 0):
-        errors.append(("drive.omega",
-                       "omega_x must be positive when T is not given"))
-    if manifold == "bolza" and "z0" in drive:
-        z0 = complex(*drive["z0"])
-        if not (abs(z0) < 1 and in_fundamental_domain(z0)):
-            errors.append(("drive.z0",
-                           "must lie in the closed fundamental octagon"))
-    if "theta0" in drive:
-        try:
-            _check_domain(manifold, drive["theta0"])
-        except ValidationError as err:
-            errors.append(("drive.theta0", str(err)))
-
-    if model is not None:
-        name = model["name"]
-        if _MODEL_MANIFOLD[name] != manifold:
-            errors.append(("model.name",
-                           f"{name} lives on {_MODEL_MANIFOLD[name]}, "
-                           f"config says {manifold}"))
-        if name == "bolza_qubit":
-            if "epsilon" not in model:
-                errors.append(("model.epsilon", "required by bolza_qubit"))
-            elif abs(abs(model["epsilon"]) - 1) <= 1e-12:
-                errors.append(("model.epsilon",
-                               "gap closes at |epsilon| = 1"))
-        elif "m" not in model:
-            errors.append(("model.m", f"required by {name}"))
-
-    if kind in ("evolve", "response", "invariant") and model is None:
+    if kind in ("evolve", "response", "invariant") and "model" not in cfg:
         errors.append(("model", f"required when kind = {kind}"))
     if kind in ("trajectory", "evolve", "ergodicity") and "T" not in drive:
         errors.append(("drive.T", f"required when kind = {kind}"))
@@ -175,9 +181,17 @@ def validate_config(cfg):
         if manifold != "bolza":
             errors.append(("manifold", "ergodicity diagnostics need a "
                                        "Bolza trajectory"))
-        if lam is not None and lam != 1.0:
+        if "lambda" in drive and drive["lambda"] != 1.0:
             errors.append(("drive.lambda",
                            "the area estimator requires a unit-speed run"))
+
+    if not errors and kind != "invariant":
+        try:
+            _drive(cfg)
+        except ValidationError as err:
+            errors.append((_FIELDS.get(err.param, "drive"), str(err)))
+    if "model" in cfg:
+        errors += _model_errors(cfg)
     return errors
 
 
@@ -248,32 +262,36 @@ def _write_manifest(path, payload):
 # executors (one per config kind), each returning (files, summary)
 
 
+def _args(cfg, section, *keys):
+    """Keyword arguments for those of the keys of one config section that
+    the config sets."""
+    table, values = _KEYWORDS[section], cfg.get(section, {})
+    return {table[key][0]: table[key][1](values[key])
+            for key in keys if key in values}
+
+
 def _drive_args(cfg):
-    """Drive arguments that a config sets, and only those, so that the
-    defaults stay with the code that builds the drive: response.drive_spec
-    for response runs, GeodesicSpec for the others."""
-    drive = cfg.get("drive", {})
-    args = {key: float(drive[key]) for key in ("T", "dt", "direction")
-            if key in drive}
-    if "lambda" in drive:
-        args["lam"] = float(drive["lambda"])
-    if "z0" in drive:
-        args["z0"] = complex(*drive["z0"])
-    for key in ("omega", "theta0"):
-        if key in drive:
-            args[key] = tuple(drive[key])
-    if "digits" in cfg.get("numerics", {}):
-        args["digits"] = cfg["numerics"]["digits"]
-    return args
+    """The arguments of response.drive_spec that a config sets."""
+    return (_args(cfg, "drive", "lambda", "T", "dt", "direction", "z0",
+                  "omega", "theta0")
+            | _args(cfg, "numerics", "digits"))
 
 
-def _geodesic_spec(cfg, half_dt=False):
+def _drive(cfg):
+    """The drive a run of this config samples.
+
+    Responses take response.drive_spec's drive, sampled at dt/2; the other
+    kinds a GeodesicSpec, sampled at dt/2 for evolve so that steps of dt
+    have their midpoints on samples.
+    """
     args = _drive_args(cfg)
+    if cfg["kind"] == "response":
+        return drive_spec(cfg["manifold"], **args)
     dt = args.pop("dt", 0.01)
     if "lam" in args:
         args["speed"] = args.pop("lam")
     return GeodesicSpec(manifold=cfg["manifold"],
-                        dt=dt / 2 if half_dt else dt, **args)
+                        dt=dt / 2 if cfg["kind"] == "evolve" else dt, **args)
 
 
 def _build_model(cfg):
@@ -282,7 +300,7 @@ def _build_model(cfg):
 
 
 def _run_trajectory(cfg, prefix):
-    traj = trajectory(_geodesic_spec(cfg))
+    traj = trajectory(_drive(cfg))
     path = prefix + "trajectory.csv"
     if cfg["manifold"] == "bolza":
         _write_csv(path, [("t", traj.t, "f"),
@@ -291,11 +309,10 @@ def _run_trajectory(cfg, prefix):
                           ("re_p", traj.p.real, "f"),
                           ("im_p", traj.p.imag, "f"),
                           ("word_len", traj.word_len, "i")])
-        energy = (1 - np.abs(traj.z) ** 2) ** 2 * np.abs(traj.p) ** 2 / 8
+        drift = np.abs(traj.energies() - traj.spec.speed ** 2 / 2).max()
         summary = {"samples": len(traj.t), "digits": traj.digits,
                    "final_word_length": int(traj.word_len[-1]),
-                   "max_energy_drift":
-                       float(np.abs(energy - traj.spec.speed ** 2 / 2).max()),
+                   "max_energy_drift": float(drift),
                    "propagation": traj.stats}
     else:
         vel = traj.velocities()
@@ -311,29 +328,19 @@ def _run_trajectory(cfg, prefix):
     return [path], summary
 
 
-def _gap_args(numerics):
-    """The gap threshold a config sets, if any, as keyword arguments; the
-    default stays with models.GAP_THRESHOLD."""
-    if "gap_threshold" in numerics:
-        return {"gap_threshold": numerics["gap_threshold"]}
-    return {}
-
-
 def _run_evolve(cfg, prefix):
     model = _build_model(cfg)
-    numerics = cfg.get("numerics", {})
-    band = numerics.get("band", 1)
-    gap = _gap_args(numerics)
-    traj = trajectory(_geodesic_spec(cfg, half_dt=True))
-    bound = traj.subsample(2)
-    track = track_band(model, bound, band, **gap)
+    gap = _args(cfg, "numerics", "gap_threshold")
+    traj = trajectory(_drive(cfg))
+    track = track_band(model, traj.subsample(2),
+                       **_args(cfg, "numerics", "band"), **gap)
     result = evolve(track.states[0], model, traj, 2 * traj.spec.dt, **gap)
     fid = fidelity(result.states, track.states[: len(result.states)])
     path = _write_csv(prefix + "evolve.csv",
                       [("t", result.t, "f"),
                        ("norm", result.norms, "f"),
                        ("fidelity", fid, "f")])
-    summary = {"band": band, "steps": len(result.t) - 1,
+    summary = {"band": track.band, "steps": len(result.t) - 1,
                "min_fidelity": float(fid.min()),
                "final_fidelity": float(fid[-1]),
                "max_norm_deviation": float(np.abs(result.norms - 1).max()),
@@ -343,12 +350,9 @@ def _run_evolve(cfg, prefix):
 
 def _run_response(cfg, prefix):
     model = _build_model(cfg)
-    numerics = cfg.get("numerics", {})
-    kw = _drive_args(cfg)
-    kw.update(_gap_args(numerics), band=numerics.get("band", 1))
+    kw = _drive_args(cfg) | _args(cfg, "numerics", "band", "gap_threshold")
     if cfg["manifold"] == "bolza":
-        counterdiabatic = cfg.get("drive", {}).get("counterdiabatic", False)
-        run = run_hdqs(model, counterdiabatic=counterdiabatic, **kw)
+        run = run_hdqs(model, **kw, **_args(cfg, "drive", "counterdiabatic"))
     else:
         runner = run_klein if cfg["manifold"] == "klein" else run_rp2
         run = runner(model, **kw)
@@ -370,33 +374,22 @@ def _run_response(cfg, prefix):
 
 def _run_invariant(cfg, prefix):
     model = _build_model(cfg)
-    numerics = cfg.get("numerics", {})
-    band = numerics.get("band", 1)
-    grid = numerics.get("grid")
-    gap = _gap_args(numerics)
+    kw = _args(cfg, "numerics", "band", "grid", "gap_threshold")
     if cfg["manifold"] == "bolza":
-        result, field = chern_bolza(model, band=band,
-                                    resolution=grid[0] if grid else 200,
-                                    radius=numerics.get("radius", 0.62),
-                                    with_field=True, **gap)
+        if "resolution" in kw:  # the grid is square
+            kw["resolution"] = kw["resolution"][0]
+        result, field = chern_bolza(model, with_field=True, **kw,
+                                    **_args(cfg, "numerics", "radius"))
     else:
         compute = dipolar_chern if cfg["manifold"] == "klein" \
             else quadrupole_chern
-        default = (400, 200) if cfg["manifold"] == "klein" else (200, 200)
-        if grid is None:
-            resolution = default
-        elif len(grid) == 2:
-            resolution = tuple(grid)
-        else:
-            resolution = (grid[0], grid[0])
-        result, field = compute(model, band=band, resolution=resolution,
-                                with_field=True, **gap)
+        result, field = compute(model, with_field=True, **kw)
     n1, n2 = len(field.x1), len(field.x2)
     path = _write_csv(prefix + "curvature.csv",
                       [("x1", np.repeat(field.x1, n2), "f"),
                        ("x2", np.tile(field.x2, n1), "f"),
                        ("omega", field.omega.ravel(), "f")])
-    summary = {"band": band, "value": result.value,
+    summary = {"band": field.band, "value": result.value,
                "quantization_unit": result.quantization_unit,
                "nearest_quantum": result.nearest_quantum,
                "residue": result.residue,
@@ -405,10 +398,8 @@ def _run_invariant(cfg, prefix):
 
 
 def _run_ergodicity(cfg, prefix):
-    numerics = cfg.get("numerics", {})
-    traj = trajectory(_geodesic_spec(cfg))
-    report = ergodicity_report(traj, r=numerics.get("r", 0.6),
-                               bins=numerics.get("bins", 36))
+    traj = trajectory(_drive(cfg))
+    report = ergodicity_report(traj, **_args(cfg, "numerics", "r", "bins"))
     hist = report.histogram
     files = [
         _write_csv(prefix + "area.csv",
@@ -458,7 +449,7 @@ def _run_gt(params, prefix):
     model = bolza_qubit(params["epsilon"])
     files, runs = [], []
     for lam, T in params["pairs"]:
-        spec = GeodesicSpec(manifold="bolza", T=T, dt=params.get("dt", 0.01),
+        spec = GeodesicSpec(manifold="bolza", T=T, dt=params["dt"],
                             z0=0j, direction=math.pi / 9, speed=lam)
         series = g_correction(model, trajectory(spec), m=params["m"],
                               n=params["n"], lam=lam)
@@ -475,12 +466,11 @@ def _run_gt(params, prefix):
     return files, summary
 
 
-def _job(label, cfg=None, custom=None, params=None, value_key=None,
-         target=None, tolerance=None, compare_abs=False, sweep=None):
-    return {"label": label, "config": cfg, "custom": custom,
-            "params": params or {}, "value_key": value_key,
-            "target": target, "tolerance": tolerance,
-            "compare_abs": compare_abs, "sweep": sweep or {}}
+def _job(label, target, tolerance, cfg=None, params=None, sweep=None):
+    """One preset row: a config run through execute, or (cfg None) the
+    |G| pair of _run_gt, compared with its target."""
+    return {"label": label, "config": cfg, "params": params,
+            "target": target, "tolerance": tolerance, "sweep": sweep or {}}
 
 
 def _response_cfg(manifold, model, drive):
@@ -495,9 +485,8 @@ def _preset_fig4_chern():
                "model": {"name": "bolza_qubit", "epsilon": eps},
                "numerics": {"grid": [200], "band": 1},
                "output": {"prefix": ""}}
-        jobs.append(_job(f"eps{eps:g}", cfg=cfg, value_key="value",
-                         target=1.0 if abs(eps) < 1 else 0.0,
-                         tolerance=1e-3, sweep={"epsilon": eps}))
+        jobs.append(_job(f"eps{eps:g}", 1.0 if abs(eps) < 1 else 0.0, 1e-3,
+                         cfg=cfg, sweep={"epsilon": eps}))
     return jobs
 
 
@@ -505,13 +494,14 @@ def _preset_fig4_response():
     jobs = []
     for lam in (0.1, 0.05, 0.025):
         for eps in (0.5, 1.5):
+            # the error of w(T) is a fluctuation of an ergodic average, set
+            # by the arc lambda T: every row covers an arc of at least 100
             cfg = _response_cfg(
                 "bolza", {"name": "bolza_qubit", "epsilon": eps},
-                {"lambda": lam, "T": 2000.0, "dt": 0.01,
+                {"lambda": lam, "T": max(2000.0, 100 / lam), "dt": 0.01,
                  "direction": math.pi / 9, "z0": [0.0, 0.0]})
-            jobs.append(_job(f"lam{lam:g}_eps{eps:g}", cfg=cfg,
-                             value_key="final_running_average",
-                             target=1.0 if eps < 1 else 0.0, tolerance=0.15,
+            jobs.append(_job(f"lam{lam:g}_eps{eps:g}",
+                             1.0 if eps < 1 else 0.0, 0.15, cfg=cfg,
                              sweep={"lambda": lam, "epsilon": eps}))
     return jobs
 
@@ -529,9 +519,8 @@ def _preset_fig5_dipolar():
                "model": {"name": "klein_qubit", "m": m},
                "numerics": {"grid": [400, 200], "band": 1},
                "output": {"prefix": ""}}
-        jobs.append(_job(f"m{m:g}", cfg=cfg, value_key="value",
-                         target=_klein_target(m), tolerance=1e-2 * math.pi,
-                         compare_abs=True, sweep={"m": m}))
+        jobs.append(_job(f"m{m:g}", _klein_target(m), 1e-2 * math.pi,
+                         cfg=cfg, sweep={"m": m}))
     return jobs
 
 
@@ -542,11 +531,8 @@ def _preset_fig5_response():
             "klein", {"name": "klein_qubit", "m": m},
             {"omega": [0.02, GOLDEN * 0.02], "T": 20000.0, "dt": 0.01,
              "theta0": [-math.pi, -math.pi]})
-        jobs.append(_job(f"m{m:g}", cfg=cfg,
-                         value_key="final_running_average",
-                         target=_klein_target(m),
-                         tolerance=0.15 * math.pi / 2,
-                         compare_abs=True, sweep={"m": m}))
+        jobs.append(_job(f"m{m:g}", _klein_target(m), 0.15 * math.pi / 2,
+                         cfg=cfg, sweep={"m": m}))
     return jobs
 
 
@@ -558,17 +544,14 @@ def _preset_si_rp2():
                "model": {"name": "rp2_qubit", "m": m},
                "numerics": {"grid": [200, 200], "band": 1},
                "output": {"prefix": ""}}
-        jobs.append(_job(f"q_m{m:g}", cfg=inv, value_key="value",
-                         target=target, tolerance=0.02 * math.pi ** 2 / 2,
-                         compare_abs=True, sweep={"m": m}))
+        jobs.append(_job(f"q_m{m:g}", target, 0.02 * math.pi ** 2 / 2,
+                         cfg=inv, sweep={"m": m}))
         resp = _response_cfg(
             "rp2", {"name": "rp2_qubit", "m": m},
             {"omega": [0.02, GOLDEN * 0.02], "T": 20000.0, "dt": 0.01,
              "theta0": [0.0, 0.0]})
-        jobs.append(_job(f"mu_m{m:g}", cfg=resp,
-                         value_key="final_running_average", target=target,
-                         tolerance=0.15 * math.pi ** 2 / 2,
-                         compare_abs=True, sweep={"m": m}))
+        jobs.append(_job(f"mu_m{m:g}", target, 0.15 * math.pi ** 2 / 2,
+                         cfg=resp, sweep={"m": m}))
     return jobs
 
 
@@ -578,17 +561,15 @@ def _preset_si_ergodicity():
                      "z0": [0.0, 0.0], "T": 2000.0, "dt": 0.01},
            "numerics": {"r": 0.6, "bins": 36},
            "output": {"prefix": ""}}
-    return [_job("area", cfg=cfg, value_key="final_estimate",
-                 target=disk_area_exact(0.6),
-                 tolerance=0.05 * disk_area_exact(0.6))]
+    return [_job("area", disk_area_exact(0.6), 0.05 * disk_area_exact(0.6),
+                 cfg=cfg)]
 
 
 def _preset_si_gt():
     params = {"epsilon": 0.5, "m": 0, "n": 1, "dt": 0.01,
               "pairs": [[0.05, 200.0], [0.025, 400.0]]}
     # matched arcs: max|G| should scale roughly linearly with lambda
-    return [_job("gt", custom="gt", params=params, value_key="max_G_ratio",
-                 target=2.0, tolerance=0.5)]
+    return [_job("gt", 2.0, 0.5, params=params)]
 
 
 PRESETS = {
@@ -601,29 +582,27 @@ PRESETS = {
     "si-gt": _preset_si_gt,
 }
 
+# the summary value a row compares, by config kind
+_VALUE_KEYS = {"invariant": "value", "response": "final_running_average",
+               "ergodicity": "final_estimate"}
+
 
 def _preset_worker(job):
-    prefix = job["prefix"]
-    if job["custom"] == "gt":
-        files, summary = _run_gt(job["params"], prefix)
-    else:
-        files, summary = execute(job["config"], prefix)
-    return files, summary
+    if job["config"] is None:
+        return _run_gt(job["params"], job["prefix"])
+    return execute(job["config"], job["prefix"])
 
 
 def _compare(job, summary):
-    row = dict(job["sweep"])
-    row["label"] = job["label"]
-    value = summary.get(job["value_key"]) if job["value_key"] else None
-    row["value"] = value
-    row["target"] = job["target"]
-    if value is not None and job["target"] is not None:
-        measured = abs(value) if job["compare_abs"] else value
-        row["abs_error"] = abs(measured - job["target"])
-        if job["tolerance"] is not None:
-            row["within_tolerance"] = bool(row["abs_error"]
-                                           <= job["tolerance"])
-    return row
+    cfg = job["config"]
+    value = summary["max_G_ratio" if cfg is None
+                    else _VALUE_KEYS[cfg["kind"]]]
+    # the signs of the Klein and RP2 invariants are conventions
+    flat = cfg is not None and cfg["manifold"] in ("klein", "rp2")
+    abs_error = abs((abs(value) if flat else value) - job["target"])
+    return {**job["sweep"], "label": job["label"], "value": value,
+            "target": job["target"], "abs_error": abs_error,
+            "within_tolerance": bool(abs_error <= job["tolerance"])}
 
 
 def _write_sweep_csv(path, rows):
@@ -688,25 +667,23 @@ def run_preset(name, out=None, jobs=1):
 # commands
 
 
-def _load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _report_config_errors(errors):
-    for path, message in errors:
-        print(f"config error: {path}: {message}", file=sys.stderr)
+def _load_valid_config(path):
+    """The config at path, or None once every config error is printed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return None
+    errors = validate_config(cfg)
+    for field, message in errors:
+        print(f"config error: {field}: {message}", file=sys.stderr)
+    return None if errors else cfg
 
 
 def cmd_run(args):
-    try:
-        cfg = _load_config(args.config)
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    errors = validate_config(cfg)
-    if errors:
-        _report_config_errors(errors)
+    cfg = _load_valid_config(args.config)
+    if cfg is None:
         return 2
     t0 = time.perf_counter()
     try:
@@ -729,23 +706,16 @@ def cmd_run(args):
 
 
 def cmd_validate(args):
-    try:
-        cfg = _load_config(args.config)
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    errors = validate_config(cfg)
-    if errors:
-        _report_config_errors(errors)
+    cfg = _load_valid_config(args.config)
+    if cfg is None:
         return 2
     kind, manifold = cfg["kind"], cfg["manifold"]
     numerics = cfg.get("numerics", {})
     print(f"config OK: kind={kind} manifold={manifold}")
     if kind != "invariant":
-        # the drive the run builds; evolve and response sample it at dt/2
+        spec = _drive(cfg)
+        # evolve and response take steps of twice the sample spacing
         half = kind in ("evolve", "response")
-        spec = (drive_spec(manifold, **_drive_args(cfg))
-                if kind == "response" else _geodesic_spec(cfg, half_dt=half))
         steps, dt = ((spec.n_steps // 2, 2 * spec.dt) if half
                      else (spec.n_steps, spec.dt))
         print(f"  steps: {steps} (dt = {dt:g}), "
@@ -760,25 +730,22 @@ def cmd_validate(args):
 
 
 def cmd_preset(args):
-    if args.name not in PRESETS:
-        print(f"config error: unknown preset {args.name!r}; choose from "
-              + ", ".join(sorted(PRESETS)), file=sys.stderr)
-        return 2
     try:
         path, manifest = run_preset(args.name, out=args.out, jobs=args.jobs)
+    except ValidationError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
     except GeodriveError as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return 3
     print(f"preset {args.name}: {len(manifest['files'])} file(s), "
           f"manifest {path}")
-    for row in manifest["summary"]["comparisons"]:
-        flag = row.get("within_tolerance")
-        status = "" if flag is None else ("  ok" if flag else "  OFF TARGET")
-        target = row.get("target")
-        target_str = "" if target is None else f" target {target:.6g}"
-        print(f"  {row['label']}: value {row['value']:.6g}{target_str}"
-              f"{status}")
-    return 0
+    rows = manifest["summary"]["comparisons"]
+    for row in rows:
+        status = "ok" if row["within_tolerance"] else "OFF TARGET"
+        print(f"  {row['label']}: value {row['value']:.6g} "
+              f"target {row['target']:.6g}  {status}")
+    return 0 if all(row["within_tolerance"] for row in rows) else 4
 
 
 # built once per process: main runs once per config when callers such as

@@ -330,17 +330,17 @@ def _cumtrapz(y, t):
     return out
 
 
-def track_band(model, trajectory, n, gap_threshold=GAP_THRESHOLD):
-    """Follow band n along a trajectory, accumulating its phases.
+def track_band(model, trajectory, band=1, gap_threshold=GAP_THRESHOLD):
+    """Follow a band along a trajectory, accumulating its phases.
 
     Raises DegeneracyError naming the first offending sample if the gap to
     a neighboring band ever drops to gap_threshold.
     """
-    if not 0 <= n < model.dim:
-        raise ValidationError(f"band index {n} out of range")
+    if not 0 <= band < model.dim:
+        raise ValidationError(f"band index {band} out of range")
     pts, _ = _points_velocities(model, trajectory)
-    energies, states = _eig_chunked(model, pts, bands=[n])
-    min_gap = _gap_guard(trajectory, energies, n, gap_threshold)
+    energies, states = _eig_chunked(model, pts, bands=[band])
+    min_gap = _gap_guard(trajectory, energies, band, gap_threshold)
     psi = states[:, :, 0]
     t = np.asarray(trajectory.t)
     overlaps = np.einsum("ni,ni->n", psi[:-1].conj(), psi[1:])
@@ -348,8 +348,8 @@ def track_band(model, trajectory, n, gap_threshold=GAP_THRESHOLD):
     berry[0] = 0.0
     np.cumsum(-np.log(overlaps).imag, out=berry[1:])
     return BandTrack(
-        t=t, band=n, energies=energies[:, n], states=psi,
-        dynamic_phase=-_cumtrapz(energies[:, n], t), berry_phase=berry,
+        t=t, band=band, energies=energies[:, band], states=psi,
+        dynamic_phase=-_cumtrapz(energies[:, band], t), berry_phase=berry,
         min_gap=min_gap)
 
 

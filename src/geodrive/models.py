@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ValidationError
-from .hyperbolic import in_fundamental_domain
+from .hyperbolic import FundamentalOctagon, in_fundamental_domain
 from .trajectories import MANIFOLDS, klein_lift_project, rp2_lift_project
 
 HERMITICITY_TOL = 1e-12
@@ -224,13 +224,22 @@ def bolza_qubit(epsilon, rho=0.6):
     The primitive field d' = (cos f x/|z|, cos f y/|z|, sin f + epsilon) is
     normalized to a unit Bloch vector, so the spectrum is -1, +1 with a
     constant gap of 2.  The texture is constant outside |z| = rho and hence
-    descends to the quotient surface untouched by the edge identifications.
-    |epsilon| = 1 is rejected: the primitive field then vanishes at the
-    origin (epsilon = -1) or on the whole outside region (epsilon = +1).
+    descends to the quotient surface untouched by the edge identifications,
+    which needs 0 < rho <= c - r, the distance from the origin to the
+    nearest point of the octagon's boundary (about 0.6436).  |epsilon| = 1
+    is rejected: the primitive field then vanishes at the origin
+    (epsilon = -1) or on the whole outside region (epsilon = +1).
     """
     if abs(abs(epsilon) - 1.0) < 1e-12:
         raise ValidationError(
-            "bolza_qubit: |epsilon| = 1 makes the primitive field vanish")
+            "bolza_qubit: |epsilon| = 1 makes the primitive field vanish",
+            param="epsilon")
+    octagon = FundamentalOctagon()
+    inradius = octagon.c - octagon.r
+    if not 0 < rho <= inradius:
+        raise ValidationError(
+            f"bolza_qubit: rho must lie in (0, {inradius:.6f}], where the "
+            "texture is constant on the octagon's boundary", param="rho")
 
     def primitive(z):
         z = np.asarray(z, dtype=complex)

@@ -242,7 +242,7 @@ def drive_spec(manifold, T=None, dt=0.01, lam=0.05, z0=0j,
     omega = (0.02, GOLDEN * 0.02) if omega is None else tuple(omega)
     if T is None and not omega[0] > 0:
         raise ValidationError(
-            "omega_x must be positive when T is not given")
+            "omega_x must be positive when T is not given", param="omega")
     if theta0 is None:
         theta0 = (-math.pi, -math.pi) if manifold == "klein" else (0.0, 0.0)
     return GeodesicSpec(manifold=manifold,

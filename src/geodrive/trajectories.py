@@ -95,14 +95,15 @@ class GeodesicSpec:
                 raise ValidationError("speed must be positive")
             self.z0 = complex(self.z0)
             if abs(self.z0) >= 1:
-                raise ValidationError("z0 must lie inside the unit disk")
+                raise ValidationError("z0 must lie inside the unit disk",
+                                      param="z0")
             from .hyperbolic import in_fundamental_domain
 
             if not in_fundamental_domain(self.z0):
                 raise ValidationError(
                     "z0 must lie in the closed fundamental domain; "
-                    "reduce it with hyperbolic.reduce_to_domain first"
-                )
+                    "reduce it with hyperbolic.reduce_to_domain first",
+                    param="z0")
         else:
             self.theta0 = (float(self.theta0[0]), float(self.theta0[1]))
             self.omega = (float(self.omega[0]), float(self.omega[1]))
@@ -118,11 +119,13 @@ def _check_domain(manifold, theta):
     if manifold == "klein":
         if not (-math.pi <= x <= math.pi and -math.pi <= y <= 0):
             raise ValidationError(
-                f"theta0 {theta} outside the Klein domain [-pi,pi]x[-pi,0]"
-            )
+                f"theta0 {theta} outside the Klein domain [-pi,pi]x[-pi,0]",
+                param="theta0")
     elif manifold == "rp2":
         if not (0 <= x <= math.pi and 0 <= y <= math.pi):
-            raise ValidationError(f"theta0 {theta} outside the RP2 domain [0,pi]^2")
+            raise ValidationError(
+                f"theta0 {theta} outside the RP2 domain [0,pi]^2",
+                param="theta0")
 
 
 TrajectorySample = namedtuple("TrajectorySample", "t z p word_len")

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from geodrive.cli import (_BLOCK_ROWS, PRESETS, _write_csv, main,
+from geodrive.cli import (_BLOCK_ROWS, PRESETS, _job, _write_csv, main,
                           validate_config)
 from geodrive.response import IMAG_TOL
 
@@ -62,6 +62,19 @@ class TestValidateConfig:
         assert "model.epsilon" in error_paths(cfg)
         cfg["model"]["epsilon"] = 1.0  # gap closes there
         assert "model.epsilon" in error_paths(cfg)
+
+    @pytest.mark.parametrize("name, manifold, params, unknown", [
+        ("bolza_qubit", "bolza", {"epsilon": 0.5}, "m"),
+        ("klein_qubit", "klein", {"m": 2.0}, "rho"),
+        ("rp2_qubit", "rp2", {"m": 1.0}, "epsilon"),
+    ])
+    def test_models_reject_unknown_keys(self, name, manifold, params,
+                                        unknown):
+        cfg = {"kind": "invariant", "manifold": manifold,
+               "model": dict(params, name=name, **{unknown: 0.5}),
+               "output": {"prefix": "x_"}}
+        assert validate_config(cfg) == [
+            (f"model.{unknown}", f"not a parameter of {name}")]
 
     def test_flat_models_need_m(self):
         cfg = {"kind": "invariant", "manifold": "klein",
@@ -156,19 +169,33 @@ class TestExitCodes:
 
     def test_start_outside_the_domain_is_config_error(self, tmp_path,
                                                       capsys):
-        # named at the start's field path, by the predicates GeodesicSpec
-        # applies, instead of failing the run
-        starts = {"bolza": ("z0", [0.9, 0.0]),
-                  "klein": ("theta0", [0.5, 0.5])}
-        for manifold, (key, start) in starts.items():
-            cfg = {"kind": "trajectory", "manifold": manifold,
-                   "drive": {"T": 1.0, key: start},
-                   "output": {"prefix": str(tmp_path / "d_")}}
+        # named at the field path, by the check the library applies when
+        # the run builds the drive or the model, instead of failing the run
+        klein = {"name": "klein_qubit", "m": 2.0}
+        cases = [
+            ("drive.z0", {"kind": "trajectory", "manifold": "bolza",
+                          "drive": {"T": 1.0, "z0": [0.9, 0.0]}}),
+            ("drive.theta0", {"kind": "trajectory", "manifold": "klein",
+                              "drive": {"T": 1.0, "theta0": [0.5, 0.5]}}),
+            ("model.epsilon", {"kind": "invariant", "manifold": "klein",
+                               "model": dict(klein, epsilon=0.5)}),
+            ("model.rho", {"kind": "invariant", "manifold": "bolza",
+                           "model": {"name": "bolza_qubit", "epsilon": 0.5,
+                                     "rho": 0.7}}),
+            ("drive.omega", {"kind": "response", "manifold": "klein",
+                             "model": klein,
+                             "drive": {"omega": [0.0, 0.08]}}),
+            ("model.epsilon", {"kind": "invariant", "manifold": "bolza",
+                               "model": {"name": "bolza_qubit",
+                                         "epsilon": 1.0}}),
+        ]
+        for field, cfg in cases:
+            cfg["output"] = {"prefix": str(tmp_path / "d_")}
             path = write_cfg(tmp_path, cfg)
             for command in ("validate", "run"):
                 assert main([command, path]) == 2
                 err = capsys.readouterr().err
-                assert f"config error: drive.{key}: " in err
+                assert f"config error: {field}: " in err
                 assert len(err.splitlines()) == 1
 
     def test_bad_json_is_config_error(self, tmp_path, capsys):
@@ -299,6 +326,20 @@ class TestPreset:
             for key, cell in row.items():
                 if key != "label" and cell not in ("", "true", "false"):
                     float(cell)  # a plain number, not np.float64(...)
+
+    def test_off_target_row_fails_the_preset(self, tmp_path, monkeypatch,
+                                             capsys):
+        cfg = {"kind": "invariant", "manifold": "klein",
+               "model": {"name": "klein_qubit", "m": 2.0},
+               "numerics": {"grid": [40, 20]}, "output": {"prefix": ""}}
+        # |D_y| = pi/2 here, so a target of 3 cannot be met
+        monkeypatch.setitem(PRESETS, "unmet",
+                            lambda: [_job("m2", 3.0, 1e-3, cfg=cfg)])
+        assert main(["preset", "unmet", "--out", str(tmp_path)]) == 4
+        assert "m2: value 1.5" in capsys.readouterr().out
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            assert [row["within_tolerance"] for row in csv.DictReader(fh)] \
+                == ["false"]
 
 
 def per_row_csv(cols):

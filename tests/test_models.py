@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from geodrive import ValidationError
+from geodrive.hyperbolic import FundamentalOctagon
 from geodrive.models import (
     BUILTIN_MODELS,
     ParentHamiltonian,
@@ -89,8 +90,21 @@ class TestBolzaQubit:
 
     def test_epsilon_one_rejected(self):
         for eps in (1.0, -1.0):
-            with pytest.raises(ValidationError):
+            with pytest.raises(ValidationError) as info:
                 bolza_qubit(eps)
+            assert info.value.param == "epsilon"
+
+    def test_rho_keeps_the_texture_constant_on_the_boundary(self):
+        octagon = FundamentalOctagon()
+        edge = octagon.c - octagon.r  # the nearest boundary point's radius
+        # at rho = 0.7 the texture still varies on the boundary, so H does
+        # not descend to the surface
+        assert bump(edge, rho=0.7) > -math.pi / 2 + 1e-6
+        for rho in (0.7, 0.0, -0.1):
+            with pytest.raises(ValidationError) as info:
+                bolza_qubit(0.5, rho=rho)
+            assert info.value.param == "rho"
+        assert bolza_qubit(0.5, rho=edge).compact_support == edge
 
     @given(z=st.complex_numbers(max_magnitude=0.83, allow_nan=False,
                                 allow_infinity=False))
