@@ -41,7 +41,8 @@ from .trajectories import GeodesicSpec, default_digits, trajectory
 from .models import BUILTIN_MODELS, bolza_qubit
 from .evolution import evolve, fidelity, g_correction, track_band
 from .response import GOLDEN, drive_spec, run_hdqs, run_klein, run_rp2
-from .topology import chern_bolza, dipolar_chern, quadrupole_chern
+from .topology import (chern_bolza, check_radius, dipolar_chern,
+                       quadrupole_chern)
 from .ergodicity import disk_area_exact, ergodicity_report
 
 _PAIR = {"type": "array", "items": {"type": "number"},
@@ -150,15 +151,25 @@ def _model_errors(cfg):
     if model.manifold != manifold:
         return [("model.name",
                  f"{name} lives on {model.manifold}, config says {manifold}")]
+    if cfg["kind"] == "invariant" and manifold == "bolza":
+        kw = _calls(cfg)["invariant"]
+        try:
+            check_radius(model, kw.get("radius", inspect.signature(
+                chern_bolza).parameters["radius"].default))
+        except ValidationError as err:
+            return [("numerics.radius" if "radius" in kw else "model.rho",
+                     str(err))]
     return []
 
 
 def validate_config(cfg):
     """All diagnostics for a config dict as (field-path, message) pairs.
 
-    After the schema and the rules on what each kind runs, the model and
-    the drive are built as the run builds them; a ValidationError they
-    raise is reported at the config field of the argument it names.
+    After the schema and the rules on what each kind runs, a set key that
+    no library call of the run reads is an error at its field; then the
+    model and the drive are built as the run builds them, and a
+    ValidationError they raise is reported at the config field of the
+    argument it names.
     """
     validator = jsonschema.Draft202012Validator(SCHEMA)
     errors = [(_path(e.absolute_path), e.message)
@@ -184,6 +195,11 @@ def validate_config(cfg):
         if "lambda" in drive and drive["lambda"] != 1.0:
             errors.append(("drive.lambda",
                            "the area estimator requires a unit-speed run"))
+    read = {_FIELDS[keyword] for kw in _calls(cfg).values() for keyword in kw}
+    errors += [(f"{section}.{key}",
+                f"not read by a {kind} run on {manifold}")
+               for section in _KEYWORDS for key in cfg.get(section, {})
+               if f"{section}.{key}" not in read]
 
     if not errors and kind != "invariant":
         try:
@@ -271,10 +287,38 @@ def _args(cfg, section, *keys):
 
 
 def _drive_args(cfg):
-    """The arguments of response.drive_spec that a config sets."""
-    return (_args(cfg, "drive", "lambda", "T", "dt", "direction", "z0",
-                  "omega", "theta0")
-            | _args(cfg, "numerics", "digits"))
+    """The arguments of response.drive_spec that a config sets: a Bolza
+    drive reads lambda, direction, z0 and digits, a flat one omega and
+    theta0."""
+    if cfg["manifold"] == "bolza":
+        return (_args(cfg, "drive", "lambda", "T", "dt", "direction", "z0")
+                | _args(cfg, "numerics", "digits"))
+    return _args(cfg, "drive", "T", "dt", "omega", "theta0")
+
+
+def _calls(cfg):
+    """Keyword arguments of each library call a run of this config makes,
+    from the keys the config sets, as {call: kwargs}.
+
+    The executors take their arguments from here, and validate_config
+    reports a set key that no call reads.
+    """
+    kind, bolza = cfg["kind"], cfg["manifold"] == "bolza"
+    numerics = functools.partial(_args, cfg, "numerics")
+    if kind == "invariant":
+        return {"invariant": numerics("band", "grid", "gap_threshold",
+                                      *(("radius",) if bolza else ()))}
+    calls = {"drive": _drive_args(cfg)}
+    if kind == "evolve":
+        calls["track_band"] = numerics("band", "gap_threshold")
+        calls["evolve"] = numerics("gap_threshold")
+    elif kind == "response":
+        calls["run"] = numerics("band", "gap_threshold")
+        if bolza:
+            calls["run"] |= _args(cfg, "drive", "counterdiabatic")
+    elif kind == "ergodicity":
+        calls["ergodicity_report"] = numerics("r", "bins")
+    return calls
 
 
 def _drive(cfg):
@@ -330,11 +374,11 @@ def _run_trajectory(cfg, prefix):
 
 def _run_evolve(cfg, prefix):
     model = _build_model(cfg)
-    gap = _args(cfg, "numerics", "gap_threshold")
+    calls = _calls(cfg)
     traj = trajectory(_drive(cfg))
-    track = track_band(model, traj.subsample(2),
-                       **_args(cfg, "numerics", "band"), **gap)
-    result = evolve(track.states[0], model, traj, 2 * traj.spec.dt, **gap)
+    track = track_band(model, traj.subsample(2), **calls["track_band"])
+    result = evolve(track.states[0], model, traj, 2 * traj.spec.dt,
+                    **calls["evolve"])
     fid = fidelity(result.states, track.states[: len(result.states)])
     path = _write_csv(prefix + "evolve.csv",
                       [("t", result.t, "f"),
@@ -350,12 +394,10 @@ def _run_evolve(cfg, prefix):
 
 def _run_response(cfg, prefix):
     model = _build_model(cfg)
-    kw = _drive_args(cfg) | _args(cfg, "numerics", "band", "gap_threshold")
-    if cfg["manifold"] == "bolza":
-        run = run_hdqs(model, **kw, **_args(cfg, "drive", "counterdiabatic"))
-    else:
-        runner = run_klein if cfg["manifold"] == "klein" else run_rp2
-        run = runner(model, **kw)
+    calls = _calls(cfg)
+    runner = {"bolza": run_hdqs, "klein": run_klein,
+              "rp2": run_rp2}[cfg["manifold"]]
+    run = runner(model, **calls["drive"], **calls["run"])
     curve = run.curve
     path = _write_csv(prefix + "response.csv",
                       [("T", curve.T, "f"),
@@ -366,7 +408,7 @@ def _run_response(cfg, prefix):
                "normalization": curve.normalization,
                "norm_deviation": run.norm_deviation,
                "max_imag_expectation": run.worst_imag,
-               "min_gap": run.min_gap}
+               "min_gap": run.min_gap, "stats": run.stats}
     if run.propagation is not None:
         summary["propagation"] = run.propagation
     return [path], summary
@@ -374,12 +416,11 @@ def _run_response(cfg, prefix):
 
 def _run_invariant(cfg, prefix):
     model = _build_model(cfg)
-    kw = _args(cfg, "numerics", "band", "grid", "gap_threshold")
+    kw = _calls(cfg)["invariant"]
     if cfg["manifold"] == "bolza":
         if "resolution" in kw:  # the grid is square
             kw["resolution"] = kw["resolution"][0]
-        result, field = chern_bolza(model, with_field=True, **kw,
-                                    **_args(cfg, "numerics", "radius"))
+        result, field = chern_bolza(model, with_field=True, **kw)
     else:
         compute = dipolar_chern if cfg["manifold"] == "klein" \
             else quadrupole_chern
@@ -399,7 +440,7 @@ def _run_invariant(cfg, prefix):
 
 def _run_ergodicity(cfg, prefix):
     traj = trajectory(_drive(cfg))
-    report = ergodicity_report(traj, **_args(cfg, "numerics", "r", "bins"))
+    report = ergodicity_report(traj, **_calls(cfg)["ergodicity_report"])
     hist = report.histogram
     files = [
         _write_csv(prefix + "area.csv",

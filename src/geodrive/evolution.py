@@ -15,8 +15,15 @@ unitary by construction.  Two routes share that step:
   spectral decomposition otherwise) and runs one sequential pass
   psi_{k+1} = U_k psi_k.
 
+A two-level step in doubles is unit only to about 1e-16, and the error
+leans one way where |d|dt repeats; both routes scale their states to
+those of exactly unit steps (_quaternions).
+
 Both work _CHUNK steps at a time, so no stack the length of the drive is
-built besides the states.
+built besides the states.  The response pipelines go one step further and
+call evolve once per _CHUNK-step window of their drive, carrying psi from
+one window to the next, so a response holds no state array longer than a
+window.
 
 Also here: instantaneous-band tracking with dynamic and Berry phase
 accumulators, the counterdiabatic term, and the first-order adiabatic
@@ -39,9 +46,11 @@ from .models import GAP_THRESHOLD, band_gap, bloch_vector, eig_many
 NORM_TOL = 1e-10
 # halving error per unit time below which a refined step is accepted
 STEP_TOLERANCE = 1e-8
-# samples per vectorized block in every chunked loop of evolution and
-# response; bounds the (chunk, D, D) temporaries of long runs
-_CHUNK = 1 << 17
+# steps per window of the response pipelines and per vectorized block of
+# every chunked loop here; bounds the (chunk, D, D) temporaries of long runs
+# and the arrays a response holds besides its output curve.  A multiple of
+# _BLOCK, so windows end on scan block edges
+_CHUNK = 1 << 13
 # steps per block of the two-level scan
 _BLOCK = 64
 
@@ -90,53 +99,83 @@ class EvolutionResult:
     """States at the step boundaries t, their norms, and the step dt used.
 
     min_gap is the smallest band gap 2|d| at the step midpoints on the
-    Bloch-field route, None on the generic one.
+    Bloch-field route, and min_gap_t the midpoint time where it occurs;
+    both are None on the generic route.
     """
     t: np.ndarray
     states: np.ndarray
     norms: np.ndarray
     dt: float
     min_gap: float | None
+    min_gap_t: float | None
+
+
+def _quaternions(d, dt):
+    """q = (cos |d|dt, dt sinc(|d|dt/pi) d) for Bloch vectors d (..., 3).
+
+    Returns q (..., 4), |d| and |q|^2 - 1.  No double q is unit: near the
+    identity q0 sits on a grid of 1.1e-16, and when every step has the
+    same |d|dt the rounding leans the same way at every step, so the norm
+    of the states would drift linearly.  Dividing q by its computed norm
+    moves q0 by whole grid steps and leans another way.  |q|^2 - 1 is
+    exact to about 1e-20 here (q0 - 1 is exact for q0 >= 1/2), so the
+    states are scaled by the product of (1 + (|q|^2 - 1))^(-1/2) instead
+    (_unit_steps), which is what exactly unit steps give.
+    """
+    r = np.linalg.norm(d, axis=-1)
+    theta = r * dt
+    q = np.empty(d.shape[:-1] + (4,))
+    q[..., 0] = np.cos(theta)
+    # sin(theta)/|d| written through sinc so d -> 0 is regular
+    q[..., 1:] = (dt * np.sinc(theta / math.pi))[..., None] * d
+    excess = (q[..., 0] - 1.0) * (q[..., 0] + 1.0) \
+        + np.einsum("...i,...i->...", q[..., 1:], q[..., 1:])
+    return q, r, excess
+
+
+def _unit_steps(states, excess):
+    """Scale the states that steps with |q|^2 - 1 = excess produced to
+    those of exactly unit steps; returns the last state."""
+    states *= np.exp(-0.5 * np.cumsum(excess))[:, None]
+    return states[-1]
 
 
 def _step_unitaries(model, H, dt):
-    """exp(-i H dt) for a stack of Hermitian H, exactly per step."""
+    """exp(-i H dt) for a stack of Hermitian H, exactly per step.
+
+    Returns the unitaries and, for two levels, the |q|^2 - 1 of their
+    quaternions (see _quaternions); None for D > 2.
+    """
     if model.dim == 2:
         d, e0 = bloch_vector(H)
-        r = np.linalg.norm(d, axis=-1)
-        theta = r * dt
-        # sin(theta)/|d| written through sinc so d -> 0 is regular
-        amp = dt * np.sinc(theta / math.pi)
+        q, _, excess = _quaternions(d, dt)
+        # U = q0 - i q . sigma
         U = np.empty_like(H)
-        c = np.cos(theta)
-        U[..., 0, 0] = c - 1j * amp * d[..., 2]
-        U[..., 1, 1] = c + 1j * amp * d[..., 2]
-        U[..., 0, 1] = -1j * amp * (d[..., 0] - 1j * d[..., 1])
-        U[..., 1, 0] = -1j * amp * (d[..., 0] + 1j * d[..., 1])
-        return U * np.exp(-1j * e0 * dt)[..., None, None]
+        U[..., 0, 0] = q[..., 0] - 1j * q[..., 3]
+        U[..., 1, 1] = q[..., 0] + 1j * q[..., 3]
+        U[..., 0, 1] = -q[..., 2] - 1j * q[..., 1]
+        U[..., 1, 0] = q[..., 2] - 1j * q[..., 1]
+        return U * np.exp(-1j * e0 * dt)[..., None, None], excess
     w, v = np.linalg.eigh(H)
     phase = np.exp(-1j * w * dt)
-    return np.einsum("nij,nj,nkj->nik", v, phase, v.conj())
+    return np.einsum("nij,nj,nkj->nik", v, phase, v.conj()), None
 
 
 def _su2_steps(d, dt):
     """exp(-i dt d . sigma) for a stack of Bloch vectors d (m, 3).
 
-    The step is the unit quaternion q = (cos |d|dt, dt sinc(|d|dt/pi) d),
-    U = q0 - i q . sigma = [[a, -conj(b)], [b, conj(a)]], kept as its four
-    reals in the pair a = q0 - i q3, b = q2 - i q1.  Returns (a, b, |d|).
+    The step is the quaternion q of _quaternions, U = q0 - i q . sigma =
+    [[a, -conj(b)], [b, conj(a)]], kept as its four reals in the pair
+    a = q0 - i q3, b = q2 - i q1.  Returns (a, b, |d|, |q|^2 - 1).
     """
-    r = np.linalg.norm(d, axis=-1)
-    theta = r * dt
-    # sin(theta)/|d| written through sinc so d -> 0 is regular
-    amp = dt * np.sinc(theta / math.pi)
+    q, r, excess = _quaternions(d, dt)
     a = np.empty(len(d), dtype=complex)
     b = np.empty(len(d), dtype=complex)
-    a.real = np.cos(theta)
-    a.imag = -amp * d[:, 2]
-    b.real = amp * d[:, 1]
-    b.imag = -amp * d[:, 0]
-    return a, b, r
+    a.real = q[:, 0]
+    a.imag = -q[:, 3]
+    b.real = q[:, 2]
+    b.imag = -q[:, 1]
+    return a, b, r, excess
 
 
 def _su2_scan(a, b, psi, out):
@@ -146,8 +185,7 @@ def _su2_scan(a, b, psi, out):
     every block.  One pass down the rows turns each column into its prefix
     products, vectorized across blocks; one sequential pass over the block
     totals gives the state entering each block; one vectorized product
-    then gives every state.  Identity steps pad the last block.  Returns
-    the last state.
+    then gives every state.  Identity steps pad the last block.
     """
     m = len(a)
     nb = -(-m // _BLOCK)
@@ -176,7 +214,6 @@ def _su2_scan(a, b, psi, out):
     if tail:
         out[full * _BLOCK:, 0] = s0[:tail, full]
         out[full * _BLOCK:, 1] = s1[:tail, full]
-    return out[-1]
 
 
 def counterdiabatic_term(model, pts, vel, band, threshold):
@@ -212,8 +249,8 @@ def counterdiabatic_term(model, pts, vel, band, threshold):
 def _propagate(model, pts, vel, psi0, h, k, n_steps, cd_band, gap_threshold):
     """States at the n_steps + 1 boundaries of steps of size 2*k*h.
 
-    Returns (states, min_gap); min_gap is the smallest 2|d| at the step
-    midpoints on the Bloch-field route and None on the generic one.
+    Returns (states, gap); gap is (smallest 2|d| at the step midpoints,
+    index of its step) on the Bloch-field route and None on the generic one.
     """
     mid = pts[k:2 * k * n_steps:2 * k]
     dt = 2 * k * h
@@ -222,12 +259,15 @@ def _propagate(model, pts, vel, psi0, h, k, n_steps, cd_band, gap_threshold):
     chunks = [slice(start, min(start + _CHUNK, n_steps))
               for start in range(0, n_steps, _CHUNK)]
     if cd_band is None and model.has_d_field:
-        min_gap = math.inf
+        gap = (math.inf, 0)
         for sl in chunks:
-            a, b, r = _su2_steps(model.d_field(mid[sl]), dt)
-            min_gap = min(min_gap, 2.0 * float(r.min()))
-            psi = _su2_scan(a, b, psi, states[sl.start + 1:sl.stop + 1])
-        return states, min_gap
+            a, b, r, excess = _su2_steps(model.d_field(mid[sl]), dt)
+            j = int(np.argmin(r))
+            gap = min(gap, (2.0 * float(r[j]), sl.start + j))
+            out = states[sl.start + 1:sl.stop + 1]
+            _su2_scan(a, b, psi, out)
+            psi = _unit_steps(out, excess)
+        return states, gap
     if cd_band is not None:
         cd = counterdiabatic_term(model, mid, vel[k:2 * k * n_steps:2 * k],
                                  cd_band, gap_threshold)
@@ -235,8 +275,11 @@ def _propagate(model, pts, vel, psi0, h, k, n_steps, cd_band, gap_threshold):
         H = model.evaluate_many(mid[sl])
         if cd_band is not None:
             H = H + cd[sl]
-        for j, U in enumerate(_step_unitaries(model, H, dt), sl.start + 1):
+        steps, excess = _step_unitaries(model, H, dt)
+        for j, U in enumerate(steps, sl.start + 1):
             psi = states[j] = U.dot(psi)
+        if excess is not None:
+            psi = _unit_steps(states[sl.start + 1:sl.stop + 1], excess)
     return states, None
 
 
@@ -289,11 +332,15 @@ def evolve(psi0, model, trajectory, dt=0.01, counterdiabatic_band=None,
         k //= 2
         dt = 2 * k * h
     n_steps = (len(pts) - 1) // (2 * k)
-    states, min_gap = _propagate(model, pts, vel, psi0, h, k, n_steps,
-                                 counterdiabatic_band, gap_threshold)
+    states, gap = _propagate(model, pts, vel, psi0, h, k, n_steps,
+                             counterdiabatic_band, gap_threshold)
+    t = np.asarray(trajectory.t)
+    min_gap, min_gap_t = (None, None) if gap is None else \
+        (gap[0], float(t[k + 2 * k * gap[1]]))
     return EvolutionResult(
-        t=np.asarray(trajectory.t)[::2 * k][:n_steps + 1], states=states,
-        norms=np.linalg.norm(states, axis=-1), dt=dt, min_gap=min_gap)
+        t=t[::2 * k][:n_steps + 1], states=states,
+        norms=np.linalg.norm(states, axis=-1), dt=dt, min_gap=min_gap,
+        min_gap_t=min_gap_t)
 
 
 def fidelity(psi, phi):

@@ -17,18 +17,30 @@ s = <psi|sigma|psi>, real by construction.  Pipelines (run_hdqs, run_klein,
 run_rp2) wire trajectory -> evolution -> expectation series -> running
 average along the drive that drive_spec builds; they are what the CLI and
 the acceptance checks call.
+
+The pipelines stream the drive in windows of evolution._CHUNK steps.  Each
+window takes its samples (flat drives evaluate the closed form on the
+window's sample range; a Bolza drive is propagated once and sliced), calls
+evolve from the psi the previous window ended on, takes <O> at the window's
+states and extends the cumulative trapezoid from the integral carried so
+far.  T, <O> and the running average go straight into three preallocated
+arrays, so a run holds 24 bytes per step plus one window; the series and
+the curve of a ResponseRun are views of those arrays.  ResponseRun.stats
+records what the run did.
 """
 
+import functools
 import math
+import time
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import DegeneracyError, ValidationError
 from .evolution import _CHUNK, _cumtrapz, counterdiabatic_term, evolve
 from .models import GAP_THRESHOLD, eigensystem, gap_report
-from .trajectories import GeodesicSpec, trajectory
+from .trajectories import GeodesicSpec, flat_trajectory, trajectory
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 IMAG_TOL = 1e-9
@@ -63,16 +75,44 @@ class ResponseCurve:
 
 @dataclass
 class ResponseRun:
-    """A full pipeline result: curve, raw series, and run diagnostics."""
+    """A full pipeline result: curve, raw series, and the run record.
+
+    curve.T, curve.expectation and curve.values are the [1:] views of
+    series.t, series.values and the running average (whose t = 0 entry is
+    NaN).  stats holds:
+
+    steps, windows          steps taken, and the windows they ran in
+    min_gap, min_gap_t      smallest gap 2|d| at the step midpoints and the
+                            midpoint time where it occurs; None off the
+                            Bloch-field route
+    norm_deviation          largest | |psi| - 1 | over the states
+    max_imag_expectation    largest |Im <psi|O|psi>| dropped, checked
+                            against IMAG_TOL
+    trajectory_s, evolve_s, expectation_s
+                            seconds spent taking samples, evolving, and
+                            taking <O> with the running average
+    output_bytes            bytes of the T, <O> and running-average arrays
+    window_bytes            bytes of the sample and state arrays of the
+                            largest window
+    """
     curve: ResponseCurve
     series: ObservableSeries
-    norm_deviation: float
     band: int
     spec: GeodesicSpec
-    worst_imag: float  # largest |Im <psi|O|psi>|, checked against IMAG_TOL
+    stats: dict
     propagation: dict | None = None  # BolzaTrajectory.stats of a Bolza drive
-    # smallest gap 2|d| at the step midpoints; None off the Bloch-field route
-    min_gap: float | None = None
+
+    @property
+    def norm_deviation(self):
+        return self.stats["norm_deviation"]
+
+    @property
+    def worst_imag(self):
+        return self.stats["max_imag_expectation"]
+
+    @property
+    def min_gap(self):
+        return self.stats["min_gap"]
 
 
 def running_average(series, normalization, target=None):
@@ -204,22 +244,18 @@ def _gradient_expectations(model, states, pts, weights):
     the value is real by construction, so the imaginary part dropped is 0.
     Any other model goes through the (N, D, D) matrices.
     """
-    n = len(weights)
     if not model.has_d_field:
         return _expectation_values(
             states, lambda sl: _contract(weights[sl],
-                                         model.gradient_many(pts[sl])), n)
-    values = np.empty(n)
-    for start in range(0, n, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, n))
-        a, b = states[sl, 0], states[sl, 1]
-        s = np.stack([2.0 * (a.real * b.real + a.imag * b.imag),
-                      2.0 * (a.real * b.imag - a.imag * b.real),
-                      a.real ** 2 + a.imag ** 2 - b.real ** 2 - b.imag ** 2],
-                     axis=-1)
-        grad_s = np.einsum("nik,nk->ni", model.d_gradient(pts[sl]), s)
-        values[sl] = np.einsum("ni,ni->n", weights[sl], grad_s)
-    return values, 0.0
+                                         model.gradient_many(pts[sl])),
+            len(weights))
+    a, b = states[:, 0], states[:, 1]
+    s = np.stack([2.0 * (a.real * b.real + a.imag * b.imag),
+                  2.0 * (a.real * b.imag - a.imag * b.real),
+                  a.real ** 2 + a.imag ** 2 - b.real ** 2 - b.imag ** 2],
+                 axis=-1)
+    grad_s = np.einsum("nik,nk->ni", model.d_gradient(pts), s)
+    return np.einsum("ni,ni->n", weights, grad_s), 0.0
 
 
 def drive_spec(manifold, T=None, dt=0.01, lam=0.05, z0=0j,
@@ -250,6 +286,70 @@ def drive_spec(manifold, T=None, dt=0.01, lam=0.05, z0=0j,
                         theta0=theta0, omega=omega)
 
 
+def _nbytes(*records):
+    return sum(a.nbytes for r in records for a in vars(r).values()
+               if isinstance(a, np.ndarray))
+
+
+def _stream(model, psi0, dt, n_samples, window, observe, normalization,
+            target, evolve_args):
+    """The window loop shared by the pipelines.
+
+    window(lo, hi) returns the trajectory of samples lo..hi-1 of the drive,
+    sampled at dt/2; observe(w, states) returns (<O>, worst imaginary part)
+    at the states on w's even samples.  Each window of m steps of dt spans
+    2m + 1 samples and shares its first sample with the last of the window
+    before.
+    """
+    n = (n_samples - 1) // 2
+    if n < 1:
+        raise ValidationError("drive too short for a single step")
+    t, values, average = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    average[0] = np.nan
+    stats = {"steps": n, "windows": 0, "min_gap": None, "min_gap_t": None,
+             "norm_deviation": 0.0, "max_imag_expectation": 0.0,
+             "trajectory_s": 0.0, "evolve_s": 0.0, "expectation_s": 0.0,
+             "output_bytes": t.nbytes + values.nbytes + average.nbytes,
+             "window_bytes": 0}
+    psi, integral, gap = psi0, 0.0, (math.inf, None)
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        clock = time.perf_counter()
+        w = window(2 * start, 2 * stop + 1)
+        stats["trajectory_s"] += time.perf_counter() - clock
+        clock = time.perf_counter()
+        result = evolve(psi, model, w, dt, **evolve_args)
+        psi = result.states[-1]
+        stats["evolve_s"] += time.perf_counter() - clock
+        clock = time.perf_counter()
+        v, imag = observe(w, result.states)
+        t[start:stop + 1], values[start:stop + 1] = result.t, v
+        # the cumulative trapezoid, seeded with the integral so far so that
+        # the sum runs in the order of one pass over the whole drive
+        acc = np.empty(len(v))
+        acc[0] = integral
+        acc[1:] = (v[1:] + v[:-1]) / 2 * np.diff(result.t)
+        np.cumsum(acc, out=acc)
+        integral = acc[-1]
+        average[start + 1:stop + 1] = acc[1:] / (normalization
+                                                 * result.t[1:])
+        stats["expectation_s"] += time.perf_counter() - clock
+        stats["windows"] += 1
+        stats["norm_deviation"] = max(stats["norm_deviation"],
+                                      float(np.abs(result.norms - 1).max()))
+        stats["max_imag_expectation"] = max(stats["max_imag_expectation"],
+                                            float(imag))
+        if result.min_gap is not None:
+            gap = min(gap, (result.min_gap, result.min_gap_t))
+        stats["window_bytes"] = max(stats["window_bytes"], _nbytes(w, result))
+    if gap[1] is not None:
+        stats["min_gap"], stats["min_gap_t"] = gap
+    series = ObservableSeries(t, values)
+    curve = ResponseCurve(T=t[1:], values=average[1:], expectation=values[1:],
+                          normalization=normalization, target=target)
+    return curve, series, stats
+
+
 def run_hdqs(model, band=1, counterdiabatic=False, target=None,
              gap_threshold=GAP_THRESHOLD, **drive):
     """Hyperbolically driven response w(T) (or w_CD with counterdiabatic).
@@ -258,33 +358,38 @@ def run_hdqs(model, band=1, counterdiabatic=False, target=None,
     builds, evolves the band-`band` eigenstate, and averages the response
     observable; w(T) is the average divided by lam^2, which converges to
     the band's Chern number in the adiabatic (small lam) and long-time
-    limits.
+    limits.  The drive is propagated whole and evolved in windows.
     """
     if model.manifold != "bolza":
         raise ValidationError("run_hdqs expects a disk model")
     _require_gapped(model, gap_threshold)
     spec = drive_spec("bolza", **drive)
+    clock = time.perf_counter()
     traj = trajectory(spec)
-    psi0 = _band_state_at(model, traj.z[0], band)
-    result = evolve(psi0, model, traj, 2 * spec.dt,
-                    counterdiabatic_band=band if counterdiabatic else None,
-                    gap_threshold=gap_threshold)
-    n = len(result.states)
-    zb, pb = traj.z[::2][:n], traj.p[::2][:n]
-    if counterdiabatic:
-        values, worst_imag = _expectation_values(
-            result.states,
-            lambda sl: observable_cd(model, zb[sl], pb[sl], band,
-                                     gap_threshold), n)
-    else:
-        values, worst_imag = _gradient_expectations(
-            model, result.states, zb, _hdqs_weights(zb, pb))
-    series = ObservableSeries(result.t, values)
-    return ResponseRun(
-        curve=running_average(series, spec.speed ** 2, target=target),
-        series=series, norm_deviation=float(np.abs(result.norms - 1).max()),
-        band=band, spec=spec, worst_imag=worst_imag, propagation=traj.stats,
-        min_gap=result.min_gap)
+    trajectory_s = time.perf_counter() - clock
+
+    def window(lo, hi):
+        return replace(traj, t=traj.t[lo:hi], z=traj.z[lo:hi],
+                       p=traj.p[lo:hi], word_len=traj.word_len[lo:hi])
+
+    def observe(w, states):
+        zb, pb = w.z[::2], w.p[::2]
+        if counterdiabatic:
+            return _expectation_values(
+                states,
+                lambda sl: observable_cd(model, zb[sl], pb[sl], band,
+                                         gap_threshold), len(states))
+        return _gradient_expectations(model, states, zb,
+                                      _hdqs_weights(zb, pb))
+
+    curve, series, stats = _stream(
+        model, _band_state_at(model, traj.z[0], band), 2 * spec.dt,
+        len(traj.t), window, observe, spec.speed ** 2, target,
+        {"counterdiabatic_band": band if counterdiabatic else None,
+         "gap_threshold": gap_threshold})
+    stats["trajectory_s"] += trajectory_s
+    return ResponseRun(curve=curve, series=series, band=band, spec=spec,
+                       stats=stats, propagation=traj.stats)
 
 
 def _run_flat(model, manifold, band, target, gap_threshold, drive):
@@ -293,24 +398,23 @@ def _run_flat(model, manifold, band, target, gap_threshold, drive):
                               f"pipeline expects {manifold}")
     _require_gapped(model, gap_threshold)
     spec = drive_spec(manifold, **drive)
-    traj = trajectory(spec)
-    psi0 = _band_state_at(model, traj.theta[0], band)
-    result = evolve(psi0, model, traj, 2 * spec.dt,
-                    gap_threshold=gap_threshold)
-    n = len(result.states)
-    thb = traj.theta[::2][:n]
     omega_y = spec.omega[1]
-    if manifold == "rp2":
-        weight = traj.velocities()[::2][:n, 1] * thb[:, 0] * thb[:, 1]
-    else:
-        weight = omega_y * thb[:, 1]
-    values, worst_imag = _gradient_expectations(
-        model, result.states, thb, _x_weights(weight))
-    series = ObservableSeries(result.t, values)
-    return ResponseRun(
-        curve=running_average(series, omega_y ** 2 / math.pi, target=target),
-        series=series, norm_deviation=float(np.abs(result.norms - 1).max()),
-        band=band, spec=spec, worst_imag=worst_imag, min_gap=result.min_gap)
+    window = functools.partial(flat_trajectory, spec)
+
+    def observe(w, states):
+        thb = w.theta[::2]
+        if manifold == "rp2":
+            weight = w.velocities()[::2, 1] * thb[:, 0] * thb[:, 1]
+        else:
+            weight = omega_y * thb[:, 1]
+        return _gradient_expectations(model, states, thb, _x_weights(weight))
+
+    psi0 = _band_state_at(model, window(0, 1).theta[0], band)
+    curve, series, stats = _stream(
+        model, psi0, 2 * spec.dt, spec.n_steps + 1, window, observe,
+        omega_y ** 2 / math.pi, target, {"gap_threshold": gap_threshold})
+    return ResponseRun(curve=curve, series=series, band=band, spec=spec,
+                       stats=stats)
 
 
 def run_klein(model, band=1, target=None, gap_threshold=GAP_THRESHOLD,

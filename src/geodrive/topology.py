@@ -235,6 +235,21 @@ def _band_field(model, pts, shape, band, threshold, spacing, origin,
         band, wrap_x=wrap_x)
 
 
+def check_radius(model, radius):
+    """Raise ValidationError unless chern_bolza can integrate the model's
+    band over the disk of this radius: the model must declare a compact
+    support, and the radius must exceed it."""
+    if model.compact_support is None:
+        raise ValidationError(
+            "chern_bolza supports only compact-texture models (constant "
+            "field outside a known radius); general octagon-periodic "
+            "textures are not supported")
+    if radius <= model.compact_support:
+        raise ValidationError(
+            f"integration radius {radius} must exceed the texture support "
+            f"{model.compact_support}", param="radius")
+
+
 def chern_bolza(model, band=1, resolution=200, radius=0.62,
                 gap_threshold=GAP_THRESHOLD, with_field=False):
     """First Chern number of a compact-texture disk model band.
@@ -250,15 +265,7 @@ def chern_bolza(model, band=1, resolution=200, radius=0.62,
     """
     if model.manifold != "bolza":
         raise ValidationError("chern_bolza expects a disk model")
-    if model.compact_support is None:
-        raise ValidationError(
-            "chern_bolza supports only compact-texture models (constant "
-            "field outside a known radius); general octagon-periodic "
-            "textures are not supported")
-    if radius <= model.compact_support:
-        raise ValidationError(
-            f"integration radius {radius} must exceed the texture support "
-            f"{model.compact_support}")
+    check_radius(model, radius)
     if not gap_report(model, threshold=gap_threshold).fully_gapped:
         raise DegeneracyError("model is not fully gapped")
     nodes = np.linspace(-radius, radius, resolution + 1)

@@ -908,11 +908,16 @@ def rp2_lift_project(theta0, omega, t):
     return np.array([x, y])
 
 
-def flat_trajectory(spec):
-    """Sample a torus/Klein/RP2 spec on its t_k = k*dt grid."""
+def flat_trajectory(spec, start=0, stop=None):
+    """Sample a torus/Klein/RP2 spec on its t_k = k*dt grid.
+
+    The samples are k = start..stop-1 (stop defaults to n_steps + 1, the
+    whole grid), so a long drive can be evaluated one window at a time.
+    """
     if spec.manifold == "bolza":
         raise ValidationError("flat_trajectory does not handle the Bolza surface")
-    t = np.arange(spec.n_steps + 1) * spec.dt
+    stop = spec.n_steps + 1 if stop is None else stop
+    t = np.arange(start, stop) * spec.dt
     theta, nn = _wrap_flat(spec.manifold, spec.theta0, spec.omega, t)
     return FlatTrajectory(spec, t, theta, nn.astype(np.int32))
 

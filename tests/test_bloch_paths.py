@@ -102,11 +102,11 @@ def test_solid_angle_input_checks():
         curvature_solid_angle(ok, (0.1, 0.1), band=2)
 
 
-@pytest.mark.parametrize("n_steps", [1, 63, 64 * (_CHUNK // 64) + 17])
+@pytest.mark.parametrize("n_steps", [1, 63, 16 * _CHUNK + 17])
 @pytest.mark.parametrize("band", BANDS)
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_states(name, band, n_steps, generic):
-    # the last size spans two chunks and ends in a part-filled block
+    # the last size spans 17 chunks and ends in a part-filled block
     model = MODELS[name]()
     traj = drive(name, n_steps)
     psi0 = eigensystem(model.evaluate(start_point(traj))).states[:, band]

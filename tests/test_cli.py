@@ -139,6 +139,37 @@ class TestExitCodes:
         assert manifest["summary"]["samples"] == 501
         assert manifest["config"]["kind"] == "trajectory"
 
+    def test_keys_a_kind_never_reads_are_config_errors(self, tmp_path,
+                                                      capsys):
+        klein = {"name": "klein_qubit", "m": 2.0}
+        flat = {"T": 1.0, "omega": [0.5, 0.8]}
+        cases = [
+            ("drive.lambda", {"kind": "trajectory", "manifold": "torus",
+                              "drive": dict(flat, **{"lambda": 0.5})}),
+            ("numerics.bins", {"kind": "evolve", "manifold": "klein",
+                               "model": klein, "drive": flat,
+                               "numerics": {"bins": 10}}),
+            ("drive.counterdiabatic", {"kind": "response",
+                                       "manifold": "klein", "model": klein,
+                                       "drive": dict(flat,
+                                                     counterdiabatic=True)}),
+            ("numerics.radius", {"kind": "invariant", "manifold": "klein",
+                                 "model": klein,
+                                 "numerics": {"radius": 0.7}}),
+            ("numerics.band", {"kind": "ergodicity", "manifold": "bolza",
+                               "drive": {"T": 1.0},
+                               "numerics": {"band": 0}}),
+        ]
+        for field, cfg in cases:
+            cfg["output"] = {"prefix": str(tmp_path / "k_")}
+            path = write_cfg(tmp_path, cfg)
+            for command in ("validate", "run"):
+                assert main([command, path]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith(f"config error: {field}: not read by "
+                                      f"a {cfg['kind']} run on ")
+                assert len(err.splitlines()) == 1
+
     def test_validate_prints_plan(self, tmp_path, capsys):
         path = write_cfg(tmp_path, torus_trajectory_cfg("x_"))
         assert main(["validate", path]) == 0
@@ -188,6 +219,15 @@ class TestExitCodes:
             ("model.epsilon", {"kind": "invariant", "manifold": "bolza",
                                "model": {"name": "bolza_qubit",
                                          "epsilon": 1.0}}),
+            # a support that the default integration radius 0.62 does not
+            # cover, then a set radius that does not cover the default one
+            ("model.rho", {"kind": "invariant", "manifold": "bolza",
+                           "model": {"name": "bolza_qubit", "epsilon": 0.5,
+                                     "rho": 0.63}}),
+            ("numerics.radius", {"kind": "invariant", "manifold": "bolza",
+                                 "model": {"name": "bolza_qubit",
+                                           "epsilon": 0.5},
+                                 "numerics": {"radius": 0.6}}),
         ]
         for field, cfg in cases:
             cfg["output"] = {"prefix": str(tmp_path / "d_")}
@@ -276,6 +316,11 @@ class TestRunKinds:
         assert 0 <= summary["max_imag_expectation"] < IMAG_TOL
         # the minimum gap along the drive, 2|d| at the step midpoints
         assert 0 < summary["min_gap"] < math.inf
+        stats = summary["stats"]
+        assert stats["steps"] == 2500 and stats["windows"] == 1
+        assert stats["min_gap"] == summary["min_gap"]
+        assert 0 < stats["min_gap_t"] < 50.0
+        assert stats["output_bytes"] == 24 * 2501
 
     def test_ergodicity_short(self, tmp_path):
         prefix = str(tmp_path / "erg_")

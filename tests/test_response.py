@@ -1,16 +1,22 @@
 """Tests for the response observables and the driven-average pipelines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from geodrive import DegeneracyError, ValidationError
-from geodrive.evolution import GAP_THRESHOLD
+from geodrive.evolution import _CHUNK, GAP_THRESHOLD, evolve
+from geodrive.models import bolza_qubit, eigensystem, klein_qubit, rp2_qubit
 from geodrive.response import (
     GOLDEN,
     ObservableSeries,
+    _expectation_values,
+    _gradient_expectations,
+    _hdqs_weights,
+    _x_weights,
     drive_spec,
     observable_cd,
     observable_hdqs,
@@ -21,6 +27,7 @@ from geodrive.response import (
     run_rp2,
     running_average,
 )
+from geodrive.trajectories import trajectory
 
 
 class TestRunningAverage:
@@ -183,3 +190,95 @@ class TestRunRp2:
 def test_golden_ratio_constant():
     assert GOLDEN == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-15)
     assert GOLDEN ** 2 == pytest.approx(GOLDEN + 1, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the window loop against one pass over the whole drive
+
+AGREE = 1e-12
+DT = 0.01
+PIPELINES = {
+    "bolza": (lambda: bolza_qubit(0.5), run_hdqs, {"lam": 0.2}),
+    "bolza_cd": (lambda: bolza_qubit(0.5), run_hdqs,
+                 {"lam": 0.2, "counterdiabatic": True}),
+    "klein": (lambda: klein_qubit(2.0), run_klein, {"omega": (0.5, 0.81)}),
+    "rp2": (lambda: rp2_qubit(1.0), run_rp2, {"omega": (0.5, 0.81)}),
+}
+
+
+def in_memory(model, manifold, n_steps, lam=None, omega=None,
+              counterdiabatic=False):
+    """The pipeline as one pass over arrays of the whole drive."""
+    drive = {"lam": lam} if manifold == "bolza" else {"omega": omega}
+    spec = drive_spec(manifold, T=n_steps * DT, dt=DT, **drive)
+    traj = trajectory(spec)
+    pts = traj.z if manifold == "bolza" else traj.theta
+    psi0 = eigensystem(model.evaluate(pts[0])).states[:, 1]
+    result = evolve(psi0, model, traj, DT,
+                    counterdiabatic_band=1 if counterdiabatic else None)
+    pb = pts[::2]
+    if manifold == "bolza":
+        normalization, p = lam ** 2, traj.p[::2]
+        if counterdiabatic:
+            values, _ = _expectation_values(
+                result.states, lambda sl: observable_cd(
+                    model, pb[sl], p[sl], 1, GAP_THRESHOLD), len(pb))
+        else:
+            values, _ = _gradient_expectations(model, result.states, pb,
+                                               _hdqs_weights(pb, p))
+    else:
+        normalization = omega[1] ** 2 / math.pi
+        weight = omega[1] * pb[:, 1] if manifold == "klein" else \
+            traj.velocities()[::2, 1] * pb[:, 0] * pb[:, 1]
+        values, _ = _gradient_expectations(model, result.states, pb,
+                                           _x_weights(weight))
+    return result, running_average(ObservableSeries(result.t, values),
+                                   normalization)
+
+
+@pytest.mark.parametrize("n_steps",
+                         [1, 63, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 17])
+@pytest.mark.parametrize("name", sorted(PIPELINES))
+def test_windows_agree_with_one_pass(name, n_steps):
+    build, runner, drive = PIPELINES[name]
+    model = build()
+    run = runner(model, T=n_steps * DT, dt=DT, **drive)
+    result, curve = in_memory(model, name.split("_")[0], n_steps, **drive)
+    assert run.stats["steps"] == n_steps
+    assert run.stats["windows"] == -(-n_steps // _CHUNK)
+    assert_allclose(run.series.t, result.t, rtol=0, atol=AGREE)
+    assert_allclose(run.curve.T, curve.T, rtol=0, atol=AGREE)
+    assert_allclose(run.curve.expectation, curve.expectation, rtol=0,
+                    atol=AGREE)
+    assert_allclose(run.curve.values, curve.values, rtol=0, atol=AGREE)
+    assert run.norm_deviation == pytest.approx(
+        np.abs(result.norms - 1).max(), rel=0, abs=AGREE)
+    if result.min_gap is None:
+        assert run.min_gap is None and run.stats["min_gap_t"] is None
+    else:
+        assert run.min_gap == pytest.approx(result.min_gap, rel=0, abs=AGREE)
+        assert run.stats["min_gap_t"] == result.min_gap_t
+
+
+def test_series_and_curve_share_the_output_arrays(quick):
+    assert quick.curve.T.base is quick.series.t
+    assert quick.curve.expectation.base is quick.series.values
+    assert np.isnan(quick.curve.values.base[0])
+    steps = quick.stats["steps"]
+    assert quick.stats["output_bytes"] == 24 * (steps + 1)
+    assert 0 < quick.stats["window_bytes"]
+    for key in ("trajectory_s", "evolve_s", "expectation_s"):
+        assert quick.stats[key] > 0
+
+
+def test_memory_is_the_output_curve_plus_one_window(klein_m2):
+    run_klein(klein_m2, T=20.0)  # first-call allocations stay out of it
+    tracemalloc.start()
+    try:
+        run = run_klein(klein_m2, T=2000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    steps = run.stats["steps"]
+    assert steps == 200_000
+    assert peak < 24 * steps + 8 * 2 ** 20
