@@ -28,12 +28,11 @@ import functools
 import inspect
 import json
 import math
+import operator
 import os
 import sys
 import time
-from multiprocessing import get_context
 
-import jsonschema
 import numpy as np
 
 from . import GeodriveError, ValidationError, __version__
@@ -117,7 +116,7 @@ _KEYWORDS = {
     "numerics": {
         "digits": ("digits", int), "band": ("band", int),
         # grid [n] means n x n on the flat manifolds
-        "grid": ("resolution", lambda grid: (grid[0], grid[-1])),
+        "grid": ("resolution", lambda grid: (int(grid[0]), int(grid[-1]))),
         "radius": ("radius", float), "r": ("r", float),
         "bins": ("bins", int), "gap_threshold": ("gap_threshold", float),
     },
@@ -130,6 +129,69 @@ _FIELDS = {keyword: f"{section}.{key}"
 
 def _path(parts):
     return ".".join(str(p) for p in parts) or "(root)"
+
+
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "number": (int, float), "integer": int}
+
+# range keyword -> (test that fails the value, message)
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge,
+                         "greater than or equal to the maximum of"),
+}
+
+
+def _is_type(value, name):
+    """A bool is neither a number nor an integer, and 2.0 is an integer."""
+    if isinstance(value, bool) and name in ("number", "integer"):
+        return False
+    if name == "integer" and isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, _TYPES[name])
+
+
+def _schema_errors(schema, value, path=()):
+    """(path, message) pairs of value against schema, with Draft 2020-12's
+    semantics for the keywords SCHEMA uses.
+
+    Each keyword is checked on its own, range keywords apply to any number
+    (NaN passes them), each missing required key is an error at the
+    object's path, and an object's unexpected keys are one error.
+    """
+    errors = []
+    if "type" in schema and not _is_type(value, schema["type"]):
+        errors.append((path, f"{value!r} is not of type {schema['type']!r}"))
+    if "enum" in schema and value not in schema["enum"]:
+        errors.append((path, f"{value!r} is not one of {schema['enum']!r}"))
+    if _is_type(value, "number"):
+        errors += [(path, f"{value!r} is {text} {schema[key]!r}")
+                   for key, (fails, text) in _BOUNDS.items()
+                   if key in schema and fails(value, schema[key])]
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            errors.append((path, f"{value!r} is too short"))
+        if len(value) > schema.get("maxItems", math.inf):
+            errors.append((path, f"{value!r} is too long"))
+        for i, item in enumerate(value if "items" in schema else ()):
+            errors += _schema_errors(schema["items"], item, (*path, i))
+    if isinstance(value, dict):
+        errors += [(path, f"{key!r} is a required property")
+                   for key in schema.get("required", ()) if key not in value]
+        properties = schema.get("properties", {})
+        for key, sub in properties.items():
+            if key in value:
+                errors += _schema_errors(sub, value[key], (*path, key))
+        extra = [key for key in value if key not in properties]
+        rest = schema.get("additionalProperties", True)
+        if rest is False and extra:
+            errors.append((path, "unexpected keys: "
+                                 + ", ".join(map(repr, extra))))
+        elif isinstance(rest, dict):
+            for key in extra:
+                errors += _schema_errors(rest, value[key], (*path, key))
+    return errors
 
 
 def _model_errors(cfg):
@@ -171,10 +233,8 @@ def validate_config(cfg):
     ValidationError they raise is reported at the config field of the
     argument it names.
     """
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = [(_path(e.absolute_path), e.message)
-              for e in sorted(validator.iter_errors(cfg),
-                              key=lambda e: list(map(str, e.absolute_path)))]
+    errors = [(_path(path), message) for path, message in sorted(
+        _schema_errors(SCHEMA, cfg), key=lambda e: list(map(str, e[0])))]
     if errors:
         # structural problems make the consistency checks unreliable
         return errors
@@ -680,6 +740,8 @@ def run_preset(name, out=None, jobs=1):
     for job in job_list:
         job["prefix"] = os.path.join(out, job["label"]) + "_"
     if jobs > 1 and len(job_list) > 1:
+        # imported here: a run in one process does not pay for it
+        from multiprocessing import get_context
         with get_context("fork").Pool(min(jobs, len(job_list))) as pool:
             results = pool.map(_preset_worker, job_list)
     else:

@@ -1,16 +1,21 @@
 """Tests for the config runner: validation diagnostics, exit codes,
 artifact layout, and reproducibility of the CSV output."""
 
+import copy
 import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geodrive.cli import (_BLOCK_ROWS, PRESETS, _job, _write_csv, main,
-                          validate_config)
+from geodrive.cli import (_BLOCK_ROWS, PRESETS, SCHEMA, _job, _path,
+                          _schema_errors, _write_csv, main, validate_config)
 from geodrive.response import IMAG_TOL
 
 
@@ -118,10 +123,145 @@ class TestValidateConfig:
         assert error_paths(flat) == ["drive.omega"]
 
     def test_preset_configs_pass_validation(self):
-        for build in PRESETS.values():
-            for job in build():
-                if job["config"] is not None:
-                    assert validate_config(job["config"]) == []
+        for cfg in preset_configs():
+            assert validate_config(cfg) == []
+
+    def test_schema_keywords_one_by_one(self):
+        # 1.5 fails both type and minimum; a bool is no integer, 2.0 is one;
+        # NaN passes the range keywords
+        cfg = {"kind": "invariant", "manifold": "klein", "extra": 1, "x": 2,
+               "numerics": {"grid": [1.5, True], "digits": 40.0,
+                            "r": math.nan},
+               "output": {}}
+        assert sorted(error_paths(cfg)) == [
+            "(root)", "numerics.grid.0", "numerics.grid.0",
+            "numerics.grid.1", "output"]
+
+
+def preset_configs():
+    return [job["config"] for build in PRESETS.values() for job in build()
+            if job["config"] is not None]
+
+
+def benchmark_shaped_configs():
+    bolza = {"lambda": 0.05, "T": 100.0, "dt": 0.01, "direction": 0.35,
+             "z0": [0.1, -0.2]}
+    flat = {"omega": [0.02, 0.0324], "T": 1000.0, "dt": 0.01,
+            "theta0": [-math.pi, -math.pi]}
+    return [
+        {"kind": "response", "manifold": "bolza",
+         "model": {"name": "bolza_qubit", "epsilon": 0.5}, "drive": bolza,
+         "numerics": {"digits": 74}, "output": {"prefix": ""}},
+        {"kind": "ergodicity", "manifold": "bolza",
+         "drive": dict(bolza, **{"lambda": 1.0, "T": 150.0}),
+         "numerics": {"r": 0.6, "bins": 36, "digits": 161},
+         "output": {"prefix": ""}},
+        {"kind": "response", "manifold": "rp2",
+         "model": {"name": "rp2_qubit", "m": 1.0}, "drive": flat,
+         "output": {"prefix": ""}},
+        {"kind": "evolve", "manifold": "klein",
+         "model": {"name": "klein_qubit", "m": 2.0}, "drive": flat,
+         "numerics": {"band": 0, "gap_threshold": 1e-6},
+         "output": {"prefix": ""}},
+        {"kind": "invariant", "manifold": "bolza",
+         "model": {"name": "bolza_qubit", "epsilon": 0.5, "rho": 0.55},
+         "numerics": {"grid": [100], "band": 1, "radius": 0.6},
+         "output": {"prefix": ""}},
+        {"kind": "response", "manifold": "bolza",
+         "model": {"name": "bolza_qubit", "epsilon": 0.5},
+         "drive": {"counterdiabatic": True}, "output": {"prefix": ""}},
+    ]
+
+
+BASES = preset_configs() + benchmark_shaped_configs()
+
+ODD_VALUES = st.one_of(
+    st.sampled_from([True, False, 0, 1, -1, 2, 2.0, 2.5, 0.5, 1e300,
+                     math.nan, math.inf, -math.inf, "", "klein", None, [],
+                     [3], [3, 4, 5], [2.0, True], {}, {"name": "x"}]),
+    st.floats(), st.integers(-10, 1000)).map(copy.deepcopy)
+
+KEYS = st.sampled_from(["extra", "name", "kind", "T", "lambda", "grid",
+                        "digits", "r", "prefix", "epsilon", "m", "omega"])
+
+
+def _slots(node, path=()):
+    """The path of every value inside a config, () for the config."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _slots(value, (*path, key))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A preset or benchmark-shaped config after one to four edits: a
+    value replaced, a key or item deleted, a key added or an item
+    appended."""
+    cfg = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(1, 4))):
+        path = draw(st.sampled_from(list(_slots(cfg))))
+        parent, node = None, cfg
+        for key in path:
+            parent, node = node, node[key]
+        edit = draw(st.sampled_from(["replace", "delete", "add"]))
+        if edit == "add" and isinstance(node, dict):
+            node[draw(KEYS)] = draw(ODD_VALUES)
+        elif edit == "add" and isinstance(node, list):
+            node.append(draw(ODD_VALUES))
+        elif edit == "replace" and path:
+            parent[path[-1]] = draw(ODD_VALUES)
+        elif edit == "delete" and path:
+            del parent[path[-1]]
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def draft_2020_12_paths():
+    """The error paths jsonschema's Draft 2020-12 validator gives for
+    SCHEMA: the oracle of the in-tree check."""
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(SCHEMA)
+    return lambda cfg: Counter(_path(e.absolute_path)
+                               for e in validator.iter_errors(cfg))
+
+
+def schema_paths(cfg):
+    return Counter(_path(path) for path, _ in _schema_errors(SCHEMA, cfg))
+
+
+class TestSchemaAgreement:
+    def test_valid_configs(self, draft_2020_12_paths):
+        for cfg in BASES:
+            assert schema_paths(cfg) == draft_2020_12_paths(cfg) == Counter()
+
+    @settings(max_examples=400, deadline=None)
+    @given(cfg=mutated_configs())
+    def test_mutated_configs(self, draft_2020_12_paths, cfg):
+        assert schema_paths(cfg) == draft_2020_12_paths(cfg)
+
+    @pytest.mark.parametrize("cfg", [None, [], "x", 1.0, {}, {"kind": True}])
+    def test_documents_that_are_no_config(self, draft_2020_12_paths, cfg):
+        assert schema_paths(cfg) == draft_2020_12_paths(cfg) != Counter()
+
+
+def test_validation_imports_neither_jsonschema_nor_multiprocessing():
+    # a fresh interpreter, as `geodrive run` and `validate` start
+    code = ("import sys\n"
+            "from geodrive.cli import PRESETS, validate_config\n"
+            "for build in PRESETS.values():\n"
+            "    for job in build():\n"
+            "        if job['config'] is not None:\n"
+            "            assert validate_config(job['config']) == []\n"
+            "top = {name.split('.')[0] for name in sys.modules}\n"
+            "print(sorted(top & {'jsonschema', 'multiprocessing'}))\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.normpath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestExitCodes:
@@ -254,6 +394,26 @@ class TestExitCodes:
         assert main(["run", write_cfg(tmp_path, cfg)]) == 2
         assert "drive.T" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("manifold, model, grid", [
+        ("klein", {"name": "klein_qubit", "m": 2.0}, [40, 20]),
+        ("bolza", {"name": "bolza_qubit", "epsilon": 0.5}, [30]),
+    ])
+    def test_integral_float_grid_runs_as_its_integers(self, tmp_path,
+                                                      manifold, model, grid):
+        # a grid of 2.0-style floats passes validation, so it must run
+        csvs = []
+        for label, cells in (("int", grid), ("float", [float(n)
+                                                       for n in grid])):
+            prefix = str(tmp_path / f"{label}_")
+            cfg = {"kind": "invariant", "manifold": manifold,
+                   "model": model, "numerics": {"grid": cells},
+                   "output": {"prefix": prefix}}
+            path = write_cfg(tmp_path, cfg, name=f"{label}.json")
+            assert main(["validate", path]) == 0
+            assert main(["run", path]) == 0
+            csvs.append((tmp_path / f"{label}_curvature.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_gap_closing_run_is_runtime_error(self, tmp_path, capsys):
         cfg = {"kind": "invariant", "manifold": "klein",
                "model": {"name": "klein_qubit", "m": 1.0},
@@ -385,6 +545,29 @@ class TestPreset:
         with open(tmp_path / "summary.csv", newline="") as fh:
             assert [row["within_tolerance"] for row in csv.DictReader(fh)] \
                 == ["false"]
+
+    def test_jobs_give_the_rows_of_one_process(self, tmp_path, monkeypatch,
+                                               capsys):
+        def cfg(m):
+            return {"kind": "invariant", "manifold": "klein",
+                    "model": {"name": "klein_qubit", "m": m},
+                    "numerics": {"grid": [40, 20]}, "output": {"prefix": ""}}
+
+        monkeypatch.setitem(PRESETS, "pair", lambda: [
+            _job("m2", math.pi / 2, 0.1, cfg=cfg(2.0)),
+            _job("m4", 0.0, 0.1, cfg=cfg(4.0))])
+        results = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["preset", "pair", "--out", str(out),
+                         "--jobs", jobs]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            csvs = {name: (out / name).read_bytes()
+                    for name in sorted(os.listdir(out))
+                    if name.endswith(".csv")}
+            results.append((csvs, manifest["summary"]["comparisons"]))
+        assert len(results[0][0]) == 3  # two curvature CSVs and the summary
+        assert results[0] == results[1]
 
 
 def per_row_csv(cols):
