@@ -248,6 +248,10 @@ def validate_config(cfg):
     if kind in ("response", "invariant") and manifold == "torus":
         errors.append(("manifold",
                        f"no {kind} pipeline is defined on the torus"))
+    if kind == "invariant" and manifold == "bolza" and \
+            len(set(cfg.get("numerics", {}).get("grid", []))) > 1:
+        errors.append(("numerics.grid", "the Bolza grid is square; give "
+                                        "one entry or two equal ones"))
     if kind == "ergodicity":
         if manifold != "bolza":
             errors.append(("manifold", "ergodicity diagnostics need a "
@@ -437,8 +441,7 @@ def _run_evolve(cfg, prefix):
     calls = _calls(cfg)
     traj = trajectory(_drive(cfg))
     track = track_band(model, traj.subsample(2), **calls["track_band"])
-    result = evolve(track.states[0], model, traj, 2 * traj.spec.dt,
-                    **calls["evolve"])
+    result = evolve(track.states[0], model, traj, **calls["evolve"])
     fid = fidelity(result.states, track.states[: len(result.states)])
     path = _write_csv(prefix + "evolve.csv",
                       [("t", result.t, "f"),

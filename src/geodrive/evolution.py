@@ -1,8 +1,9 @@
 """Schrodinger propagation along a geodesic drive.
 
-The propagator is the midpoint exponential: one step of size dt applies
-exp(-i H(t + dt/2) dt), computed exactly for Hermitian H, so every step is
-unitary by construction.  Two routes share that step:
+The propagator is the midpoint exponential: along a trajectory sampled at
+spacing dt/2, one step of size dt applies exp(-i H(t + dt/2) dt) with H at
+the sample between its ends, computed exactly for Hermitian H, so every
+step is unitary by construction.  Two routes share that step:
 
 - a two-level model with a Bloch field, H = d . sigma, builds each step
   from d at the midpoint as the unit quaternion (cos |d|dt,
@@ -44,8 +45,6 @@ from . import DegeneracyError, ValidationError
 from .models import GAP_THRESHOLD, band_gap, bloch_vector, eig_many
 
 NORM_TOL = 1e-10
-# halving error per unit time below which a refined step is accepted
-STEP_TOLERANCE = 1e-8
 # steps per window of the response pipelines and per vectorized block of
 # every chunked loop here; bounds the (chunk, D, D) temporaries of long runs
 # and the arrays a response holds besides its output curve.  A multiple of
@@ -55,14 +54,19 @@ _CHUNK = 1 << 13
 _BLOCK = 64
 
 
-def _points_velocities(model, trajectory):
-    # manifold points and chart velocities (N, 2) of a sampled trajectory
+def _points(model, trajectory):
+    # manifold points of a sampled trajectory
     if model.manifold == "bolza":
-        pts = np.asarray(trajectory.z, dtype=complex)
+        return np.asarray(trajectory.z, dtype=complex)
+    return np.asarray(trajectory.theta, dtype=float)
+
+
+def _velocities(model, trajectory):
+    # chart velocities (N, 2) of a sampled trajectory
+    if model.manifold == "bolza":
         vel = np.asarray(trajectory.velocities(), dtype=complex)
-        return pts, np.stack([vel.real, vel.imag], axis=-1)
-    pts = np.asarray(trajectory.theta, dtype=float)
-    return pts, np.asarray(trajectory.velocities(), dtype=float)
+        return np.stack([vel.real, vel.imag], axis=-1)
+    return np.asarray(trajectory.velocities(), dtype=float)
 
 
 def _eig_chunked(model, pts, bands=None):
@@ -96,7 +100,7 @@ def _gap_guard(trajectory, energies, band, threshold):
 
 @dataclass
 class EvolutionResult:
-    """States at the step boundaries t, their norms, and the step dt used.
+    """States at the step boundaries t, their norms, and the step dt.
 
     min_gap is the smallest band gap 2|d| at the step midpoints on the
     Bloch-field route, and min_gap_t the midpoint time where it occurs;
@@ -246,14 +250,16 @@ def counterdiabatic_term(model, pts, vel, band, threshold):
     return V + np.conj(np.swapaxes(V, -1, -2))
 
 
-def _propagate(model, pts, vel, psi0, h, k, n_steps, cd_band, gap_threshold):
-    """States at the n_steps + 1 boundaries of steps of size 2*k*h.
+def _propagate(model, trajectory, psi0, cd_band, gap_threshold):
+    """States at the boundaries of steps of twice the sample spacing.
 
-    Returns (states, gap); gap is (smallest 2|d| at the step midpoints,
-    index of its step) on the Bloch-field route and None on the generic one.
+    The steps take H at the odd samples, their midpoints.  Returns (states,
+    gap); gap is (smallest 2|d| at the step midpoints, index of its step)
+    on the Bloch-field route and None on the generic one.
     """
-    mid = pts[k:2 * k * n_steps:2 * k]
-    dt = 2 * k * h
+    mid = _points(model, trajectory)[1:-1:2]
+    n_steps = len(mid)
+    dt = 2 * trajectory.spec.dt
     states = np.empty((n_steps + 1, model.dim), dtype=complex)
     psi = states[0] = psi0
     chunks = [slice(start, min(start + _CHUNK, n_steps))
@@ -269,8 +275,9 @@ def _propagate(model, pts, vel, psi0, h, k, n_steps, cd_band, gap_threshold):
             psi = _unit_steps(out, excess)
         return states, gap
     if cd_band is not None:
-        cd = counterdiabatic_term(model, mid, vel[k:2 * k * n_steps:2 * k],
-                                 cd_band, gap_threshold)
+        cd = counterdiabatic_term(
+            model, mid, _velocities(model, trajectory)[1:-1:2], cd_band,
+            gap_threshold)
     for sl in chunks:
         H = model.evaluate_many(mid[sl])
         if cd_band is not None:
@@ -283,33 +290,16 @@ def _propagate(model, pts, vel, psi0, h, k, n_steps, cd_band, gap_threshold):
     return states, None
 
 
-def _halving_error_rate(model, pts, vel, psi0, h, k, cd_band, gap_threshold):
-    """Step error per unit time at step 2*k*h, over a ~1-time-unit probe.
-
-    Estimated against the finest stepping the samples support (k = 1),
-    which the coarse error dominates for a second-order method.
-    """
-    m = (len(pts) - 1) // (2 * k)
-    m = min(m, max(2, int(round(1.0 / (2 * k * h)))))
-    coarse = _propagate(model, pts, vel, psi0, h, k, m, cd_band,
-                        gap_threshold)[0][-1]
-    fine = _propagate(model, pts, vel, psi0, h, 1, k * m, cd_band,
-                      gap_threshold)[0][-1]
-    return float(np.linalg.norm(coarse - fine)) / (2 * k * h * m)
-
-
-def evolve(psi0, model, trajectory, dt=0.01, counterdiabatic_band=None,
+def evolve(psi0, model, trajectory, *, counterdiabatic_band=None,
            gap_threshold=GAP_THRESHOLD):
     """Propagate psi0 along a sampled trajectory.
 
-    The trajectory must be sampled so that step midpoints land on samples:
-    with sample spacing h, dt = 2*k*h for a positive integer k.  Each step
-    applies exp(-i H(midpoint) dt); with counterdiabatic_band = n the
-    Hermitized counterdiabatic term for band n is added to H at the
-    midpoints.  When the sampling leaves headroom (k > 1), k is halved
-    until a short probe puts the halving error below STEP_TOLERANCE per
-    unit time.  Returns the states at every step boundary, with the step
-    actually used as the result's dt.
+    The step is twice the trajectory's sample spacing, so that every step
+    midpoint is a sample: step j applies exp(-i H dt) with H taken at
+    sample 2j + 1, and a trajectory of an even number of samples leaves
+    its last one out.  With counterdiabatic_band = n the Hermitized
+    counterdiabatic term for band n is added to H at the midpoints.
+    Returns the states at every step boundary, the even samples.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (model.dim,):
@@ -317,30 +307,17 @@ def evolve(psi0, model, trajectory, dt=0.01, counterdiabatic_band=None,
             f"psi0 must have {model.dim} amplitudes, got {psi0.shape}")
     if abs(np.linalg.norm(psi0) - 1.0) > NORM_TOL:
         raise ValidationError("psi0 is not normalized")
-    h = trajectory.spec.dt
-    k = round(dt / (2 * h))
-    if k < 1 or abs(2 * k * h - dt) > 1e-9 * max(1.0, dt):
-        raise ValidationError(
-            f"trajectory sampling {h} does not provide midpoints for "
-            f"dt = {dt}; need dt = 2*k*spacing")
-    pts, vel = _points_velocities(model, trajectory)
-    if (len(pts) - 1) // (2 * k) < 1:
+    if len(trajectory.t) < 3:
         raise ValidationError("trajectory too short for a single step")
-    while k > 1 and _halving_error_rate(
-            model, pts, vel, psi0, h, k, counterdiabatic_band,
-            gap_threshold) > STEP_TOLERANCE:
-        k //= 2
-        dt = 2 * k * h
-    n_steps = (len(pts) - 1) // (2 * k)
-    states, gap = _propagate(model, pts, vel, psi0, h, k, n_steps,
-                             counterdiabatic_band, gap_threshold)
+    states, gap = _propagate(model, trajectory, psi0, counterdiabatic_band,
+                             gap_threshold)
     t = np.asarray(trajectory.t)
     min_gap, min_gap_t = (None, None) if gap is None else \
-        (gap[0], float(t[k + 2 * k * gap[1]]))
+        (gap[0], float(t[2 * gap[1] + 1]))
     return EvolutionResult(
-        t=t[::2 * k][:n_steps + 1], states=states,
-        norms=np.linalg.norm(states, axis=-1), dt=dt, min_gap=min_gap,
-        min_gap_t=min_gap_t)
+        t=t[:2 * len(states) - 1:2], states=states,
+        norms=np.linalg.norm(states, axis=-1), dt=2 * trajectory.spec.dt,
+        min_gap=min_gap, min_gap_t=min_gap_t)
 
 
 def fidelity(psi, phi):
@@ -385,8 +362,8 @@ def track_band(model, trajectory, band=1, gap_threshold=GAP_THRESHOLD):
     """
     if not 0 <= band < model.dim:
         raise ValidationError(f"band index {band} out of range")
-    pts, _ = _points_velocities(model, trajectory)
-    energies, states = _eig_chunked(model, pts, bands=[band])
+    energies, states = _eig_chunked(model, _points(model, trajectory),
+                                    bands=[band])
     min_gap = _gap_guard(trajectory, energies, band, gap_threshold)
     psi = states[:, :, 0]
     t = np.asarray(trajectory.t)
@@ -426,7 +403,7 @@ def g_correction(model, trajectory, m, n, lam=None,
         if abs(trajectory.spec.speed - lam) > 1e-12:
             raise ValidationError(
                 f"trajectory speed {trajectory.spec.speed} != lambda {lam}")
-    pts, vel = _points_velocities(model, trajectory)
+    pts, vel = _points(model, trajectory), _velocities(model, trajectory)
     energies, states = _eig_chunked(model, pts, bands=[m, n])
     _gap_guard(trajectory, energies, n, gap_threshold)
     psi_m, psi_n = states[:, :, 0], states[:, :, 1]

@@ -81,23 +81,24 @@ class ParentHamiltonian:
 
     Points are complex numbers on the Poincare disk for manifold "bolza" and
     length-2 angle arrays for the flat manifolds; the *_many methods take a
-    (N,) complex or (N, 2) float array accordingly.  Third-party models can
-    supply only a single-point `evaluate`; the batched methods then fall back
-    to a python loop.  `global_chart` marks fields defined by a single global
-    formula (all built-ins), which finite differences may probe outside the
-    fundamental domain.  A model that passes d_field and d_gradient is a
-    two-level H = d . sigma, and has_d_field routes it through the Bloch-vector
-    paths of topology, evolution and response.
+    (N,) complex or (N, 2) float array accordingly.  A model supplies H as
+    the batch callable evaluate_many and, optionally, its analytic partials
+    as gradient_many; the single-point evaluate and gradient call them on a
+    batch of one.  Without gradient_many, gradient_many falls back to the
+    finite differences of grad_H.  `global_chart` marks fields defined by a
+    single global formula (all built-ins), which finite differences may
+    probe outside the fundamental domain.  A model that passes d_field and
+    d_gradient is a two-level H = d . sigma, and has_d_field routes it
+    through the Bloch-vector paths of topology, evolution and response.
     """
 
-    def __init__(self, name, manifold, dim, evaluate=None, gradient=None,
-                 evaluate_many=None, gradient_many=None, d_field=None,
-                 d_gradient=None, global_chart=False, compact_support=None,
-                 params=None):
+    def __init__(self, name, manifold, dim, evaluate_many=None,
+                 gradient_many=None, d_field=None, d_gradient=None,
+                 global_chart=False, compact_support=None, params=None):
         if manifold not in MANIFOLDS:
             raise ValidationError(f"unknown manifold {manifold!r}")
-        if evaluate is None and evaluate_many is None:
-            raise ValidationError("model needs evaluate or evaluate_many")
+        if evaluate_many is None:
+            raise ValidationError("model needs evaluate_many")
         if int(dim) < 2:
             raise ValidationError("model dimension must be at least 2")
         if int(dim) != 2 and (d_field is not None or d_gradient is not None):
@@ -109,8 +110,6 @@ class ParentHamiltonian:
         self.global_chart = bool(global_chart)
         # radius beyond which a disk texture is constant (None = unknown)
         self.compact_support = compact_support
-        self._evaluate = evaluate
-        self._gradient = gradient
         self._evaluate_many = evaluate_many
         self._gradient_many = gradient_many
         self._d_field = d_field
@@ -122,7 +121,7 @@ class ParentHamiltonian:
 
     @property
     def has_gradient(self):
-        return self._gradient is not None or self._gradient_many is not None
+        return self._gradient_many is not None
 
     @property
     def has_d_field(self):
@@ -131,43 +130,31 @@ class ParentHamiltonian:
 
     def evaluate(self, point):
         """H at a single manifold point, shape (dim, dim)."""
-        if self._evaluate is not None:
-            H = np.asarray(self._evaluate(point), dtype=complex)
-        else:
-            H = np.asarray(
-                self._evaluate_many(_as_batch(self.manifold, point))[0],
-                dtype=complex)
+        H = np.asarray(
+            self._evaluate_many(_as_batch(self.manifold, point))[0],
+            dtype=complex)
         _check_hermitian(H)
         return H
 
     def evaluate_many(self, points):
         """H at an array of points, shape (N, dim, dim)."""
-        if self._evaluate_many is not None:
-            H = np.asarray(self._evaluate_many(points), dtype=complex)
-        else:
-            H = np.stack([np.asarray(self._evaluate(pt), dtype=complex)
-                          for pt in points])
+        H = np.asarray(self._evaluate_many(points), dtype=complex)
         _check_hermitian(H)
         return H
 
     def gradient(self, point):
         """Analytic (d1 H, d2 H) at a point, shape (2, dim, dim)."""
-        if self._gradient is not None:
-            return np.asarray(self._gradient(point), dtype=complex)
-        if self._gradient_many is not None:
-            return np.asarray(
-                self._gradient_many(_as_batch(self.manifold, point))[0],
-                dtype=complex)
-        raise ValidationError(
-            f"{self.name} has no analytic gradient; use grad_H")
+        if self._gradient_many is None:
+            raise ValidationError(
+                f"{self.name} has no analytic gradient; use grad_H")
+        return np.asarray(
+            self._gradient_many(_as_batch(self.manifold, point))[0],
+            dtype=complex)
 
     def gradient_many(self, points):
         """Gradients at an array of points, shape (N, 2, dim, dim)."""
         if self._gradient_many is not None:
             return np.asarray(self._gradient_many(points), dtype=complex)
-        if self._gradient is not None:
-            return np.stack([np.asarray(self._gradient(pt), dtype=complex)
-                             for pt in points])
         return np.stack([grad_H(self, pt) for pt in points])
 
     def d_field(self, points):

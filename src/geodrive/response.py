@@ -218,22 +218,15 @@ def _require_gapped(model, threshold):
         raise DegeneracyError(f"model is not fully gapped: {report}")
 
 
-def _expectation_values(states, builder, n):
+def _expectation_values(states, matrices):
     """Real parts of <psi|O|psi> and the largest imaginary part dropped."""
-    values = np.empty(n)
-    worst_imag = 0.0
-    for start in range(0, n, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, n))
-        matrices = builder(sl)
-        raw = np.einsum("ni,nij,nj->n", states[sl].conj(), matrices,
-                        states[sl])
-        worst_imag = max(worst_imag, np.abs(raw.imag).max())
-        values[sl] = raw.real
+    raw = np.einsum("ni,nij,nj->n", states.conj(), matrices, states)
+    worst_imag = np.abs(raw.imag).max()
     if worst_imag > IMAG_TOL:
         raise ValidationError(
             f"observable expectation has imaginary part {worst_imag:.2e}; "
             "observable is not Hermitian")
-    return values, float(worst_imag)
+    return raw.real, float(worst_imag)
 
 
 def _gradient_expectations(model, states, pts, weights):
@@ -246,9 +239,7 @@ def _gradient_expectations(model, states, pts, weights):
     """
     if not model.has_d_field:
         return _expectation_values(
-            states, lambda sl: _contract(weights[sl],
-                                         model.gradient_many(pts[sl])),
-            len(weights))
+            states, _contract(weights, model.gradient_many(pts)))
     a, b = states[:, 0], states[:, 1]
     s = np.stack([2.0 * (a.real * b.real + a.imag * b.imag),
                   2.0 * (a.real * b.imag - a.imag * b.real),
@@ -291,15 +282,14 @@ def _nbytes(*records):
                if isinstance(a, np.ndarray))
 
 
-def _stream(model, psi0, dt, n_samples, window, observe, normalization,
-            target, evolve_args):
+def _stream(model, psi0, n_samples, window, observe, normalization, target,
+            evolve_args):
     """The window loop shared by the pipelines.
 
-    window(lo, hi) returns the trajectory of samples lo..hi-1 of the drive,
-    sampled at dt/2; observe(w, states) returns (<O>, worst imaginary part)
-    at the states on w's even samples.  Each window of m steps of dt spans
-    2m + 1 samples and shares its first sample with the last of the window
-    before.
+    window(lo, hi) returns the trajectory of samples lo..hi-1 of the drive;
+    observe(w, states) returns (<O>, worst imaginary part) at the states
+    on w's even samples.  Each window of m steps spans 2m + 1 samples and
+    shares its first sample with the last of the window before.
     """
     n = (n_samples - 1) // 2
     if n < 1:
@@ -318,7 +308,7 @@ def _stream(model, psi0, dt, n_samples, window, observe, normalization,
         w = window(2 * start, 2 * stop + 1)
         stats["trajectory_s"] += time.perf_counter() - clock
         clock = time.perf_counter()
-        result = evolve(psi, model, w, dt, **evolve_args)
+        result = evolve(psi, model, w, **evolve_args)
         psi = result.states[-1]
         stats["evolve_s"] += time.perf_counter() - clock
         clock = time.perf_counter()
@@ -376,15 +366,13 @@ def run_hdqs(model, band=1, counterdiabatic=False, target=None,
         zb, pb = w.z[::2], w.p[::2]
         if counterdiabatic:
             return _expectation_values(
-                states,
-                lambda sl: observable_cd(model, zb[sl], pb[sl], band,
-                                         gap_threshold), len(states))
+                states, observable_cd(model, zb, pb, band, gap_threshold))
         return _gradient_expectations(model, states, zb,
                                       _hdqs_weights(zb, pb))
 
     curve, series, stats = _stream(
-        model, _band_state_at(model, traj.z[0], band), 2 * spec.dt,
-        len(traj.t), window, observe, spec.speed ** 2, target,
+        model, _band_state_at(model, traj.z[0], band), len(traj.t), window,
+        observe, spec.speed ** 2, target,
         {"counterdiabatic_band": band if counterdiabatic else None,
          "gap_threshold": gap_threshold})
     stats["trajectory_s"] += trajectory_s
@@ -411,7 +399,7 @@ def _run_flat(model, manifold, band, target, gap_threshold, drive):
 
     psi0 = _band_state_at(model, window(0, 1).theta[0], band)
     curve, series, stats = _stream(
-        model, psi0, 2 * spec.dt, spec.n_steps + 1, window, observe,
+        model, psi0, spec.n_steps + 1, window, observe,
         omega_y ** 2 / math.pi, target, {"gap_threshold": gap_threshold})
     return ResponseRun(curve=curve, series=series, band=band, spec=spec,
                        stats=stats)

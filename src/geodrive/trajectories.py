@@ -226,10 +226,6 @@ class FlatTrajectory:
     def manifold(self):
         return self.spec.manifold
 
-    @property
-    def omega(self):
-        return self.spec.omega
-
     def velocities(self):
         """Effective (dtheta_x/dt, dtheta_y/dt) per sample."""
         wx, wy = self.spec.omega
@@ -819,11 +815,6 @@ def _rp2_recross(a, b, n_a, n_b):
     a[over] -= math.pi
     b[over] = math.pi - b[over]
     n_a[over] += _parity(n_b[over])
-
-
-def torus_geodesic(theta0, omega, t):
-    """Straight line on the 2-torus, wrapped into [0, 2pi) componentwise."""
-    return _wrap_flat("torus", theta0, omega, t)[0]
 
 
 def klein_geodesic(theta0, omega, t):

@@ -75,11 +75,11 @@ def slow_drive():
 def hdqs_pipeline(model, traj, lam):
     """Track, evolve, and average the response along a prebuilt drive."""
     track = track_band(model, traj.subsample(2), 1)
-    result = evolve(track.states[0], model, traj, 2 * traj.spec.dt)
+    result = evolve(track.states[0], model, traj)
     n = len(result.states)
     zb, pb = traj.z[::2][:n], traj.p[::2][:n]
-    values, _ = _expectation_values(
-        result.states, lambda sl: observable_hdqs(model, zb[sl], pb[sl]), n)
+    values, _ = _expectation_values(result.states,
+                                    observable_hdqs(model, zb, pb))
     curve = running_average(ObservableSeries(result.t, values), lam ** 2)
     return track, result, curve
 
@@ -123,7 +123,7 @@ def test_criterion_3_adiabatic_fidelity_contrast(hdqs_runs):
     fast = trajectory(GeodesicSpec(manifold="bolza", T=100.0, dt=0.005,
                                    speed=0.5, direction=math.pi / 9))
     track_fast = track_band(model, fast.subsample(2), 1)
-    result_fast = evolve(track_fast.states[0], model, fast, 0.01)
+    result_fast = evolve(track_fast.states[0], model, fast)
     fid_fast = fidelity(result_fast.states, track_fast.states)
     print(f"criterion 3: min fidelity lam=1/20: {fid_slow.min():.6f}, "
           f"lam=1/2: {fid_fast.min():.4f}")
@@ -184,14 +184,12 @@ def test_criterion_8_counterdiabatic_fast_drive():
     traj = trajectory(GeodesicSpec(manifold="bolza", T=500.0, dt=0.005,
                                    speed=lam, direction=math.pi / 9))
     track = track_band(model, traj.subsample(2), 1)
-    result = evolve(track.states[0], model, traj, 0.01,
-                    counterdiabatic_band=1)
+    result = evolve(track.states[0], model, traj, counterdiabatic_band=1)
     fid = fidelity(result.states, track.states)
     n = len(result.states)
     zb, pb = traj.z[::2][:n], traj.p[::2][:n]
     values, _ = _expectation_values(
-        result.states,
-        lambda sl: observable_cd(model, zb[sl], pb[sl], 1, GAP_THRESHOLD), n)
+        result.states, observable_cd(model, zb, pb, 1, GAP_THRESHOLD))
     curve = running_average(ObservableSeries(result.t, values), lam ** 2)
     w_cd = curve.final_value
     print(f"criterion 8: min band fidelity deficit={1 - fid.min():.2e}, "

@@ -110,8 +110,8 @@ def test_states(name, band, n_steps, generic):
     model = MODELS[name]()
     traj = drive(name, n_steps)
     psi0 = eigensystem(model.evaluate(start_point(traj))).states[:, band]
-    fast = evolve(psi0, model, traj, 0.01)
-    slow = evolve(psi0, generic(model), traj, 0.01)
+    fast = evolve(psi0, model, traj)
+    slow = evolve(psi0, generic(model), traj)
     assert len(fast.states) == n_steps + 1
     assert_allclose(fast.states, slow.states, rtol=0, atol=AGREE)
     assert_allclose(fast.t, slow.t, rtol=0, atol=0)
@@ -127,8 +127,8 @@ def test_counterdiabatic_run_stays_generic(generic):
     traj = trajectory(GeodesicSpec(manifold="bolza", T=3.0, dt=0.005,
                                    speed=0.5, direction=0.4))
     psi0 = eigensystem(model.evaluate(traj.z[0])).states[:, 1]
-    fast = evolve(psi0, model, traj, 0.01, counterdiabatic_band=1)
-    slow = evolve(psi0, generic(model), traj, 0.01, counterdiabatic_band=1)
+    fast = evolve(psi0, model, traj, counterdiabatic_band=1)
+    slow = evolve(psi0, generic(model), traj, counterdiabatic_band=1)
     assert fast.min_gap is None
     assert np.array_equal(fast.states, slow.states)
 

@@ -414,6 +414,28 @@ class TestExitCodes:
             csvs.append((tmp_path / f"{label}_curvature.csv").read_bytes())
         assert csvs[0] == csvs[1]
 
+    def test_bolza_grid_is_square(self, tmp_path, capsys):
+        # two unequal entries are a config error; two equal ones run as one
+        model = {"name": "bolza_qubit", "epsilon": 0.5}
+        csvs = []
+        for label, grid in (("uneven", [30, 10]), ("one", [30]),
+                            ("two", [30, 30])):
+            prefix = str(tmp_path / f"{label}_")
+            cfg = {"kind": "invariant", "manifold": "bolza", "model": model,
+                   "numerics": {"grid": grid}, "output": {"prefix": prefix}}
+            path = write_cfg(tmp_path, cfg, name=f"{label}.json")
+            if label == "uneven":
+                for command in ("validate", "run"):
+                    assert main([command, path]) == 2
+                    err = capsys.readouterr().err
+                    assert err.startswith("config error: numerics.grid: ")
+                    assert len(err.splitlines()) == 1
+                assert not os.path.exists(prefix + "curvature.csv")
+                continue
+            assert main(["run", path]) == 0
+            csvs.append((tmp_path / f"{label}_curvature.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_gap_closing_run_is_runtime_error(self, tmp_path, capsys):
         cfg = {"kind": "invariant", "manifold": "klein",
                "model": {"name": "klein_qubit", "m": 1.0},
@@ -446,12 +468,16 @@ class TestRunKinds:
             math.pi / 2)
         assert os.path.exists(prefix + "curvature.csv")
 
-    def test_evolve_klein(self, tmp_path):
+    @pytest.mark.parametrize("manifold, model, drive", [
+        ("klein", {"name": "klein_qubit", "m": 2.0},
+         {"omega": [0.2, 0.31], "theta0": [-math.pi, -math.pi]}),
+        ("bolza", {"name": "bolza_qubit", "epsilon": 0.5},
+         {"lambda": 0.05, "direction": 0.4}),
+    ])
+    def test_evolve(self, tmp_path, manifold, model, drive):
         prefix = str(tmp_path / "ev_")
-        cfg = {"kind": "evolve", "manifold": "klein",
-               "model": {"name": "klein_qubit", "m": 2.0},
-               "drive": {"T": 10.0, "dt": 0.02, "omega": [0.2, 0.31],
-                         "theta0": [-math.pi, -math.pi]},
+        cfg = {"kind": "evolve", "manifold": manifold, "model": model,
+               "drive": dict(drive, T=10.0, dt=0.02),
                "output": {"prefix": prefix}}
         manifest = self.run_ok(tmp_path, cfg)
         summary = manifest["summary"]
@@ -531,6 +557,21 @@ class TestPreset:
             for key, cell in row.items():
                 if key != "label" and cell not in ("", "true", "false"):
                     float(cell)  # a plain number, not np.float64(...)
+
+    def test_si_gt_end_to_end(self, tmp_path, capsys):
+        # the one CLI path into evolution.g_correction
+        out = tmp_path / "gt"
+        assert main(["preset", "si-gt", "--out", str(out)]) == 0
+        assert "OFF TARGET" not in capsys.readouterr().out
+        for lam in ("0.05", "0.025"):
+            with open(out / f"gt_gt_lam{lam}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert list(rows[0]) == ["t", "G"]
+            assert float(rows[0]["G"]) == 0.0
+        manifest = json.loads((out / "manifest.json").read_text())
+        [row] = manifest["summary"]["comparisons"]
+        assert row["within_tolerance"]
+        assert row["value"] == pytest.approx(1.95152, abs=1e-5)
 
     def test_off_target_row_fails_the_preset(self, tmp_path, monkeypatch,
                                              capsys):

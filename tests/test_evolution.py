@@ -52,7 +52,7 @@ def klein_traj(T=20.0, dt=0.0025, theta0=(-math.pi, -math.pi),
 class TestEvolve:
     def test_constant_sigma_z_phase(self):
         traj = klein_traj(T=3.0, dt=0.005, omega=(1.0, 1.0))
-        res = evolve(UP, constant_model(), traj, 0.01)
+        res = evolve(UP, constant_model(), traj)
         assert_allclose(res.states[-1], np.exp(-3.0j) * UP, atol=1e-12)
         assert res.t[-1] == pytest.approx(3.0)
 
@@ -62,7 +62,7 @@ class TestEvolve:
             theta0=(-math.pi, -math.pi), omega=(0.31, 0.17)))
         from geodrive.models import klein_qubit
 
-        res = evolve(UP, klein_qubit(2.0), traj, 0.01)
+        res = evolve(UP, klein_qubit(2.0), traj)
         assert len(res.states) == 1_000_001
         # the Bloch-field scan ran (many chunks, 15,625 blocks)
         assert res.min_gap is not None
@@ -77,7 +77,7 @@ class TestEvolve:
                                        speed=0.3, direction=0.4))
         psi0 = eigensystem(meron.evaluate(traj.z[0])).states[:, 1]
         for model in (meron, generic(meron)):
-            res = evolve(psi0, model, traj, 0.01)
+            res = evolve(psi0, model, traj)
             assert len(res.states) == 100_001
             assert np.abs(res.norms - 1.0).max() < 1e-13
 
@@ -90,7 +90,7 @@ class TestEvolve:
             "const3", "klein", 3, global_chart=True,
             evaluate_many=lambda th: np.broadcast_to(H, (len(th), 3, 3)))
         psi0 = np.array([1.0, 1.0j, -1.0]) / math.sqrt(3)
-        res = evolve(psi0, model, klein_traj(T=2.0, dt=0.005), 0.01)
+        res = evolve(psi0, model, klein_traj(T=2.0, dt=0.005))
         w, V = np.linalg.eigh(H)
         want = V @ (np.exp(-1j * w * res.t[-1]) * (V.conj().T @ psi0))
         assert res.t[-1] == pytest.approx(2.0)
@@ -100,18 +100,12 @@ class TestEvolve:
     def test_second_order_step_halving(self):
         from geodrive.models import klein_qubit
 
-        # one trajectory per step, sampled at d/2, so no refinement applies
-        finals = [evolve(UP, klein_qubit(0.5), klein_traj(dt=d / 2),
-                         d).states[-1] for d in (0.02, 0.04, 0.08)]
+        # one trajectory per step d, sampled at d/2
+        finals = [evolve(UP, klein_qubit(0.5), klein_traj(dt=d / 2)
+                         ).states[-1] for d in (0.02, 0.04, 0.08)]
         e1 = np.linalg.norm(finals[0] - finals[1])
         e2 = np.linalg.norm(finals[1] - finals[2])
         assert 3.5 < e2 / e1 < 4.5
-
-    def test_midpoint_alignment_required(self):
-        traj = klein_traj(T=2.0, dt=0.005)
-        for dt in (0.0, 0.005, 0.013):
-            with pytest.raises(ValidationError):
-                evolve(UP, constant_model(), traj, dt)
 
     def test_psi0_validation(self):
         traj = klein_traj(T=1.0, dt=0.005)
@@ -121,25 +115,21 @@ class TestEvolve:
         with pytest.raises(ValidationError):
             evolve(2.0 * UP, constant_model(), traj)
 
-    def test_auto_refine_takes_coarse_requests_down(self):
-        from geodrive.models import klein_qubit
-
-        model = klein_qubit(0.5)
-        traj = klein_traj(T=30.0, dt=0.005, omega=(0.4, 0.65))
-        res = evolve(UP, model, traj, 0.8)
-        assert res.dt < 0.8
-        ref = evolve(UP, model, traj, 0.01)
-        # sampled at half the step, so the 0.8 request is taken as it is
-        coarse = evolve(UP, model, klein_traj(T=30.0, dt=0.4,
-                                              omega=(0.4, 0.65)), 0.8)
-        assert (np.linalg.norm(res.states[-1] - ref.states[-1])
-                < np.linalg.norm(coarse.states[-1] - ref.states[-1]))
-
-    def test_k1_request_is_honoured(self):
-        traj = klein_traj(T=5.0, dt=0.25)
-        res = evolve(UP, constant_model(), traj, 0.5)
+    def test_steps_at_twice_the_spacing(self):
+        # 22 samples: 10 steps over the even samples 0..20, the last left out
+        traj = klein_traj(T=5.25, dt=0.25)
+        assert len(traj.t) == 22
+        res = evolve(UP, constant_model(), traj)
         assert res.dt == 0.5
-        assert_allclose(np.diff(res.t), 0.5)
+        assert len(res.states) == 11
+        assert np.array_equal(res.t, traj.t[:21:2])
+        assert_allclose(res.states[-1], np.exp(-5.0j) * UP, atol=1e-12)
+
+    def test_two_samples_are_too_short(self):
+        traj = klein_traj(T=0.25, dt=0.25)
+        assert len(traj.t) == 2
+        with pytest.raises(ValidationError, match="too short"):
+            evolve(UP, constant_model(), traj)
 
     def test_two_level_fast_path_matches_spectral(self):
         # same physics through the generic eigendecomposition route
@@ -259,9 +249,8 @@ class TestCounterdiabaticTerm:
         model = klein_qubit(2.0)
         traj = klein_traj(T=20.0, dt=0.005, omega=(0.9, 1.3))
         track = track_band(model, traj.subsample(2), 1)
-        with_cd = evolve(track.states[0], model, traj, 0.01,
-                         counterdiabatic_band=1)
-        without = evolve(track.states[0], model, traj, 0.01)
+        with_cd = evolve(track.states[0], model, traj, counterdiabatic_band=1)
+        without = evolve(track.states[0], model, traj)
         f_cd = fidelity(with_cd.states, track.states)
         f_plain = fidelity(without.states, track.states)
         assert f_cd.min() > 1.0 - 1e-6

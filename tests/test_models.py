@@ -230,24 +230,17 @@ class TestParentHamiltonian:
         with pytest.raises(ValidationError):
             ParentHamiltonian("empty", "torus", 2)
 
-    def test_single_point_fallback(self):
-        model = ParentHamiltonian(
-            "single", "torus", 2,
-            evaluate=lambda th: pauli_hamiltonian([0.0, 0.0, th[0]], 0.0))
-        H = model.evaluate_many(np.array([[0.5, 0.0], [1.5, 0.0]]))
-        assert_allclose(H[:, 0, 0].real, [0.5, 1.5])
-
     def test_hermiticity_enforced(self):
         model = ParentHamiltonian(
             "broken", "torus", 2,
-            evaluate=lambda th: np.array([[0.0, 1.0], [0.5, 0.0]]))
+            evaluate_many=lambda th: np.array([[[0.0, 1.0], [0.5, 0.0]]]))
         with pytest.raises(ValidationError):
             model.evaluate((0.0, 0.0))
 
     def test_missing_d_field(self):
         model = ParentHamiltonian(
             "plain", "torus", 2,
-            evaluate=lambda th: np.eye(2, dtype=complex))
+            evaluate_many=lambda th: np.eye(2, dtype=complex)[None])
         assert not model.has_d_field
         with pytest.raises(ValidationError):
             model.d_field(np.zeros((1, 2)))
@@ -256,7 +249,7 @@ class TestParentHamiltonian:
         with pytest.raises(ValidationError, match="dim = 2"):
             ParentHamiltonian(
                 "three", "klein", 3,
-                evaluate=lambda th: np.eye(3, dtype=complex),
+                evaluate_many=lambda th: np.eye(3, dtype=complex)[None],
                 d_field=klein_m2.d_field, d_gradient=klein_m2.d_gradient)
         assert klein_m2.has_d_field
 
@@ -271,7 +264,7 @@ class TestGradH:
     def test_finite_difference_matches_analytic(self, klein_m2):
         # strip the gradient to force the FD path
         fd_model = ParentHamiltonian(
-            "klein_fd", "klein", 2, evaluate=klein_m2.evaluate,
+            "klein_fd", "klein", 2, evaluate_many=klein_m2.evaluate_many,
             global_chart=True)
         th = (0.9, -1.7)
         assert_allclose(grad_H(fd_model, th), grad_H(klein_m2, th),
@@ -283,24 +276,25 @@ class TestGradH:
         base = klein_qubit(2.0)
 
         def strict(theta):
-            x, y = theta
-            assert -math.pi <= x <= math.pi and -math.pi <= y <= 0
-            return base.evaluate(theta)
+            x, y = theta[:, 0], theta[:, 1]
+            assert np.all((-math.pi <= x) & (x <= math.pi)
+                          & (-math.pi <= y) & (y <= 0))
+            return base.evaluate_many(theta)
 
-        model = ParentHamiltonian("strict", "klein", 2, evaluate=strict)
+        model = ParentHamiltonian("strict", "klein", 2, evaluate_many=strict)
         g = grad_H(model, (math.pi, -0.5))
         assert_allclose(g, grad_H(base, (math.pi, -0.5)), atol=1e-7)
 
     def test_bolza_frozen_region_gradient_zero(self, meron):
         fd_model = ParentHamiltonian(
-            "meron_fd", "bolza", 2, evaluate=meron.evaluate,
+            "meron_fd", "bolza", 2, evaluate_many=meron.evaluate_many,
             global_chart=True, compact_support=0.6)
         g = grad_H(fd_model, 0.8 + 0j)
         assert np.abs(g).max() < 1e-11
 
     def test_bolza_stencil_must_stay_in_disk(self, meron):
         fd_model = ParentHamiltonian(
-            "meron_fd", "bolza", 2, evaluate=meron.evaluate,
+            "meron_fd", "bolza", 2, evaluate_many=meron.evaluate_many,
             global_chart=True)
         with pytest.raises(ValidationError):
             grad_H(fd_model, 0.999999 + 0j)

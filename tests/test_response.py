@@ -214,15 +214,14 @@ def in_memory(model, manifold, n_steps, lam=None, omega=None,
     traj = trajectory(spec)
     pts = traj.z if manifold == "bolza" else traj.theta
     psi0 = eigensystem(model.evaluate(pts[0])).states[:, 1]
-    result = evolve(psi0, model, traj, DT,
+    result = evolve(psi0, model, traj,
                     counterdiabatic_band=1 if counterdiabatic else None)
     pb = pts[::2]
     if manifold == "bolza":
         normalization, p = lam ** 2, traj.p[::2]
         if counterdiabatic:
             values, _ = _expectation_values(
-                result.states, lambda sl: observable_cd(
-                    model, pb[sl], p[sl], 1, GAP_THRESHOLD), len(pb))
+                result.states, observable_cd(model, pb, p, 1, GAP_THRESHOLD))
         else:
             values, _ = _gradient_expectations(model, result.states, pb,
                                                _hdqs_weights(pb, p))

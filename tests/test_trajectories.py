@@ -23,7 +23,6 @@ from geodrive.trajectories import (
     klein_lift_project,
     rp2_geodesic,
     rp2_lift_project,
-    torus_geodesic,
     trajectory,
     unit_geodesic_from_origin,
 )
@@ -333,8 +332,11 @@ def _in_rp2_domain(theta):
 
 class TestFlatGeodesics:
     def test_torus_wraps(self):
-        theta = torus_geodesic((0.5, 1.0), (1.0, 2.0), TWO_PI)
-        assert_allclose(theta, [0.5, 1.0], atol=1e-12)
+        spec = GeodesicSpec(manifold="torus", T=TWO_PI, dt=TWO_PI / 4,
+                            theta0=(0.5, 1.0), omega=(1.0, 2.0))
+        traj = flat_trajectory(spec)
+        assert_allclose(traj.theta[-1], [0.5, 1.0], atol=1e-12)
+        assert traj.crossings[-1].tolist() == [1, 2]
 
     def test_klein_matches_lift_project(self):
         theta0, omega = (0.7, -1.1), (1.0, 0.618)
