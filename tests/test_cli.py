@@ -468,13 +468,7 @@ class TestRunKinds:
             math.pi / 2)
         assert os.path.exists(prefix + "curvature.csv")
 
-    @pytest.mark.parametrize("manifold, model, drive", [
-        ("klein", {"name": "klein_qubit", "m": 2.0},
-         {"omega": [0.2, 0.31], "theta0": [-math.pi, -math.pi]}),
-        ("bolza", {"name": "bolza_qubit", "epsilon": 0.5},
-         {"lambda": 0.05, "direction": 0.4}),
-    ])
-    def test_evolve(self, tmp_path, manifold, model, drive):
+    def check_evolve(self, tmp_path, manifold, model, drive):
         prefix = str(tmp_path / "ev_")
         cfg = {"kind": "evolve", "manifold": manifold, "model": model,
                "drive": dict(drive, T=10.0, dt=0.02),
@@ -486,6 +480,17 @@ class TestRunKinds:
         assert 0.0 < summary["min_fidelity"] <= 1.0
         header = open(prefix + "evolve.csv").readline().strip()
         assert header == "t,norm,fidelity"
+
+    def test_evolve_klein(self, tmp_path):
+        self.check_evolve(tmp_path, "klein",
+                          {"name": "klein_qubit", "m": 2.0},
+                          {"omega": [0.2, 0.31],
+                           "theta0": [-math.pi, -math.pi]})
+
+    def test_evolve_bolza(self, tmp_path):
+        self.check_evolve(tmp_path, "bolza",
+                          {"name": "bolza_qubit", "epsilon": 0.5},
+                          {"lambda": 0.05, "direction": 0.4})
 
     def test_response_klein(self, tmp_path):
         prefix = str(tmp_path / "resp_")

@@ -115,6 +115,13 @@ class TestEvolve:
         with pytest.raises(ValidationError):
             evolve(2.0 * UP, constant_model(), traj)
 
+    def test_k1_request_is_honoured(self):
+        # 21 samples: every step takes the one midpoint between two samples
+        traj = klein_traj(T=5.0, dt=0.25)
+        res = evolve(UP, constant_model(), traj)
+        assert res.dt == 0.5
+        assert_allclose(np.diff(res.t), 0.5)
+
     def test_steps_at_twice_the_spacing(self):
         # 22 samples: 10 steps over the even samples 0..20, the last left out
         traj = klein_traj(T=5.25, dt=0.25)
