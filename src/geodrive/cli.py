@@ -770,7 +770,8 @@ def run_preset(name, out=None, jobs=1):
 
 
 # --------------------------------------------------------------------------
-# commands
+# commands: each returns its exit status and the lines it reports on stdout,
+# which main prints, so that the status is settled before any output
 
 
 def _load_valid_config(path):
@@ -790,13 +791,13 @@ def _load_valid_config(path):
 def cmd_run(args):
     cfg = _load_valid_config(args.config)
     if cfg is None:
-        return 2
+        return 2, []
     t0 = time.perf_counter()
     try:
         files, summary = execute(cfg)
     except GeodriveError as err:
         print(f"runtime error: {err}", file=sys.stderr)
-        return 3
+        return 3, []
     prefix = cfg["output"]["prefix"]
     manifest_path = _write_manifest(prefix + "manifest.json", {
         "config": cfg,
@@ -805,34 +806,33 @@ def cmd_run(args):
         "files": files,
         "summary": summary,
     })
-    print(f"wrote {len(files)} file(s) and {manifest_path}")
-    for key, value in summary.items():
-        print(f"  {key}: {value}")
-    return 0
+    return 0, [f"wrote {len(files)} file(s) and {manifest_path}",
+               *(f"  {key}: {value}" for key, value in summary.items())]
 
 
 def cmd_validate(args):
     cfg = _load_valid_config(args.config)
     if cfg is None:
-        return 2
+        return 2, []
     kind, manifold = cfg["kind"], cfg["manifold"]
     numerics = cfg.get("numerics", {})
-    print(f"config OK: kind={kind} manifold={manifold}")
+    lines = [f"config OK: kind={kind} manifold={manifold}"]
     if kind != "invariant":
         spec = _drive(cfg)
         # evolve and response take steps of twice the sample spacing
         half = kind in ("evolve", "response")
         steps, dt = ((spec.n_steps // 2, 2 * spec.dt) if half
                      else (spec.n_steps, spec.dt))
-        print(f"  steps: {steps} (dt = {dt:g}), "
-              f"trajectory samples: {spec.n_steps + 1}")
+        lines.append(f"  steps: {steps} (dt = {dt:g}), "
+                     f"trajectory samples: {spec.n_steps + 1}")
         if manifold == "bolza":
             arc = spec.speed * spec.n_steps * spec.dt
             digits = spec.digits or default_digits(arc)
-            print(f"  precision digits: {digits} (arc length {arc:g})")
+            lines.append(f"  precision digits: {digits} "
+                         f"(arc length {arc:g})")
     if "grid" in numerics:
-        print(f"  grid: {numerics['grid']}")
-    return 0
+        lines.append(f"  grid: {numerics['grid']}")
+    return 0, lines
 
 
 def cmd_preset(args):
@@ -840,18 +840,18 @@ def cmd_preset(args):
         path, manifest = run_preset(args.name, out=args.out, jobs=args.jobs)
     except ValidationError as err:
         print(f"config error: {err}", file=sys.stderr)
-        return 2
+        return 2, []
     except GeodriveError as err:
         print(f"runtime error: {err}", file=sys.stderr)
-        return 3
-    print(f"preset {args.name}: {len(manifest['files'])} file(s), "
-          f"manifest {path}")
+        return 3, []
     rows = manifest["summary"]["comparisons"]
+    lines = [f"preset {args.name}: {len(manifest['files'])} file(s), "
+             f"manifest {path}"]
     for row in rows:
         status = "ok" if row["within_tolerance"] else "OFF TARGET"
-        print(f"  {row['label']}: value {row['value']:.6g} "
-              f"target {row['target']:.6g}  {status}")
-    return 0 if all(row["within_tolerance"] for row in rows) else 4
+        lines.append(f"  {row['label']}: value {row['value']:.6g} "
+                     f"target {row['target']:.6g}  {status}")
+    return (0 if all(row["within_tolerance"] for row in rows) else 4), lines
 
 
 # built once per process: main runs once per config when callers such as
@@ -878,11 +878,18 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "validate":
-        return cmd_validate(args)
-    return cmd_preset(args)
+    command = {"run": cmd_run, "validate": cmd_validate,
+               "preset": cmd_preset}[args.command]
+    status, lines = command(args)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early, which is not an error of the
+        # command; stdout goes to devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

@@ -41,8 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import DegeneracyError, ValidationError
-from .models import GAP_THRESHOLD, band_gap, bloch_vector, eig_many
+from . import ValidationError
+from .models import (GAP_THRESHOLD, band_gap, bloch_vector, eig_many,
+                     require_gap)
 
 NORM_TOL = 1e-10
 # steps per window of the response pipelines and per vectorized block of
@@ -90,11 +91,8 @@ def _eig_chunked(model, pts, bands=None):
 
 def _gap_guard(trajectory, energies, band, threshold):
     gap, k, b = band_gap(energies, band)
-    if gap <= threshold:
-        raise DegeneracyError(
-            f"band gap ({band},{b}) = {gap:.2e} at t = "
-            f"{trajectory.t[k]:.6g} (sample {k}) is at or below "
-            f"threshold {threshold:g}")
+    require_gap(gap, threshold, f"bands ({band},{b}) at t = "
+                f"{trajectory.t[k]:.6g} (sample {k})")
     return gap
 
 
@@ -229,14 +227,12 @@ def counterdiabatic_term(model, pts, vel, band, threshold):
     gradients.  V alone is not Hermitian; V^dagger annihilates band-n
     states, so V + V^dagger drives band n identically while being a
     legitimate Hamiltonian term, and that is what is returned.  Raises
-    DegeneracyError where the band's gap is at or below threshold.
+    DegeneracyError where the band's gap is not above threshold.
     """
     energies, vecs = _eig_chunked(model, pts)
     gap, k, b = band_gap(energies, band)
-    if gap <= threshold:
-        raise DegeneracyError(
-            f"counterdiabatic term near-degenerate: gap ({band},{b}) = "
-            f"{gap:.2e} at sample {k}")
+    require_gap(gap, threshold,
+                f"counterdiabatic term, bands ({band},{b}) at sample {k}")
     grads = model.gradient_many(pts)
     dtH = (vel[:, 0, None, None] * grads[:, 0]
            + vel[:, 1, None, None] * grads[:, 1])

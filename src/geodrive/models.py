@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ValidationError
+from . import DegeneracyError, ValidationError
 from .hyperbolic import FundamentalOctagon, in_fundamental_domain
-from .trajectories import MANIFOLDS, klein_lift_project, rp2_lift_project
+from .trajectories import (FLAT_DOMAINS, MANIFOLDS, klein_lift_project,
+                           rp2_lift_project)
 
 HERMITICITY_TOL = 1e-12
 # smallest band gap that gap checks accept, unless a caller passes its own
@@ -393,8 +394,8 @@ def eig_many(H, points=None):
 def _fold_flat(manifold, theta):
     # map an arbitrary lifted point into the fundamental domain
     if manifold == "torus":
-        return np.mod(np.asarray(theta, dtype=float) + math.pi,
-                      2 * math.pi) - math.pi
+        lo, hi = np.array(FLAT_DOMAINS["torus"]).T
+        return lo + np.mod(np.asarray(theta, dtype=float) - lo, hi - lo)
     if manifold == "klein":
         return klein_lift_project(theta, (0.0, 0.0), 0.0)
     return rp2_lift_project(theta, (0.0, 0.0), 0.0)
@@ -454,6 +455,16 @@ def band_gap(energies, band):
     return best
 
 
+def require_gap(gap, threshold, where):
+    """Raise DegeneracyError unless gap > threshold, so a NaN gap fails too.
+
+    where names the gap in the message, e.g. "bands (1,0) at sample 12".
+    """
+    if not gap > threshold:
+        raise DegeneracyError(
+            f"{where}: gap {gap:.2e} is not above the threshold {threshold:g}")
+
+
 @dataclass
 class GapReport:
     """Adjacent-band gap minima over a sampling grid."""
@@ -475,6 +486,13 @@ def _rect_grid(xs, ys):
     return np.stack([gx.ravel(), gy.ravel()], axis=-1)
 
 
+def _box_grid(manifold, nx, ny):
+    # nx x ny nodes over a flat manifold's FLAT_DOMAINS box, edges included
+    (x_lo, x_hi), (y_lo, y_hi) = FLAT_DOMAINS[manifold]
+    return _rect_grid(np.linspace(x_lo, x_hi, nx),
+                      np.linspace(y_lo, y_hi, ny))
+
+
 def _gap_grid(manifold, grid):
     # odd point counts so the symmetric critical points (0, -pi/2), (pi/2,
     # pi/2), ... land exactly on a node
@@ -488,16 +506,7 @@ def _gap_grid(manifold, grid):
             pts = _rect_grid(xs, np.linspace(-0.84, 0.84, ny))
             z = pts[:, 0] + 1j * pts[:, 1]
             return z[np.abs(z) <= 0.84], (nx, ny)
-        if manifold == "torus":
-            xs = np.linspace(-math.pi, math.pi, nx)
-            ys = np.linspace(-math.pi, math.pi, ny)
-        elif manifold == "klein":
-            xs = np.linspace(-math.pi, math.pi, nx)
-            ys = np.linspace(-math.pi, 0.0, ny)
-        else:
-            xs = np.linspace(0.0, math.pi, nx)
-            ys = np.linspace(0.0, math.pi, ny)
-        return _rect_grid(xs, ys), (nx, ny)
+        return _box_grid(manifold, nx, ny), (nx, ny)
     pts = np.asarray(grid)
     return pts, (len(pts),)
 
@@ -517,8 +526,8 @@ def gap_report(model, grid=None, threshold=GAP_THRESHOLD):
     """Scan adjacent-band gaps of a model over a grid.
 
     grid can be None (manifold default), an (nx, ny) tuple, or an explicit
-    array of points.  The fully_gapped flag is what the response and
-    topology routines check before trusting adiabatic band data.
+    array of points.  The response and topology routines pass the smallest
+    of min_gaps to require_gap before trusting adiabatic band data.
     """
     pts, shape = _gap_grid(model.manifold, grid)
     if len(pts) == 0:
@@ -545,8 +554,7 @@ def mirror_symmetry_residual(model, resolution=(64, 33), u=None,
     returns (residual, theta_at_max) instead of the bare number.
     """
     U = PAULI[2] if u is None else np.asarray(u, dtype=complex)
-    pts = _rect_grid(np.linspace(-math.pi, math.pi, resolution[0]),
-                     np.linspace(-math.pi, 0.0, resolution[1]))
+    pts = _box_grid("klein", *resolution)
     H = model.evaluate_many(pts)
     Hm = model.evaluate_many(pts * (1.0, -1.0))
     res = np.abs(U @ Hm @ U.conj().T - H).max(axis=(-1, -2))
@@ -566,8 +574,7 @@ def s_symmetry_residual(model, resolution=(64, 64), u=None, with_point=False):
         U = np.diag([np.exp(-1j * math.pi / 4), np.exp(1j * math.pi / 4)])
     else:
         U = np.asarray(u, dtype=complex)
-    pts = _rect_grid(np.linspace(0.0, math.pi, resolution[0]),
-                     np.linspace(0.0, math.pi, resolution[1]))
+    pts = _box_grid("rp2", *resolution)
     turned = np.stack([pts[:, 1], -pts[:, 0] + math.pi], axis=-1)
     H = model.evaluate_many(pts)
     Ht = model.evaluate_many(turned)

@@ -37,10 +37,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import DegeneracyError, ValidationError
+from . import ValidationError
 from .evolution import _CHUNK, _cumtrapz, counterdiabatic_term, evolve
-from .models import GAP_THRESHOLD, eigensystem, gap_report
-from .trajectories import GeodesicSpec, flat_trajectory, trajectory
+from .models import GAP_THRESHOLD, eigensystem, gap_report, require_gap
+from .trajectories import (FLAT_DOMAINS, GeodesicSpec, flat_trajectory,
+                           trajectory)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 IMAG_TOL = 1e-9
@@ -60,17 +61,10 @@ class ResponseCurve:
     values: np.ndarray
     expectation: np.ndarray
     normalization: float
-    target: float = None
 
     @property
     def final_value(self):
         return float(self.values[-1])
-
-    @property
-    def abs_error(self):
-        if self.target is None:
-            return None
-        return abs(self.final_value - self.target)
 
 
 @dataclass
@@ -115,7 +109,7 @@ class ResponseRun:
         return self.stats["min_gap"]
 
 
-def running_average(series, normalization, target=None):
+def running_average(series, normalization):
     """Cumulative trapezoid of a series divided by normalization * T.
 
     The value at horizon T uses exactly the samples with t <= T; a t = 0
@@ -131,7 +125,7 @@ def running_average(series, normalization, target=None):
     return ResponseCurve(
         T=t[keep], values=integral[keep] / (normalization * t[keep]),
         expectation=np.asarray(series.values)[keep],
-        normalization=normalization, target=target)
+        normalization=normalization)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +150,14 @@ def _hdqs_weights(z, p):
     return np.stack([w * p.imag, -(w * p.real)], axis=-1)
 
 
-def _x_weights(c):
-    # observables of the flat drives use the theta_x gradient only
+def _flat_weights(manifold, theta, vy):
+    """Weights (c, 0) of the flat observables O = c d_{theta_x} H.
+
+    c = vy theta_y on the Klein bottle and vy theta_x theta_y on RP2, with
+    vy the signed dtheta_y/dt of FlatTrajectory.velocities (or a scalar).
+    """
+    c = vy * theta[:, 1] if manifold == "klein" \
+        else vy * theta[:, 0] * theta[:, 1]
     return np.stack([c, np.zeros_like(c)], axis=-1)
 
 
@@ -188,18 +188,18 @@ def observable_cd(model, z, p, band, threshold):
 
 def observable_klein(model, theta, omega_y):
     """O = omega_y theta_y d_{theta_x} H at Klein samples."""
-    return _contract(_x_weights(omega_y * theta[:, 1]),
+    return _contract(_flat_weights("klein", theta, omega_y),
                      model.gradient_many(theta))
 
 
 def observable_rp2(model, theta, vy):
     """O = omega_y(t) theta_x theta_y d_{theta_x} H at RP2 samples.
 
-    vy holds the signed instantaneous dtheta_y/dt at each sample.  Only its
-    sign varies, so omega_y(t)^2 = omega_y^2 identically (the mu
-    normalization constant).
+    vy holds the signed dtheta_y/dt at each sample, the second column of
+    FlatTrajectory.velocities.  Only its sign varies, so omega_y(t)^2 =
+    omega_y^2 identically (the mu normalization constant).
     """
-    return _contract(_x_weights(vy * theta[:, 0] * theta[:, 1]),
+    return _contract(_flat_weights("rp2", theta, vy),
                      model.gradient_many(theta))
 
 
@@ -214,8 +214,8 @@ def _band_state_at(model, point, band):
 
 def _require_gapped(model, threshold):
     report = gap_report(model, threshold=threshold)
-    if not report.fully_gapped:
-        raise DegeneracyError(f"model is not fully gapped: {report}")
+    require_gap(report.min_gaps.min(), threshold,
+                f"gap scan of {model.name} ({report})")
 
 
 def _expectation_values(states, matrices):
@@ -258,9 +258,9 @@ def drive_spec(manifold, T=None, dt=0.01, lam=0.05, z0=0j,
     and theta0.  Defaults follow the reference runs: a lam = 0.05 Bolza
     drive from the origin in direction pi/9 over T = 2000; flat drives at
     omega_x = 0.02, omega_y = golden ratio * omega_x over omega_x T = 400,
-    from the domain corner (-pi, -pi) on the Klein bottle and from (0, 0)
-    on RP2.  Without T the horizon is omega_x T = 400, so omega_x must then
-    be positive.
+    from the (x_lo, y_lo) corner of the manifold's FLAT_DOMAINS box,
+    (-pi, -pi) on the Klein bottle and (0, 0) on RP2.  Without T the
+    horizon is omega_x T = 400, so omega_x must then be positive.
     """
     if manifold == "bolza":
         return GeodesicSpec(manifold=manifold,
@@ -271,7 +271,8 @@ def drive_spec(manifold, T=None, dt=0.01, lam=0.05, z0=0j,
         raise ValidationError(
             "omega_x must be positive when T is not given", param="omega")
     if theta0 is None:
-        theta0 = (-math.pi, -math.pi) if manifold == "klein" else (0.0, 0.0)
+        (x_lo, _), (y_lo, _) = FLAT_DOMAINS[manifold]
+        theta0 = (x_lo, y_lo)
     return GeodesicSpec(manifold=manifold,
                         T=400.0 / omega[0] if T is None else T, dt=dt / 2,
                         theta0=theta0, omega=omega)
@@ -282,7 +283,7 @@ def _nbytes(*records):
                if isinstance(a, np.ndarray))
 
 
-def _stream(model, psi0, n_samples, window, observe, normalization, target,
+def _stream(model, psi0, n_samples, window, observe, normalization,
             evolve_args):
     """The window loop shared by the pipelines.
 
@@ -336,11 +337,11 @@ def _stream(model, psi0, n_samples, window, observe, normalization, target,
         stats["min_gap"], stats["min_gap_t"] = gap
     series = ObservableSeries(t, values)
     curve = ResponseCurve(T=t[1:], values=average[1:], expectation=values[1:],
-                          normalization=normalization, target=target)
+                          normalization=normalization)
     return curve, series, stats
 
 
-def run_hdqs(model, band=1, counterdiabatic=False, target=None,
+def run_hdqs(model, band=1, counterdiabatic=False,
              gap_threshold=GAP_THRESHOLD, **drive):
     """Hyperbolically driven response w(T) (or w_CD with counterdiabatic).
 
@@ -372,7 +373,7 @@ def run_hdqs(model, band=1, counterdiabatic=False, target=None,
 
     curve, series, stats = _stream(
         model, _band_state_at(model, traj.z[0], band), len(traj.t), window,
-        observe, spec.speed ** 2, target,
+        observe, spec.speed ** 2,
         {"counterdiabatic_band": band if counterdiabatic else None,
          "gap_threshold": gap_threshold})
     stats["trajectory_s"] += trajectory_s
@@ -380,46 +381,47 @@ def run_hdqs(model, band=1, counterdiabatic=False, target=None,
                        stats=stats, propagation=traj.stats)
 
 
-def _run_flat(model, manifold, band, target, gap_threshold, drive):
+def _run_flat(model, manifold, band, gap_threshold, drive):
+    """The Klein or RP2 response along drive_spec(manifold, **drive).
+
+    Each window weighs d_{theta_x} H at its even samples with
+    _flat_weights, vy taken from the window's velocities; the running
+    average is normalized by omega_y^2 / pi.
+    """
     if model.manifold != manifold:
         raise ValidationError(f"model lives on {model.manifold}, "
                               f"pipeline expects {manifold}")
     _require_gapped(model, gap_threshold)
     spec = drive_spec(manifold, **drive)
-    omega_y = spec.omega[1]
     window = functools.partial(flat_trajectory, spec)
 
     def observe(w, states):
         thb = w.theta[::2]
-        if manifold == "rp2":
-            weight = w.velocities()[::2, 1] * thb[:, 0] * thb[:, 1]
-        else:
-            weight = omega_y * thb[:, 1]
-        return _gradient_expectations(model, states, thb, _x_weights(weight))
+        return _gradient_expectations(
+            model, states, thb,
+            _flat_weights(manifold, thb, w.velocities()[::2, 1]))
 
     psi0 = _band_state_at(model, window(0, 1).theta[0], band)
     curve, series, stats = _stream(
         model, psi0, spec.n_steps + 1, window, observe,
-        omega_y ** 2 / math.pi, target, {"gap_threshold": gap_threshold})
+        spec.omega[1] ** 2 / math.pi, {"gap_threshold": gap_threshold})
     return ResponseRun(curve=curve, series=series, band=band, spec=spec,
                        stats=stats)
 
 
-def run_klein(model, band=1, target=None, gap_threshold=GAP_THRESHOLD,
-              **drive):
+def run_klein(model, band=1, gap_threshold=GAP_THRESHOLD, **drive):
     """Klein-bottle response nu(T) = (pi / omega_y^2 T) integral <O> dt.
 
     Converges (in absolute value) to the dipolar Chern number |D_y| of the
     band for incommensurate frequencies; the drive is the one
     drive_spec("klein", **drive) builds.
     """
-    return _run_flat(model, "klein", band, target, gap_threshold, drive)
+    return _run_flat(model, "klein", band, gap_threshold, drive)
 
 
-def run_rp2(model, band=1, target=None, gap_threshold=GAP_THRESHOLD,
-            **drive):
+def run_rp2(model, band=1, gap_threshold=GAP_THRESHOLD, **drive):
     """Projective-plane response mu(T), converging to the quadrupole Q_xy.
 
     The drive is the one drive_spec("rp2", **drive) builds.
     """
-    return _run_flat(model, "rp2", band, target, gap_threshold, drive)
+    return _run_flat(model, "rp2", band, gap_threshold, drive)

@@ -24,9 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import DegeneracyError, ResolutionError, ValidationError
+from . import ResolutionError, ValidationError
 from .models import (GAP_THRESHOLD, band_gap, eig_many, gap_report,
-                     mirror_symmetry_residual, s_symmetry_residual)
+                     mirror_symmetry_residual, require_gap,
+                     s_symmetry_residual)
+from .trajectories import FLAT_DOMAINS
 
 SYMMETRY_TOL = 1e-8
 OVERLAP_FLOOR = 1e-6
@@ -206,13 +208,6 @@ class InvariantResult:
                 f" {self.residue:.2e})")
 
 
-def _require_gap(gap, band, threshold):
-    if gap <= threshold:
-        raise DegeneracyError(
-            f"band {band} gap {gap:.2e} at or below threshold "
-            f"{threshold:g} on the invariant grid")
-
-
 def _band_field(model, pts, shape, band, threshold, spacing, origin,
                 wrap_x=False):
     """Plaquette curvature of one band over a node grid of the given shape.
@@ -222,14 +217,15 @@ def _band_field(model, pts, shape, band, threshold, spacing, origin,
     """
     if band < 0 or band >= model.dim:
         raise ValidationError(f"band index {band} out of range")
+    where = f"band {band} on the invariant grid"
     if model.has_d_field:
         d = model.d_field(pts)
         r = np.linalg.norm(d, axis=-1)
-        _require_gap(2.0 * r.min(), band, threshold)
+        require_gap(2.0 * r.min(), threshold, where)
         return curvature_solid_angle((d / r[:, None]).reshape(shape + (3,)),
                                      spacing, origin, band, wrap_x)
     energies, vecs, _ = eig_many(model.evaluate_many(pts))
-    _require_gap(band_gap(energies, band)[0], band, threshold)
+    require_gap(band_gap(energies, band)[0], threshold, where)
     return curvature_plaquette(
         vecs[:, :, band].reshape(shape + (model.dim,)), spacing, origin,
         band, wrap_x=wrap_x)
@@ -266,8 +262,9 @@ def chern_bolza(model, band=1, resolution=200, radius=0.62,
     if model.manifold != "bolza":
         raise ValidationError("chern_bolza expects a disk model")
     check_radius(model, radius)
-    if not gap_report(model, threshold=gap_threshold).fully_gapped:
-        raise DegeneracyError("model is not fully gapped")
+    report = gap_report(model, threshold=gap_threshold)
+    require_gap(report.min_gaps.min(), gap_threshold,
+                f"gap scan of {model.name} ({report})")
     nodes = np.linspace(-radius, radius, resolution + 1)
     h = nodes[1] - nodes[0]
     zg = nodes[:, None] + 1j * nodes[None, :]
@@ -297,13 +294,13 @@ def dipolar_chern(model, band=1, resolution=(400, 200),
             f"y-mirror symmetry violated: residual {res:.2e} at theta = "
             f"({worst[0]:.4f}, {worst[1]:.4f})")
     nx, ny = resolution
-    xs = -math.pi + (2 * math.pi / nx) * np.arange(nx)
-    ys = np.linspace(-math.pi, 0.0, ny + 1)
-    hx, hy = 2 * math.pi / nx, math.pi / ny
+    (x_lo, x_hi), (y_lo, y_hi) = FLAT_DOMAINS["klein"]
+    hx, hy = (x_hi - x_lo) / nx, (y_hi - y_lo) / ny
+    xs = x_lo + hx * np.arange(nx)
+    ys = np.linspace(y_lo, y_hi, ny + 1)
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
     field = _band_field(model, pts.reshape(-1, 2), (nx, ny + 1), band,
-                        gap_threshold, (hx, hy), (-math.pi, -math.pi),
-                        wrap_x=True)
+                        gap_threshold, (hx, hy), (x_lo, y_lo), wrap_x=True)
     phases = field.omega * hx * hy
     value = (phases * field.x2[None, :]).sum() / (2 * math.pi)
     result = InvariantResult.quantize(value, math.pi / 2, (nx, ny))
@@ -328,12 +325,13 @@ def quadrupole_chern(model, band=1, resolution=(200, 200),
             f"S symmetry violated: residual {res:.2e} at theta = "
             f"({worst[0]:.4f}, {worst[1]:.4f})")
     nx, ny = resolution
-    xs = np.linspace(0.0, math.pi, nx + 1)
-    ys = np.linspace(0.0, math.pi, ny + 1)
-    hx, hy = math.pi / nx, math.pi / ny
+    (x_lo, x_hi), (y_lo, y_hi) = FLAT_DOMAINS["rp2"]
+    hx, hy = (x_hi - x_lo) / nx, (y_hi - y_lo) / ny
+    xs = np.linspace(x_lo, x_hi, nx + 1)
+    ys = np.linspace(y_lo, y_hi, ny + 1)
     pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
     field = _band_field(model, pts.reshape(-1, 2), (nx + 1, ny + 1), band,
-                        gap_threshold, (hx, hy), (0.0, 0.0))
+                        gap_threshold, (hx, hy), (x_lo, y_lo))
     phases = field.omega * hx * hy
     value = (phases * field.x1[:, None] * field.x2[None, :]).sum() / math.pi
     result = InvariantResult.quantize(value, math.pi ** 2 / 2, (nx, ny))

@@ -22,8 +22,13 @@ cancels catastrophically, while the evolved v stays fully accurate, which
 is what makes long-horizon energy-drift checks meaningful.
 
 Flat-manifold geodesics (torus, Klein bottle, real projective plane) use
-the wrapped closed formulas directly; lift-and-project companions apply
-the deck transformations literally and serve as oracles for them.
+the wrapped closed formulas directly.  FLAT_DOMAINS is the one table of
+their fundamental boxes: starts are checked against it, and the gap grids,
+symmetry residuals, invariant grids and default drive starts downstream
+read it.  FlatTrajectory.velocities is the one statement of the sign rule
+of the wrapped velocities.  Lift-and-project companions apply the deck
+transformations literally, with boxes of their own, and serve as
+independent oracles for the closed formulas.
 """
 
 import cmath
@@ -41,6 +46,15 @@ from .hyperbolic import MobiusMap, bolza_group
 TWO_PI = 2 * math.pi
 
 MANIFOLDS = ("bolza", "torus", "klein", "rp2")
+
+# ((x_lo, x_hi), (y_lo, y_hi)) of each flat manifold's fundamental box.  The
+# torus box is the one its gap grid scans; torus starts are not checked
+# against it, since any start wraps
+FLAT_DOMAINS = {
+    "torus": ((-math.pi, math.pi), (-math.pi, math.pi)),
+    "klein": ((-math.pi, math.pi), (-math.pi, 0.0)),
+    "rp2": ((0.0, math.pi), (0.0, math.pi)),
+}
 
 # --------------------------------------------------------------------------
 # precision rule
@@ -115,17 +129,14 @@ class GeodesicSpec:
 
 
 def _check_domain(manifold, theta):
+    if manifold == "torus":
+        return
+    (x_lo, x_hi), (y_lo, y_hi) = FLAT_DOMAINS[manifold]
     x, y = theta
-    if manifold == "klein":
-        if not (-math.pi <= x <= math.pi and -math.pi <= y <= 0):
-            raise ValidationError(
-                f"theta0 {theta} outside the Klein domain [-pi,pi]x[-pi,0]",
-                param="theta0")
-    elif manifold == "rp2":
-        if not (0 <= x <= math.pi and 0 <= y <= math.pi):
-            raise ValidationError(
-                f"theta0 {theta} outside the RP2 domain [0,pi]^2",
-                param="theta0")
+    if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
+        raise ValidationError(
+            f"theta0 {theta} outside the {manifold} domain "
+            f"[{x_lo:g}, {x_hi:g}] x [{y_lo:g}, {y_hi:g}]", param="theta0")
 
 
 TrajectorySample = namedtuple("TrajectorySample", "t z p word_len")
@@ -227,7 +238,12 @@ class FlatTrajectory:
         return self.spec.manifold
 
     def velocities(self):
-        """Effective (dtheta_x/dt, dtheta_y/dt) per sample."""
+        """Effective (dtheta_x/dt, dtheta_y/dt) per sample.
+
+        The x velocity flips at every y-edge crossing on the Klein bottle
+        and on RP2, where the y velocity also flips at every x-edge
+        crossing.
+        """
         wx, wy = self.spec.omega
         n = self.crossings
         out = np.empty_like(self.theta)
@@ -242,12 +258,6 @@ class FlatTrajectory:
             out[:, 0] = _parity(n[:, 1]) * wx
             out[:, 1] = _parity(n[:, 0]) * wy
         return out
-
-    def x_velocity_signs(self):
-        """Klein-bottle sign label (-1)^{n_y(t)} per sample."""
-        if self.manifold != "klein":
-            raise ValidationError("x_velocity_signs is a Klein-bottle quantity")
-        return _parity(self.crossings[:, 1])
 
     def subsample(self, step, offset=0):
         sl = slice(offset, None, step)
@@ -768,7 +778,9 @@ def _wrap_flat(manifold, theta0, omega, t):
 
     Each count is one floor of a lifted coordinate, and each angle is that
     lift minus the counted periods, so angle and count describe the same
-    point even within a rounding of an edge.
+    point even within a rounding of an edge.  The RP2 corner point
+    {(0, pi), (pi, 0)}, which has no image in [0, pi)^2, comes out as
+    (pi, 0).
     """
     t = np.asarray(t, dtype=float)
     xlift = omega[0] * t + theta0[0]
@@ -815,32 +827,6 @@ def _rp2_recross(a, b, n_a, n_b):
     a[over] -= math.pi
     b[over] = math.pi - b[over]
     n_a[over] += _parity(n_b[over])
-
-
-def klein_geodesic(theta0, omega, t):
-    """Klein-bottle geodesic in the domain [-pi,pi]x[-pi,0].
-
-    Returns (theta, x_velocity_sign) where the sign is (-1)^{n_y(t)} and
-    n_y counts y-edge crossings of the lifted straight line.
-    """
-    _check_domain("klein", theta0)
-    theta, nn = _wrap_flat("klein", theta0, omega, t)
-    return theta, _parity(nn[..., 1])
-
-
-def rp2_geodesic(theta0, omega, t):
-    """RP2 geodesic in [0,pi)^2 with effective velocities and crossing numbers.
-
-    The x-velocity flips sign at every y-edge crossing and vice versa:
-    omega_x(t) = (-1)^{n_y} omega_x, omega_y(t) = (-1)^{n_x} omega_y.  The
-    corner point {(0, pi), (pi, 0)}, which has no image in [0,pi)^2, is
-    returned as (pi, 0).
-    """
-    _check_domain("rp2", theta0)
-    theta, nn = _wrap_flat("rp2", theta0, omega, t)
-    eff = np.stack([_parity(nn[..., 1]) * omega[0],
-                    _parity(nn[..., 0]) * omega[1]], axis=-1)
-    return theta, eff, nn
 
 
 def klein_lift_project(theta0, omega, t):

@@ -448,6 +448,29 @@ class TestExitCodes:
         assert main(["preset", "fig9-nothing"]) == 2
         assert "unknown preset" in capsys.readouterr().err
 
+    def test_closed_stdout_is_a_clean_exit(self, tmp_path):
+        # `geodrive run cfg.json | head -0`: the reader is gone before the
+        # report is printed, and the command's status still stands
+        prefix = str(tmp_path / "pipe_")
+        path = write_cfg(tmp_path, torus_trajectory_cfg(prefix))
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.normpath(src))
+        for command in ("run", "validate"):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "geodrive.cli", command, path],
+                    stdout=write_end, stderr=subprocess.PIPE, env=env,
+                    text=True, timeout=120)
+            finally:
+                os.close(write_end)
+            assert proc.returncode == 0, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert "BrokenPipeError" not in proc.stderr
+        assert os.path.exists(prefix + "manifest.json")
+
 
 class TestRunKinds:
     def run_ok(self, tmp_path, cfg):

@@ -14,9 +14,9 @@ from geodrive.response import (
     GOLDEN,
     ObservableSeries,
     _expectation_values,
+    _flat_weights,
     _gradient_expectations,
     _hdqs_weights,
-    _x_weights,
     drive_spec,
     observable_cd,
     observable_hdqs,
@@ -44,12 +44,11 @@ class TestRunningAverage:
         curve = running_average(ObservableSeries(t, t.copy()), 1.0)
         assert_allclose(curve.values, curve.T / 2, rtol=1e-13)
 
-    def test_target_bookkeeping(self):
-        series = ObservableSeries(np.array([0.0, 1.0]), np.array([2.0, 2.0]))
-        curve = running_average(series, 1.0, target=2.5)
-        assert curve.final_value == pytest.approx(2.0)
-        assert curve.abs_error == pytest.approx(0.5)
-        assert running_average(series, 1.0).abs_error is None
+    def test_final_value(self):
+        series = ObservableSeries(np.array([0.0, 1.0]), np.array([2.0, 3.0]))
+        curve = running_average(series, 1.0)
+        assert curve.final_value == pytest.approx(2.5)
+        assert isinstance(curve.final_value, float)
 
     def test_validation(self):
         empty = ObservableSeries(np.array([]), np.array([]))
@@ -143,11 +142,11 @@ class TestRunHdqs:
 class TestRunKlein:
     def test_quick_run(self, klein_m2):
         run = run_klein(klein_m2, omega=(0.5, 0.5 * GOLDEN), T=100.0,
-                        dt=0.02, target=math.pi / 2)
+                        dt=0.02)
         assert run.norm_deviation < 1e-9
         assert run.curve.normalization == pytest.approx(
             (0.5 * GOLDEN) ** 2 / math.pi)
-        assert run.curve.abs_error is not None
+        assert np.isfinite(run.curve.final_value)
         assert run.spec.omega == (0.5, 0.5 * GOLDEN)
 
     def test_default_frequencies(self, klein_m2):
@@ -156,6 +155,8 @@ class TestRunKlein:
         run = run_klein(klein_m2, T=50.0)
         assert run.spec.omega[0] == pytest.approx(0.02)
         assert run.spec.omega[1] / run.spec.omega[0] == pytest.approx(GOLDEN)
+        # and the start is the corner (x_lo, y_lo) of the Klein box
+        assert run.spec.theta0 == (-math.pi, -math.pi)
 
     def test_wrong_manifold(self, meron):
         with pytest.raises(ValidationError, match="lives on"):
@@ -227,10 +228,9 @@ def in_memory(model, manifold, n_steps, lam=None, omega=None,
                                                _hdqs_weights(pb, p))
     else:
         normalization = omega[1] ** 2 / math.pi
-        weight = omega[1] * pb[:, 1] if manifold == "klein" else \
-            traj.velocities()[::2, 1] * pb[:, 0] * pb[:, 1]
-        values, _ = _gradient_expectations(model, result.states, pb,
-                                           _x_weights(weight))
+        values, _ = _gradient_expectations(
+            model, result.states, pb,
+            _flat_weights(manifold, pb, traj.velocities()[::2, 1]))
     return result, running_average(ObservableSeries(result.t, values),
                                    normalization)
 

@@ -182,6 +182,24 @@ class TestDipolarChern:
         with pytest.raises(DegeneracyError):
             dipolar_chern(klein_qubit(1.0), resolution=(64, 32))
 
+    def test_nan_gap_rejected(self):
+        # one node with no Bloch vector: its NaN gap must fail the gap
+        # check rather than reach the quantization as a NaN value
+        base = klein_qubit(2.0)
+
+        def d_field(theta):
+            d = base.d_field(theta)
+            d[np.all(np.asarray(theta) == (-math.pi, -math.pi), axis=-1)] = \
+                np.nan
+            return d
+
+        model = ParentHamiltonian(
+            "nan_node", "klein", 2,
+            evaluate_many=lambda th: pauli_hamiltonian(d_field(th)),
+            d_field=d_field, d_gradient=base.d_gradient, global_chart=True)
+        with pytest.raises(DegeneracyError, match="invariant grid"):
+            dipolar_chern(model, resolution=(32, 16))
+
     def test_symmetry_precheck(self):
         base = klein_qubit(2.0)
 

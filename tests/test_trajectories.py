@@ -19,15 +19,20 @@ from geodrive.trajectories import (
     default_digits,
     flat_trajectory,
     integrate_cogeodesic,
-    klein_geodesic,
     klein_lift_project,
-    rp2_geodesic,
     rp2_lift_project,
     trajectory,
     unit_geodesic_from_origin,
 )
 
 TWO_PI = 2 * math.pi
+
+
+def flat_point(manifold, theta0, omega, t):
+    """The wrapped point of a flat geodesic at drive time t."""
+    spec = GeodesicSpec(manifold=manifold, T=t, dt=t or 1.0, theta0=theta0,
+                        omega=omega)
+    return flat_trajectory(spec).theta[-1]
 
 
 class TestGeodesicSpec:
@@ -64,6 +69,14 @@ class TestGeodesicSpec:
     def test_klein_theta0_domain(self):
         with pytest.raises(ValidationError):
             GeodesicSpec(manifold="klein", T=1.0, dt=0.1, theta0=(0.0, 0.5))
+
+    def test_rp2_and_torus_theta0_domains(self):
+        # RP2 starts are checked against [0, pi]^2, edges included; torus
+        # starts wrap, so none is rejected
+        GeodesicSpec(manifold="rp2", T=1.0, dt=0.1, theta0=(math.pi, 0.0))
+        with pytest.raises(ValidationError, match="theta0"):
+            GeodesicSpec(manifold="rp2", T=1.0, dt=0.1, theta0=(-0.1, 1.0))
+        GeodesicSpec(manifold="torus", T=1.0, dt=0.1, theta0=(5.0, -4.0))
 
     def test_n_steps_rounding(self):
         spec = GeodesicSpec(manifold="torus", T=1.0, dt=0.1)
@@ -341,14 +354,14 @@ class TestFlatGeodesics:
     def test_klein_matches_lift_project(self):
         theta0, omega = (0.7, -1.1), (1.0, 0.618)
         for t in np.linspace(0.0, 40.0, 197):
-            got, _ = klein_geodesic(theta0, omega, t)
+            got = flat_point("klein", theta0, omega, t)
             want = klein_lift_project(theta0, omega, t)
             assert_allclose(_fold_klein(got), want, atol=1e-9)
 
     def test_rp2_matches_lift_project(self):
         theta0, omega = (0.4, 2.0), (1.0, 1.618)
         for t in np.linspace(0.0, 40.0, 197):
-            got, _, _ = rp2_geodesic(theta0, omega, t)
+            got = flat_point("rp2", theta0, omega, t)
             want = rp2_lift_project(theta0, omega, t)
             assert_allclose(_fold_rp2(got), want, atol=1e-9)
 
@@ -361,7 +374,7 @@ class TestFlatGeodesics:
     # two ulp inside the x seam, where 2pi - x rounds across it
     @example(x0=-3.1415926535897922, y0=0.0, wx=1.0, wy=1.0, t=0.0)
     def test_klein_oracle_property(self, x0, y0, wx, wy, t):
-        got, _ = klein_geodesic((x0, y0), (wx, wy), t)
+        got = flat_point("klein", (x0, y0), (wx, wy), t)
         want = klein_lift_project((x0, y0), (wx, wy), t)
         assert_allclose(_fold_klein(got), want, atol=1e-8)
 
@@ -375,23 +388,27 @@ class TestFlatGeodesics:
     # the corner point, which has no image in [0, pi)^2
     @example(x0=0.0, y0=math.pi, wx=1.0, wy=1.0, t=0.0)
     def test_rp2_oracle_property(self, x0, y0, wx, wy, t):
-        got, _, _ = rp2_geodesic((x0, y0), (wx, wy), t)
+        got = flat_point("rp2", (x0, y0), (wx, wy), t)
         want = rp2_lift_project((x0, y0), (wx, wy), t)
         assert _in_rp2_domain(got) and _in_rp2_domain(want)
         assert_allclose(_fold_rp2(got), want, atol=1e-8)
 
     def test_klein_sign_parity(self):
-        # the label is the lift parity (-1)^{floor(ylift/pi)}: it flips
+        # the x velocity is -(-1)^{floor(ylift/pi)} omega_x: it flips
         # exactly when the lifted line crosses a y edge (t = pi/2 here)
-        _, sgn = klein_geodesic((0.0, -math.pi / 2), (1.0, 1.0),
-                                np.array([0.0, 1.0, 2.0, 4.0]))
-        assert list(sgn) == [-1, -1, 1, 1]
+        spec = GeodesicSpec(manifold="klein", T=4.0, dt=1.0,
+                            theta0=(0.0, -math.pi / 2), omega=(1.0, 1.0))
+        traj = flat_trajectory(spec)
+        assert traj.velocities()[:, 0].tolist() == [1, 1, -1, -1, -1]
+        assert traj.crossings[:, 1].tolist() == [-1, -1, 0, 0, 0]
 
     def test_rp2_effective_velocity(self):
-        theta0, omega = (0.5, 0.5), (1.0, 0.3)
-        _, eff, _ = rp2_geodesic(theta0, omega, 3.0)
+        spec = GeodesicSpec(manifold="rp2", T=3.0, dt=3.0, theta0=(0.5, 0.5),
+                            omega=(1.0, 0.3))
+        traj = flat_trajectory(spec)
         # one x-edge crossing by t = 3 flips omega_y, no y crossing yet
-        assert_allclose(eff, [1.0, -0.3], atol=1e-12)
+        assert_allclose(traj.velocities()[-1], [1.0, -0.3], atol=1e-12)
+        assert traj.crossings[-1].tolist() == [1, 0]
 
 
 class TestFlatTrajectory:
@@ -412,23 +429,12 @@ class TestFlatTrajectory:
                             theta0=(0.0, -math.pi / 2), omega=(1.0, 1.0))
         traj = trajectory(spec)
         v = traj.velocities()
-        # true x velocity is minus the lift-parity label times omega_x
-        assert_allclose(v[:, 0], -traj.x_velocity_signs() * 1.0)
+        # the x velocity is omega_x where the y crossing count is odd and
+        # -omega_x where it is even
+        assert_allclose(v[:, 0], np.where(traj.crossings[:, 1] % 2, 1.0, -1.0))
         assert_allclose(v[:, 1], 1.0)
         # and it does flip: both signs occur over ten time units
         assert set(np.unique(v[:, 0])) == {-1.0, 1.0}
-
-    def test_x_velocity_signs_klein_only(self):
-        spec = GeodesicSpec(manifold="torus", T=1.0, dt=0.1)
-        with pytest.raises(ValidationError):
-            trajectory(spec).x_velocity_signs()
-
-    def test_rp2_velocities_match_closed_form(self):
-        spec = GeodesicSpec(manifold="rp2", T=12.0, dt=0.05,
-                            theta0=(0.4, 2.0), omega=(1.0, 1.618))
-        traj = trajectory(spec)
-        _, eff, _ = rp2_geodesic(spec.theta0, spec.omega, traj.t)
-        assert_allclose(traj.velocities(), eff, atol=1e-12)
 
     def test_velocity_is_derivative_between_crossings(self):
         # away from edges the sampled positions move at the reported rate
