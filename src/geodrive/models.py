@@ -66,7 +66,7 @@ def bloch_vector(H):
 def _check_hermitian(H, tol=HERMITICITY_TOL):
     res = np.abs(H - np.conj(np.swapaxes(H, -1, -2))).max()
     scale = max(1.0, np.abs(H).max())
-    if res > tol * scale:
+    if not res <= tol * scale:
         raise ValidationError(
             f"matrix field is not Hermitian (residual {res:.2e})")
 
@@ -450,7 +450,7 @@ def band_gap(energies, band):
         if 0 <= b < energies.shape[1]:
             gaps = np.abs(energies[:, band] - energies[:, b])
             k = int(np.argmin(gaps))
-            if gaps[k] < best[0]:
+            if math.isnan(gaps[k]) or gaps[k] < best[0]:
                 best = (float(gaps[k]), k, b)
     return best
 

@@ -289,7 +289,7 @@ def dipolar_chern(model, band=1, resolution=(400, 200),
     if model.manifold != "klein":
         raise ValidationError("dipolar_chern expects a Klein-bottle model")
     res, worst = mirror_symmetry_residual(model, with_point=True)
-    if res > SYMMETRY_TOL:
+    if not res <= SYMMETRY_TOL:
         raise ValidationError(
             f"y-mirror symmetry violated: residual {res:.2e} at theta = "
             f"({worst[0]:.4f}, {worst[1]:.4f})")
@@ -320,7 +320,7 @@ def quadrupole_chern(model, band=1, resolution=(200, 200),
         raise ValidationError("quadrupole_chern expects a projective-plane "
                               "model")
     res, worst = s_symmetry_residual(model, with_point=True)
-    if res > SYMMETRY_TOL:
+    if not res <= SYMMETRY_TOL:
         raise ValidationError(
             f"S symmetry violated: residual {res:.2e} at theta = "
             f"({worst[0]:.4f}, {worst[1]:.4f})")

@@ -9,10 +9,13 @@ per octagon arc, so nothing is solved iteratively.  The word's entries
 grow like e^{s/2} and the flow amplifies errors like e^{s}, so a
 speed-lambda run over horizon T needs roughly 0.434*lambda*T decimal
 digits of headroom.  Only the word and one anchor per crossing run under
-mpmath at that precision: the anchor (the word composed with the
-translation to the segment's first sample) has O(1) entries, is rounded
-to double-double, and yields the segment's samples under numpy, each the
-correctly rounded closed-form value.  A copy of the word at 20 more
+mpmath at that precision; the anchor (the word composed with the
+translation to the segment's first sample) has O(1) entries.  A walk over
+the crossings tests membership on plain-double samples from the anchor
+rounded to double, and decides the rare sample within 1e-13 of a slack
+circle in double-double.  One pass over the output then evaluates every
+sample from its anchor rounded to double-double and rounds it once, to
+the correctly rounded closed-form value.  A copy of the word at 20 more
 digits certifies the precision at every anchor.
 
 A high-order Taylor-series integrator for the cogeodesic ODE is kept as
@@ -153,8 +156,9 @@ class BolzaTrajectory:
     records (arc-length time, signed index) for each boundary crossing.
     stats records what the propagation did: working digits, crossings,
     mpmath anchors, vertex passages (steps needing more than one side
-    pairing), the largest disagreement of the precision certificate and
-    the wall time in seconds.
+    pairing), the largest disagreement of the precision certificate, the
+    membership tests decided in double-double (exact_membership) and the
+    wall time in seconds.
     """
 
     spec: GeodesicSpec
@@ -424,6 +428,12 @@ def cogeodesic_energy(sample):
 # whatever the length of a segment
 _WINDOW = 1 << 12
 
+# membership is tested on plain-double samples, which sit within about
+# 1e-15 of the correctly rounded ones; a sample whose distance to a slack
+# circle lies within _BAND of the slack radius is decided on its correctly
+# rounded value instead
+_BAND = 1e-13
+
 # the certificate copy of the chart map carries this many extra digits, and
 # its rounded anchors may differ from the working ones by at most _CERT_TOL
 _CERT_DIGITS = 20
@@ -586,8 +596,9 @@ class _Chart:
 def _segment_samples(m_dd, tau, lam):
     """Positions M(tau) and momenta lam 2/(1-tau^2) conj(den^2), rounded once.
 
-    M is given by the double-double parts of its a and b, tau is a
-    double-double scalar or array, and den = conj(b) tau + conj(a).
+    M is given by the double-double parts (Re a, Im a, Re b, Im b), each a
+    scalar or one entry per sample, tau is a double-double array, and
+    den = conj(b) tau + conj(a).
     """
     ar, ai, br, bi = m_dd
     dr, di = br * tau + ar, -(bi * tau + ai)
@@ -608,6 +619,30 @@ def _outside(z, centers, r_slack):
     for c in centers:
         out |= np.abs(z - c) < r_slack
     return out
+
+
+def _membership(m, m_dd, tau, j0, j1, lam, centers, r_slack):
+    """Samples M(tau_j) for j0 <= j <= j1 and which of them are outside.
+
+    The positions are plain doubles from the double anchor m and the high
+    parts of the table.  Those within _BAND of a slack circle, up to the
+    first sample that is outside beyond doubt, are replaced by their
+    correctly rounded values from m_dd, so every decision is the one the
+    stored samples give.  Returns (z, outside, number replaced).
+    """
+    z = m(tau.hi[j0:j1 + 1])
+    out = np.zeros(z.shape, dtype=bool)
+    near = np.zeros(z.shape, dtype=bool)
+    for c in centers:
+        d = np.abs(z - c)
+        out |= d < r_slack
+        near |= np.abs(d - r_slack) < _BAND
+    sure = np.flatnonzero(out & ~near)
+    i = np.flatnonzero(near[:sure[0] if len(sure) else len(z)])
+    if len(i):
+        z[i] = _segment_samples(m_dd, tau[j0 + i], lam)[0]
+        out[i] = _outside(z[i], centers, r_slack)
+    return z, out, len(i)
 
 
 def _entry_params(m, centers, r):
@@ -645,17 +680,27 @@ def propagate_bolza(spec):
 
     Between boundary crossings the chart map W is constant.  Each segment
     is anchored at its first sample k as M = W o T(k ds), built under
-    mpmath and rounded to double-double, and its samples are M(tau_j) with
-    tau_j = tanh(j ds/2) from one shared double-double table, evaluated a
-    window at a time and rounded once to double.  A sample is outside when
-    it lies more than 1e-12 inside an arc circle; the crossing before it
-    is the earliest root of the real quadratics |M(w) - c_j| = r, the side
-    pairing that maps that exit point back inside is composed onto W, and
-    the sample is re-anchored and tested again (several times at a vertex
-    passage).  mpmath work thus scales with crossings, not samples.  A
+    mpmath, and its samples are M(tau_j) with tau_j = tanh(j ds/2) from one
+    shared double-double table.  The propagation runs in two passes.
+
+    The walk finds the crossings.  It tests membership on plain-double
+    samples from the double anchor, window by window: a sample is outside
+    when it lies more than 1e-12 inside an arc circle, and one within
+    _BAND of that slack radius is decided on its correctly rounded value.
+    The crossing before the first sample outside is the earliest root of
+    the real quadratics |M(w) - c_j| = r, the side pairing that maps that
+    exit point back inside is composed onto W, and the sample is
+    re-anchored and tested again (several times at a vertex passage).  A
     copy of W at 20 more digits is anchored alongside and must agree to
     1e-13 and pick the same side pairings, or PropagationError reports the
-    digits as too few.
+    digits as too few.  mpmath work thus scales with crossings, not
+    samples.
+
+    The evaluation pass then rounds every sample once: block by block, each
+    sample gathers the double-double parts of its segment's anchor (the
+    last one at a vertex passage) and its table entry, and is evaluated in
+    double-double and rounded to double, the correctly rounded closed-form
+    value.
     """
     if spec.manifold != "bolza":
         raise ValidationError("propagate_bolza needs a bolza-manifold spec")
@@ -667,12 +712,10 @@ def propagate_bolza(spec):
 
     n_out = N + 1
     t_arr = np.arange(n_out) * dt
-    z_arr = np.empty(n_out, dtype=np.complex128)
-    p_arr = np.empty(n_out, dtype=np.complex128)
-    wlen_arr = np.empty(n_out, dtype=np.int32)
     word = []
     crossings = []
     vertex_passages = 0
+    exact = 0  # membership tests decided on correctly rounded samples
 
     group_d = bolza_group()
     octagon = group_d.octagon
@@ -684,14 +727,22 @@ def propagate_bolza(spec):
     chart = _Chart(spec, digits)
     tau = _tanh_table(min(n_out, int(diameter / ds) + 3), chart.half_ds[0])
 
-    m, m_dd, m_cert = chart.anchor(0, 0.0)
-    z_arr[0], p_arr[0] = _segment_samples(m_dd, _DD(0.0), lam)
-    wlen_arr[0] = 0
-    if (np.abs(z_arr[0] - centers) < r_slack).any():
+    segments = []  # per anchor: first sample, double-double parts, word length
+
+    def anchor(k, t):
+        nonlocal exact
+        m, m_dd, m_cert = chart.anchor(k, t)
+        segments.append((k, [h for x in m_dd for h in (x.hi, x.lo)], len(word)))
+        z, _, n = _membership(m, m_dd, tau, 0, 0, lam, centers, r_slack)
+        exact += n
+        return m, m_dd, m_cert, z[0]
+
+    m, m_dd, m_cert, z_k = anchor(0, 0.0)
+    if (np.abs(z_k - centers) < r_slack).any():
         raise PropagationError("initial position is outside the fundamental domain")
     k = 0  # anchor sample of the current segment
     while k < n_out - 1:
-        # emit up to the sample past the predicted exit, then window by window
+        # test up to the sample past the predicted exit, then window by window
         w_exit = np.fmin.reduce(_entry_params(m, centers, octagon.r))
         stop = max(1, int(np.searchsorted(tau.hi, w_exit, side="right")))
         j0 = 1
@@ -700,19 +751,17 @@ def propagate_bolza(spec):
             if j1 < j0:
                 raise PropagationError(
                     f"segment from t = {float(t_arr[k])!r} outran the octagon's diameter")
-            z, p = _segment_samples(m_dd, tau[j0:j1 + 1], lam)
-            hits = np.flatnonzero(_outside(z, centers, r_slack))
-            n_in = int(hits[0]) if len(hits) else len(z)
-            sl = slice(k + j0, k + j0 + n_in)
-            z_arr[sl], p_arr[sl], wlen_arr[sl] = z[:n_in], p[:n_in], len(word)
+            z, out, n = _membership(m, m_dd, tau, j0, j1, lam, centers, r_slack)
+            exact += n
+            hits = np.flatnonzero(out)
             if len(hits) or k + j1 == n_out - 1:
                 break
             j0, stop = j1 + 1, max(stop, 2 * j1)
         if not len(hits):
             break
         # re-enter at sample k_out, one side pairing per crossing
-        k_anchor, k = k, k + j0 + n_in
-        arcs = np.abs(z[n_in] - centers) < r_slack
+        k_anchor, k = k, k + j0 + int(hits[0])
+        arcs = np.abs(z[hits[0]] - centers) < r_slack
         applications = 0
         while arcs.any():
             applications += 1
@@ -742,14 +791,25 @@ def propagate_bolza(spec):
             word.append(idx)
             crossings.append((s_star, idx))
             k_anchor = k
-            m, m_dd, m_cert = chart.anchor(k, t_arr[k])
-            z_arr[k], p_arr[k] = _segment_samples(m_dd, _DD(0.0), lam)
-            arcs = np.abs(z_arr[k] - centers) < r_slack
+            m, m_dd, m_cert, z_k = anchor(k, t_arr[k])
+            arcs = np.abs(z_k - centers) < r_slack
         vertex_passages += applications > 1
-        wlen_arr[k] = len(word)
+
+    # evaluation pass; searchsorted takes the last anchor of a sample
+    starts, parts, lengths = (np.array(c) for c in zip(*segments))
+    z_arr = np.empty(n_out, dtype=np.complex128)
+    p_arr = np.empty(n_out, dtype=np.complex128)
+    wlen_arr = np.empty(n_out, dtype=np.int32)
+    for b0 in range(0, n_out, _WINDOW):
+        ks = np.arange(b0, min(b0 + _WINDOW, n_out))
+        i = np.searchsorted(starts, ks, side="right") - 1
+        block_dd = [_DD(parts[i, q], parts[i, q + 1]) for q in range(0, 8, 2)]
+        sl = slice(b0, b0 + len(ks))
+        z_arr[sl], p_arr[sl] = _segment_samples(block_dd, tau[ks - starts[i]], lam)
+        wlen_arr[sl] = lengths[i]
     stats = {"digits": digits, "crossings": len(crossings),
              "anchors": chart.anchors, "vertex_passages": vertex_passages,
-             "certificate_max_diff": chart.max_diff,
+             "certificate_max_diff": chart.max_diff, "exact_membership": exact,
              "propagate_s": time.perf_counter() - start}
     return BolzaTrajectory(
         spec, digits, t_arr, z_arr, p_arr, wlen_arr, word, crossings, stats

@@ -553,7 +553,7 @@ class TestRunKinds:
     def test_bolza_runs_report_propagation(self, tmp_path):
         drive = {"T": 4.0, "dt": 0.01, "lambda": 1.0, "direction": 0.3}
         keys = {"digits", "crossings", "anchors", "vertex_passages",
-                "certificate_max_diff", "propagate_s"}
+                "certificate_max_diff", "exact_membership", "propagate_s"}
         traj_cfg = {"kind": "trajectory", "manifold": "bolza", "drive": drive,
                     "output": {"prefix": str(tmp_path / "traj_")}}
         resp_cfg = {"kind": "response", "manifold": "bolza",

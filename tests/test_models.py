@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from geodrive import ValidationError
+from geodrive import DegeneracyError, ValidationError
 from geodrive.hyperbolic import FundamentalOctagon
 from geodrive.models import (
     BUILTIN_MODELS,
+    GAP_THRESHOLD,
     ParentHamiltonian,
+    band_gap,
     bloch_vector,
     bolza_qubit,
     bump,
@@ -24,6 +26,7 @@ from geodrive.models import (
     klein_qubit,
     mirror_symmetry_residual,
     pauli_hamiltonian,
+    require_gap,
     rp2_qubit,
     s_symmetry_residual,
 )
@@ -237,6 +240,14 @@ class TestParentHamiltonian:
         with pytest.raises(ValidationError):
             model.evaluate((0.0, 0.0))
 
+    def test_nan_entries_are_not_hermitian(self):
+        model = ParentHamiltonian(
+            "nan", "torus", 2,
+            evaluate_many=lambda th: np.array([[[0.0, math.nan],
+                                                [math.nan, 0.0]]]))
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            model.evaluate((0.0, 0.0))
+
     def test_missing_d_field(self):
         model = ParentHamiltonian(
             "plain", "torus", 2,
@@ -309,6 +320,18 @@ class TestGapReport:
         report = gap_report(meron)
         assert_allclose(report.min_gaps, [2.0], rtol=1e-12)
         assert report.fully_gapped
+
+    @pytest.mark.parametrize("energies", [
+        [[0.0, math.nan], [0.0, 1.0]],
+        # a NaN gap to the lower band is kept against a finite upper one
+        [[math.nan, 1.0, 3.0], [0.0, 1.0, 2.0]],
+        [[0.0, 1.0, math.nan], [0.0, 1.0, 2.0]],
+    ])
+    def test_nan_gap_fails_require_gap(self, energies):
+        gap, k, _ = band_gap(np.array(energies), 1)
+        assert math.isnan(gap) and k == 0
+        with pytest.raises(DegeneracyError):
+            require_gap(gap, GAP_THRESHOLD, "bands")
 
     def test_str_contains_verdict(self):
         assert "NOT fully gapped" in str(gap_report(klein_qubit(3.0)))

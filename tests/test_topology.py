@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from geodrive import DegeneracyError, ResolutionError, ValidationError
+from geodrive import DegeneracyError, ResolutionError, ValidationError, topology
 from geodrive.models import (
     ParentHamiltonian,
     eig_many,
@@ -184,7 +184,9 @@ class TestDipolarChern:
 
     def test_nan_gap_rejected(self):
         # one node with no Bloch vector: its NaN gap must fail the gap
-        # check rather than reach the quantization as a NaN value
+        # check rather than reach the quantization as a NaN value.  H
+        # stays finite there, since a NaN H already fails the Hermiticity
+        # check of the symmetry precheck
         base = klein_qubit(2.0)
 
         def d_field(theta):
@@ -194,11 +196,22 @@ class TestDipolarChern:
             return d
 
         model = ParentHamiltonian(
-            "nan_node", "klein", 2,
-            evaluate_many=lambda th: pauli_hamiltonian(d_field(th)),
+            "nan_node", "klein", 2, evaluate_many=base.evaluate_many,
             d_field=d_field, d_gradient=base.d_gradient, global_chart=True)
         with pytest.raises(DegeneracyError, match="invariant grid"):
             dipolar_chern(model, resolution=(32, 16))
+        nan_h = ParentHamiltonian(
+            "nan_node", "klein", 2,
+            evaluate_many=lambda th: pauli_hamiltonian(d_field(th)),
+            d_field=d_field, d_gradient=base.d_gradient, global_chart=True)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            dipolar_chern(nan_h, resolution=(32, 16))
+
+    def test_nan_symmetry_residual_rejected(self, klein_m2, monkeypatch):
+        monkeypatch.setattr(topology, "mirror_symmetry_residual",
+                            lambda model, with_point: (math.nan, (0.0, 0.0)))
+        with pytest.raises(ValidationError, match="mirror"):
+            dipolar_chern(klein_m2, resolution=(32, 16))
 
     def test_symmetry_precheck(self):
         base = klein_qubit(2.0)
@@ -220,6 +233,12 @@ class TestDipolarChern:
 
 
 class TestQuadrupoleChern:
+    def test_nan_symmetry_residual_rejected(self, rp2_m1, monkeypatch):
+        monkeypatch.setattr(topology, "s_symmetry_residual",
+                            lambda model, with_point: (math.nan, (0.0, 0.0)))
+        with pytest.raises(ValidationError, match="S symmetry"):
+            quadrupole_chern(rp2_m1, resolution=(32, 32))
+
     def test_quantized_phase(self, rp2_m1):
         r = quadrupole_chern(rp2_m1, resolution=(100, 100))
         assert_allclose(r.value, math.pi ** 2 / 2, atol=1e-12)

@@ -7,13 +7,18 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from geodrive import PropagationError, ValidationError
+from geodrive import PropagationError, ValidationError, trajectories
+from geodrive.ergodicity import angle_histogram
 from geodrive.hyperbolic import bolza_group, in_fundamental_domain, kinetic_energy
 from geodrive.trajectories import (
+    _BAND,
     GeodesicSpec,
+    _Chart,
+    _segment_samples,
+    _tanh_table,
     bolza_closed_form,
     cogeodesic_energy,
     default_digits,
@@ -313,8 +318,64 @@ class TestPropagateBolza:
         assert stats["anchors"] == stats["crossings"] + 1
         assert stats["vertex_passages"] == 0
         assert stats["certificate_max_diff"] <= 1e-13
+        # no sample comes within _BAND of a slack circle
+        assert stats["exact_membership"] == 0
         assert stats["propagate_s"] > 0
         assert short_bolza_run.subsample(2).stats is stats
+
+    def test_bin_edge_momenta(self):
+        # radial from the origin at pi/9, a bin edge of the 36-bin direction
+        # histogram: every momentum inside |z| < 0.6 points along pi/9, so
+        # the counts depend on the last bit of each correctly rounded sample
+        spec = GeodesicSpec(manifold="bolza", T=3.0, dt=0.01, speed=1.0,
+                            direction=math.pi / 9, digits=161)
+        traj = trajectory(spec)
+        inside = np.abs(traj.z) < 0.6
+        angles = np.arctan2(traj.p[inside].imag, traj.p[inside].real)
+        assert inside.sum() == 139
+        edge = math.pi / 9
+        assert ((angles > edge).sum(), (angles < edge).sum(),
+                (angles == edge).sum()) == (18, 23, 98)
+        assert angle_histogram(traj, r=0.6, bins=36).chi_square \
+            == 3736.827338129497
+
+    @pytest.mark.parametrize("T, direction", [(50.0, math.pi / 9),
+                                              (5.0, math.pi / 8)])
+    def test_double_double_membership_changes_nothing(self, monkeypatch, T,
+                                                      direction):
+        # with the band wide open every membership test is decided on the
+        # correctly rounded sample; the plain-double walk must agree bit for
+        # bit, also through the vertex passage at pi/8
+        spec = GeodesicSpec(manifold="bolza", T=T, dt=0.01, speed=1.0,
+                            direction=direction)
+        ref = trajectory(spec)
+        monkeypatch.setattr(trajectories, "_BAND", 1.0)
+        exact = trajectory(spec)
+        assert exact.stats["exact_membership"] >= len(exact)
+        for name in ("z", "p", "word_len"):
+            assert getattr(exact, name).tobytes() == getattr(ref, name).tobytes()
+        assert exact.word == ref.word
+        assert exact.crossings == ref.crossings
+        assert exact.stats["vertex_passages"] == ref.stats["vertex_passages"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.floats(-0.85, 0.85), y=st.floats(-0.85, 0.85),
+           direction=st.floats(0.0, 2 * math.pi),
+           ds=st.sampled_from([0.005, 0.01, 0.05]))
+    def test_plain_double_samples_sit_well_inside_the_band(self, x, y,
+                                                           direction, ds):
+        # the walk's plain-double M(tau) against the correctly rounded
+        # samples, for an anchor anywhere in the octagon and over the whole
+        # tanh table a segment can use
+        assume(abs(complex(x, y)) < 1 and in_fundamental_domain(complex(x, y)))
+        spec = GeodesicSpec(manifold="bolza", T=1.0, dt=ds, z0=complex(x, y),
+                            direction=direction)
+        chart = _Chart(spec, 50)
+        m, m_dd, _ = chart.anchor(0, 0.0)
+        diameter = 4 * math.atanh(bolza_group().octagon.vertex_radius)
+        tau = _tanh_table(int(diameter / ds) + 3, chart.half_ds[0])
+        z_ref, _ = _segment_samples(m_dd, tau, 1.0)
+        assert np.abs(m(tau.hi) - z_ref).max() < _BAND / 50
 
     def test_subsample_alignment(self, short_bolza_run):
         sub = short_bolza_run.subsample(2)
