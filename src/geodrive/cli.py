@@ -20,22 +20,30 @@ default lives with the function that takes the argument.
 CSV cells use the shortest round-trip decimal form of each double, so
 identical configs produce byte-identical files.  Rows are written in
 blocks, and within a block each distinct double is formatted once; the
-bytes are those of formatting every cell on its own.
+bytes are those of formatting every cell on its own.  A large file is cut
+into one contiguous row range per available core: forked children format
+all ranges but the first into unlinked temporary files in the output
+directory, and the parent appends them in order, so the bytes are those of
+one process.  On one core, or below 2 * _SPLIT_CELLS cells, nothing forks.
 """
 
 import argparse
+import contextlib
 import functools
 import inspect
 import json
 import math
 import operator
 import os
+import shutil
 import sys
+import tempfile
 import time
+import warnings
 
 import numpy as np
 
-from . import GeodriveError, ValidationError, __version__
+from . import GeodriveError, ValidationError, WriteError, __version__
 from .trajectories import GeodesicSpec, default_digits, trajectory
 from .models import BUILTIN_MODELS, bolza_qubit
 from .evolution import evolve, fidelity, g_correction, track_band
@@ -284,6 +292,12 @@ def validate_config(cfg):
 # drive that follows (about 0.15 MiB at 256 rows, 0.6 MiB at 1024)
 _BLOCK_ROWS = 256
 
+# cells per row range: a file is split only from twice this size.  A fork
+# and its copy-on-write faults cost 3 ms or more; per file, in a process of
+# about 40 MB, 30k cells took 29-38 ms in one range and 36-54 ms in two,
+# and 300k cells 392-440 ms in one and 234-238 ms in two
+_SPLIT_CELLS = 2 ** 16
+
 
 def _cells(a, kind):
     """CSV cells of one column block: repr of each double, str of each int.
@@ -300,20 +314,99 @@ def _cells(a, kind):
     return text[inverse].tolist()
 
 
+def _write_rows(fh, arrays, start, stop):
+    """Write rows [start, stop) of the columns to the binary file fh."""
+    for lo in range(start, stop, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, stop)
+        block = [_cells(a[lo:hi], k) for a, k in arrays]
+        fh.write(("\n".join(map(",".join, zip(*block))) + "\n").encode())
+
+
+def _fork_rows(fd, arrays, start, stop):
+    """Fork a child that writes rows [start, stop) to fd; returns its pid.
+
+    The child exits 0 once the rows are written, 1 on any error, by
+    os._exit: it runs no exit handlers, never flushes the parent's stdio
+    and never returns into the parent's frames, even when interrupted.
+    """
+    parent = os.getpid()
+    status = 1
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns when it forks a process with threads, such
+            # as numpy's BLAS pool; the child only formats and writes, and
+            # calls no BLAS and takes no lock those threads could hold
+            warnings.filterwarnings("ignore", r".*multi-threaded.*fork\(\)",
+                                    DeprecationWarning)
+            pid = os.fork()
+        if pid:
+            return pid
+        with open(fd, "wb", closefd=False) as out:
+            _write_rows(out, arrays, start, stop)
+        status = 0
+    except Exception:
+        if os.getpid() == parent:
+            raise
+        import traceback
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        if os.getpid() != parent:
+            os._exit(status)
+
+
 def _write_csv(path, cols):
-    """Write columns as CSV; cols is a list of (name, array, 'f'|'i')."""
+    """Write columns as CSV; cols is a list of (name, array, 'f'|'i').
+
+    The rows are cut into min(cores, cells // _SPLIT_CELLS) contiguous
+    ranges, at least one.  The parent writes the header and the first
+    range; a forked child formats each later range into an unlinked
+    temporary file, which the parent appends once the child has exited 0.
+    No child outlives the call, and a failed write leaves no file behind.
+    """
+    arrays = [(np.asarray(a), k) for _, a, k in cols]
+    n = len(arrays[0][0])
+    if any(len(a) != n for a, _ in arrays):
+        raise ValueError(f"{path}: columns of unequal length "
+                         f"{[len(a) for a, _ in arrays]}")
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    arrays = [(np.asarray(a), k) for _, a, k in cols]
-    n = len(arrays[0][0])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(name for name, _, _ in cols) + "\n")
-        for start in range(0, n, _BLOCK_ROWS):
-            block = [_cells(a[start:start + _BLOCK_ROWS], k)
-                     for a, k in arrays]
-            fh.write("\n".join(map(",".join, zip(*block, strict=True)))
-                     + "\n")
+    parts = max(1, min(len(os.sched_getaffinity(0)),
+                       n * len(arrays) // _SPLIT_CELLS))
+    bounds = [n * i // parts for i in range(parts + 1)]
+    children = []  # (pid, temporary file, first row, end row), in order
+    reaped = 0
+    try:
+        with contextlib.ExitStack() as temps:
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                fd = temps.enter_context(
+                    tempfile.TemporaryFile(dir=parent or ".")).fileno()
+                children.append((_fork_rows(fd, arrays, start, stop), fd,
+                                 start, stop))
+            with open(path, "wb") as fh:
+                fh.write((",".join(name for name, _, _ in cols)
+                          + "\n").encode())
+                _write_rows(fh, arrays, 0, bounds[1])
+                for pid, fd, start, stop in children:
+                    status = os.waitpid(pid, 0)[1]
+                    reaped += 1
+                    if status:
+                        raise WriteError(
+                            f"{path}: the process writing rows {start} to "
+                            f"{stop - 1} failed (exit code "
+                            f"{os.waitstatus_to_exitcode(status)})")
+                    os.lseek(fd, 0, os.SEEK_SET)
+                    with open(fd, "rb", closefd=False) as part:
+                        shutil.copyfileobj(part, fh)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+        raise
+    finally:
+        # children are left to reap only when the write has failed; each
+        # ends once its range is written, or at once on the terminal's ^C
+        for pid, *_ in children[reaped:]:
+            os.waitpid(pid, 0)
     return path
 
 

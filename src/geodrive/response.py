@@ -87,7 +87,8 @@ class ResponseRun:
                             taking <O> with the running average
     output_bytes            bytes of the T, <O> and running-average arrays
     window_bytes            bytes of the sample and state arrays of the
-                            largest window
+                            largest window; its temporaries take the
+                            window's transient peak to about 3x this
     """
     curve: ResponseCurve
     series: ObservableSeries

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geodrive import WriteError, cli
 from geodrive.cli import (_BLOCK_ROWS, PRESETS, SCHEMA, _job, _path,
                           _schema_errors, _write_csv, main, validate_config)
 from geodrive.response import IMAG_TOL
@@ -674,11 +675,6 @@ class TestWriteCsv:
                               ("b", np.empty(0, dtype=int), "i")])
         assert (tmp_path / "sub" / "out.csv").read_text() == "a,b\n"
 
-    def test_short_column_is_an_error(self, tmp_path):
-        with pytest.raises(ValueError):
-            _write_csv(str(tmp_path / "out.csv"),
-                       [("a", np.zeros(5), "f"), ("b", np.zeros(4), "f")])
-
     def test_grid_columns_across_blocks(self, tmp_path):
         # repeat/tile grid columns, a strided column, and a row count that
         # is not a multiple of the block size
@@ -691,3 +687,93 @@ class TestWriteCsv:
                               ("x2", np.tile(x2, n1), "f"),
                               ("omega", omega[:, 1], "f"),
                               ("k", np.arange(n1 * n2, dtype=np.int32), "i")])
+
+    # files cut into forked row ranges, on a pretended three-core machine
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Split from 2 * 64 cells over three cores; lists the forked pids."""
+        monkeypatch.setattr(cli, "_SPLIT_CELLS", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        pids, fork = [], os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return pids
+
+    def columns(self, n):
+        vals = np.resize(np.array(self.SPECIAL), n)
+        vals[::7] = np.random.default_rng(n).standard_normal(len(vals[::7]))
+        return [("f64", vals, "f"),
+                ("f32", vals.astype(np.float32), "f"),
+                ("k", np.arange(n) - n // 2, "i")]
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("n", [2 * _BLOCK_ROWS + 101, 5 * _BLOCK_ROWS])
+    def test_ranges_give_the_bytes_of_one_process(self, tmp_path, forks, n):
+        # three ranges of n // 3 rows or one more, none on a block boundary
+        assert (n // 3) % _BLOCK_ROWS and n % 3
+        self.check(tmp_path, self.columns(n))
+        assert len(forks) == 2
+        assert os.listdir(tmp_path / "sub") == ["out.csv"]
+        self.assert_no_child()
+
+    def test_small_file_stays_in_one_process(self, tmp_path, forks):
+        self.check(tmp_path, self.columns(42))  # 126 cells: one range
+        assert forks == []
+
+    def test_one_core_never_forks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_SPLIT_CELLS", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+        def no_fork():
+            raise AssertionError("forked on one core")
+        monkeypatch.setattr(os, "fork", no_fork)
+        self.check(tmp_path, self.columns(3 * _BLOCK_ROWS + 5))
+
+    def test_failed_child_is_a_named_error(self, tmp_path, monkeypatch,
+                                           forks):
+        parent, cells = os.getpid(), cli._cells
+
+        def child_fails(a, kind):
+            if os.getpid() != parent:
+                raise RuntimeError("formatting failed")
+            return cells(a, kind)
+        monkeypatch.setattr(cli, "_cells", child_fails)
+        with pytest.raises(WriteError, match=r"out\.csv: .* rows 204 to 407"):
+            _write_csv(str(tmp_path / "out.csv"),
+                       self.columns(2 * _BLOCK_ROWS + 101))
+        assert len(forks) == 2
+        assert os.listdir(tmp_path) == []
+        self.assert_no_child()
+
+    def test_parent_error_reaps_every_child(self, tmp_path, monkeypatch,
+                                            forks):
+        parent, cells = os.getpid(), cli._cells
+
+        def parent_fails(a, kind):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return cells(a, kind)
+        monkeypatch.setattr(cli, "_cells", parent_fails)
+        with pytest.raises(KeyboardInterrupt):
+            _write_csv(str(tmp_path / "out.csv"), self.columns(1000))
+        assert len(forks) == 2
+        assert os.listdir(tmp_path) == []
+        self.assert_no_child()
+
+    def test_short_column_is_an_error(self, tmp_path, forks):
+        # raised before any range is forked or any file is opened
+        with pytest.raises(ValueError, match="unequal length"):
+            _write_csv(str(tmp_path / "out.csv"),
+                       [("a", np.zeros(500), "f"), ("b", np.zeros(499), "f")])
+        assert forks == []
+        assert os.listdir(tmp_path) == []
