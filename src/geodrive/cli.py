@@ -18,13 +18,15 @@ anything runs.  A config passes the library only the keys it sets: every
 default lives with the function that takes the argument.
 
 CSV cells use the shortest round-trip decimal form of each double, so
-identical configs produce byte-identical files.  Rows are written in
-blocks, and within a block each distinct double is formatted once; the
-bytes are those of formatting every cell on its own.  A large file is cut
-into one contiguous row range per available core: forked children format
-all ranges but the first into unlinked temporary files in the output
-directory, and the parent appends them in order, so the bytes are those of
-one process.  On one core, or below 2 * _SPLIT_CELLS cells, nothing forks.
+identical configs produce byte-identical files.  Cells are formatted a
+block of rows at a time, one repr per double and one str per int.  The
+axis values of a curvature grid are formatted once each and their text is
+repeated over the grid, which gives the bytes of formatting every cell on
+its own.  A large file is cut into one contiguous row range per available
+core: forked children format all ranges but the first into unlinked
+temporary files in the output directory, and the parent appends them in
+order, so the bytes are those of one process.  On one core, or below
+2 * _SPLIT_CELLS cells, nothing forks.
 """
 
 import argparse
@@ -289,29 +291,27 @@ def validate_config(cfg):
 
 # rows formatted and written at a time: the heap that a block's strings
 # grow stays resident after the writer returns and adds to the peak of the
-# drive that follows (about 0.15 MiB at 256 rows, 0.6 MiB at 1024)
+# drive that follows (a process's first write of three float columns grows
+# its resident set by about 0.15 MiB at 256 rows, 0.5 MiB at 1024)
 _BLOCK_ROWS = 256
 
-# cells per row range: a file is split only from twice this size.  A fork
-# and its copy-on-write faults cost 3 ms or more; per file, in a process of
-# about 40 MB, 30k cells took 29-38 ms in one range and 36-54 ms in two,
-# and 300k cells 392-440 ms in one and 234-238 ms in two
-_SPLIT_CELLS = 2 ** 16
+# cells per row range: a file is split only from twice this size.  Per
+# curvature-like file (two text axes, one float column) in a process of
+# about 50 MB, medians of 20 runs, one range against two: 120k cells 50-58
+# against 38-39 ms (two faster in 17/20 runs, twice), 90k 40-45 against
+# 39-50 ms (10/20, 2/20), 60k 19-20 against 24-26 ms (4/20, 0/20)
+_SPLIT_CELLS = 50_000
+
+
+# column kind -> how a value becomes its cell: the shortest round-trip form
+# of a double, the decimal form of an int; "s" cells are text already
+_FORMAT = {"f": repr, "i": str, "s": None}
 
 
 def _cells(a, kind):
-    """CSV cells of one column block: repr of each double, str of each int.
-
-    Each distinct double (by bit pattern, so -0.0 and 0.0 stay apart) is
-    formatted once: grid columns repeat a few hundred axis values.
-    """
-    if kind == "i":
-        return list(map(str, a.tolist()))
-    bits = a.astype(np.float64).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array(list(map(repr, distinct.view(np.float64).tolist())),
-                    dtype=object)
-    return text[inverse].tolist()
+    """CSV cells of one column block, one formatting call per cell."""
+    cells = a.tolist()
+    return cells if kind == "s" else list(map(_FORMAT[kind], cells))
 
 
 def _write_rows(fh, arrays, start, stop):
@@ -355,7 +355,12 @@ def _fork_rows(fd, arrays, start, stop):
 
 
 def _write_csv(path, cols):
-    """Write columns as CSV; cols is a list of (name, array, 'f'|'i').
+    """Write columns as CSV; cols is a list of (name, array, 'f'|'i'|'s').
+
+    An 'f' column is written as doubles, an 'i' column as ints and an 's'
+    column, text such as axis values formatted once and then repeated, as
+    it is.  An unknown kind or columns of unequal length raise ValueError
+    before any file is opened.
 
     The rows are cut into min(cores, cells // _SPLIT_CELLS) contiguous
     ranges, at least one.  The parent writes the header and the first
@@ -363,7 +368,12 @@ def _write_csv(path, cols):
     temporary file, which the parent appends once the child has exited 0.
     No child outlives the call, and a failed write leaves no file behind.
     """
-    arrays = [(np.asarray(a), k) for _, a, k in cols]
+    unknown = [f"{name!r} ({k!r})" for name, _, k in cols if k not in _FORMAT]
+    if unknown:
+        raise ValueError(f"{path}: unknown column kind of "
+                         f"{', '.join(unknown)}; use 'f', 'i' or 's'")
+    arrays = [(np.asarray(a, dtype=np.float64) if k == "f" else np.asarray(a),
+               k) for _, a, k in cols]
     n = len(arrays[0][0])
     if any(len(a) != n for a, _ in arrays):
         raise ValueError(f"{path}: columns of unequal length "
@@ -581,10 +591,13 @@ def _run_invariant(cfg, prefix):
         compute = dipolar_chern if cfg["manifold"] == "klein" \
             else quadrupole_chern
         result, field = compute(model, with_field=True, **kw)
-    n1, n2 = len(field.x1), len(field.x2)
+    # each axis value is formatted once, and its text is repeated over the
+    # grid: n1 + n2 repr calls for the axis cells, not 2 * n1 * n2
+    x1, x2 = (np.array(_cells(x, "f"), dtype=object)
+              for x in (field.x1, field.x2))
     path = _write_csv(prefix + "curvature.csv",
-                      [("x1", np.repeat(field.x1, n2), "f"),
-                       ("x2", np.tile(field.x2, n1), "f"),
+                      [("x1", np.repeat(x1, len(x2)), "s"),
+                       ("x2", np.tile(x2, len(x1)), "s"),
                        ("omega", field.omega.ravel(), "f")])
     summary = {"band": field.band, "value": result.value,
                "quantization_unit": result.quantization_unit,

@@ -17,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 from geodrive import WriteError, cli
 from geodrive.cli import (_BLOCK_ROWS, PRESETS, SCHEMA, _job, _path,
                           _schema_errors, _write_csv, main, validate_config)
+from geodrive.models import BUILTIN_MODELS
 from geodrive.response import IMAG_TOL
+from geodrive.topology import chern_bolza, dipolar_chern, quadrupole_chern
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -492,6 +494,31 @@ class TestRunKinds:
             math.pi / 2)
         assert os.path.exists(prefix + "curvature.csv")
 
+    @pytest.mark.parametrize("manifold, model, grid, compute", [
+        ("bolza", {"name": "bolza_qubit", "epsilon": 0.5}, [30], chern_bolza),
+        ("klein", {"name": "klein_qubit", "m": 2.0}, [40, 20], dipolar_chern),
+        ("rp2", {"name": "rp2_qubit", "m": 1.0}, [20, 20], quadrupole_chern),
+    ])
+    def test_curvature_csv_is_the_per_row_text(self, tmp_path, manifold,
+                                               model, grid, compute):
+        # the axis cells are formatted once per axis value and repeated;
+        # the file must still read as repr of every double of the grid
+        prefix = str(tmp_path / "inv_")
+        self.run_ok(tmp_path, {"kind": "invariant", "manifold": manifold,
+                               "model": model,
+                               "numerics": {"grid": grid, "band": 1},
+                               "output": {"prefix": prefix}})
+        params = {k: v for k, v in model.items() if k != "name"}
+        resolution = grid[0] if manifold == "bolza" else tuple(grid)
+        _, field = compute(BUILTIN_MODELS[model["name"]](**params),
+                           resolution=resolution, band=1, with_field=True)
+        n1, n2 = len(field.x1), len(field.x2)
+        expected = per_row_csv([("x1", np.repeat(field.x1, n2), "f"),
+                                ("x2", np.tile(field.x2, n1), "f"),
+                                ("omega", field.omega.ravel(), "f")])
+        with open(prefix + "curvature.csv", "rb") as fh:
+            assert fh.read() == expected.encode()
+
     def check_evolve(self, tmp_path, manifold, model, drive):
         prefix = str(tmp_path / "ev_")
         cfg = {"kind": "evolve", "manifold": manifold, "model": model,
@@ -641,11 +668,13 @@ class TestPreset:
 
 
 def per_row_csv(cols):
-    """The CSV text of the per-row rule: repr of each double, str of each int."""
+    """The CSV text of the per-row rule: repr of each double, str of each
+    int, and each text cell as it is."""
+    cell = {"f": lambda v: repr(float(v)), "i": lambda v: str(int(v)),
+            "s": str}
     lines = [",".join(name for name, _, _ in cols)]
     for i in range(len(cols[0][1])):
-        lines.append(",".join(repr(float(a[i])) if k == "f" else str(int(a[i]))
-                              for _, a, k in cols))
+        lines.append(",".join(cell[k](a[i]) for _, a, k in cols))
     return "\n".join(lines) + "\n"
 
 
@@ -726,6 +755,16 @@ class TestWriteCsv:
         assert os.listdir(tmp_path / "sub") == ["out.csv"]
         self.assert_no_child()
 
+    def test_text_column_across_ranges(self, tmp_path, forks):
+        # repeated axis text, as the curvature writer passes it, cut into
+        # three ranges that split the blocks of the repeats
+        n = 2 * _BLOCK_ROWS + 101
+        axis = np.array([repr(v) for v in self.SPECIAL], dtype=object)
+        cols = [("x", np.resize(axis, n), "s"), *self.columns(n)]
+        self.check(tmp_path, cols)
+        assert len(forks) == 2
+        self.assert_no_child()
+
     def test_small_file_stays_in_one_process(self, tmp_path, forks):
         self.check(tmp_path, self.columns(42))  # 126 cells: one range
         assert forks == []
@@ -775,5 +814,14 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match="unequal length"):
             _write_csv(str(tmp_path / "out.csv"),
                        [("a", np.zeros(500), "f"), ("b", np.zeros(499), "f")])
+        assert forks == []
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("kind", ["d", "F", "", None])
+    def test_unknown_kind_is_an_error(self, tmp_path, forks, kind):
+        # raised before any range is forked or any file is opened
+        with pytest.raises(ValueError, match=r"out\.csv: .*'b'"):
+            _write_csv(str(tmp_path / "out.csv"),
+                       [("a", np.zeros(500), "f"), ("b", np.zeros(500), kind)])
         assert forks == []
         assert os.listdir(tmp_path) == []
