@@ -21,6 +21,8 @@ topology      Berry curvature (two-level and plaquette routes), Chern /
               dipolar / quadrupolar invariants.
 ergodicity    Equidistribution checks for the hyperbolic flow.
 cli           JSON-config runner and figure presets.
+shortest      repr's text of a whole array of doubles at once, for the
+              CSV writer.
 """
 
 __version__ = "0.1.0"

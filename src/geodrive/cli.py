@@ -17,16 +17,19 @@ library rejects is reported at the config field it came from before
 anything runs.  A config passes the library only the keys it sets: every
 default lives with the function that takes the argument.
 
-CSV cells use the shortest round-trip decimal form of each double, so
-identical configs produce byte-identical files.  Cells are formatted a
-block of rows at a time, one repr per double and one str per int.  The
-axis values of a curvature grid are formatted once each and their text is
-repeated over the grid, which gives the bytes of formatting every cell on
-its own.  A large file is cut into one contiguous row range per available
-core: forked children format all ranges but the first into unlinked
-temporary files in the output directory, and the parent appends them in
-order, so the bytes are those of one process.  On one core, or below
-2 * _SPLIT_CELLS cells, nothing forks.
+CSV cells use the shortest round-trip decimal form of each double, the
+text of repr, so identical configs produce byte-identical files.  Cells
+are formatted a block of rows at a time: the doubles of a block by one
+call to a numpy kernel (geodrive.shortest), the ints and text of each
+column by one cast to bytes; each cell is a NUL-padded row of a byte
+matrix, and a block is written as that matrix with its NULs removed.  The axis values of a curvature grid
+are formatted once each and their text is repeated over the grid, which
+gives the bytes of formatting every cell on its own.  A file with many
+doubles is cut into one contiguous row range per available core: forked
+children format all ranges but the first into unlinked temporary files
+in the output directory, and the parent appends them in order, so the
+bytes are those of one process.  On one core, or below 2 * _SPLIT_CELLS
+doubles, nothing forks.
 """
 
 import argparse
@@ -53,6 +56,7 @@ from .response import GOLDEN, drive_spec, run_hdqs, run_klein, run_rp2
 from .topology import (chern_bolza, check_radius, dipolar_chern,
                        quadrupole_chern)
 from .ergodicity import disk_area_exact, ergodicity_report
+from .shortest import slots
 
 _PAIR = {"type": "array", "items": {"type": "number"},
          "minItems": 2, "maxItems": 2}
@@ -289,37 +293,71 @@ def validate_config(cfg):
 # artifact writers
 
 
-# rows formatted and written at a time: the heap that a block's strings
-# grow stays resident after the writer returns and adds to the peak of the
-# drive that follows (a process's first write of three float columns grows
-# its resident set by about 0.15 MiB at 256 rows, 0.5 MiB at 1024)
-_BLOCK_ROWS = 256
+# rows formatted and written at a time.  A call of the float kernel costs
+# about 0.2 ms of numpy call overhead whatever its size and holds about
+# 250 bytes per double while it runs; a block's matrix, mask and text hold
+# about 130 more per cell.  With one call per float column block, on a
+# response-like file (3 float columns, 60k rows, one process): 1024 rows
+# 92-122 ms, 2048 64 ms, 4096 57-80 ms, 8192 72 ms; bolza-drives peak RSS
+# 42.15 MiB at 1024 or 2048 rows, 42.43 at 4096
+_BLOCK_ROWS = 2048
 
-# cells per row range: a file is split only from twice this size.  Per
-# curvature-like file (two text axes, one float column) in a process of
-# about 50 MB, medians of 20 runs, one range against two: 120k cells 50-58
-# against 38-39 ms (two faster in 17/20 runs, twice), 90k 40-45 against
-# 39-50 ms (10/20, 2/20), 60k 19-20 against 24-26 ms (4/20, 0/20)
-_SPLIT_CELLS = 50_000
+# doubles per row range: a file is split only from twice this many, as a
+# double costs about ten times an int or text cell.  One range against two
+# on 2 cores in a process of about 50 MB, medians of 20 alternating runs:
+# curvature-like files (two text axes, one float column) of 80k doubles
+# 59 against 40 ms (two faster in 19/20), 60k 43 against 51 ms (0/20), 40k
+# 31 against 39 ms (4/20); response-like files (three float columns) of
+# 120k doubles 77 against 45 ms (20/20), 60k 37 against 26 ms (17/20), 45k
+# 25 against 35 ms (0/20)
+_SPLIT_CELLS = 35_000
 
 
-# column kind -> how a value becomes its cell: the shortest round-trip form
-# of a double, the decimal form of an int; "s" cells are text already
-_FORMAT = {"f": repr, "i": str, "s": None}
+def _cells(a):
+    """The cells of an int or text column block as a uint8 matrix, one row
+    per cell: its nonzero bytes are the cell's text (an int's decimal form,
+    or the ASCII text of an "s" cell), and its last byte is NUL, left for
+    the separator."""
+    text = a.astype("S", copy=False)
+    cells = np.zeros((len(a), text.itemsize + 1), dtype=np.uint8)
+    cells[:, :-1] = text.view(np.uint8).reshape(len(a), text.itemsize)
+    return cells
 
 
-def _cells(a, kind):
-    """CSV cells of one column block, one formatting call per cell."""
-    cells = a.tolist()
-    return cells if kind == "s" else list(map(_FORMAT[kind], cells))
+def _text(x):
+    """The text of each double of x, as an object array of bytes."""
+    cells = slots(np.asarray(x, dtype=np.float64))
+    return np.array([cell[cell != 0].tobytes() for cell in cells],
+                    dtype=object)
 
 
 def _write_rows(fh, arrays, start, stop):
-    """Write rows [start, stop) of the columns to the binary file fh."""
+    """Write rows [start, stop) of the columns to the binary file fh.
+
+    A block's cells are rows of one uint8 matrix: those of its doubles from
+    one kernel call, the shortest text that reads back as each double, as
+    repr gives it; those of its ints and text from _cells.
+    """
+    floats = [a for a, k in arrays if k == "f"]
     for lo in range(start, stop, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, stop)
-        block = [_cells(a[lo:hi], k) for a, k in arrays]
-        fh.write(("\n".join(map(",".join, zip(*block))) + "\n").encode())
+        doubles = iter(())
+        if floats:
+            # one call for every float column, as a call costs about 0.2 ms
+            # whatever its size
+            rows = slots(np.stack([a[lo:hi] for a in floats], axis=1).ravel())
+            doubles = iter(rows.reshape(hi - lo, len(floats), -1)
+                           .transpose(1, 0, 2))
+            del rows
+        cells = [next(doubles) if k == "f" else _cells(a[lo:hi])
+                 for a, k in arrays]
+        # the last byte of each cell separates it from the next
+        for column in cells[:-1]:
+            column[:, -1] = ord(",")
+        cells[-1][:, -1] = ord("\n")
+        block = np.concatenate(cells, axis=1)
+        del cells, doubles
+        fh.write(block[block != 0])
 
 
 def _fork_rows(fd, arrays, start, stop):
@@ -357,23 +395,33 @@ def _fork_rows(fd, arrays, start, stop):
 def _write_csv(path, cols):
     """Write columns as CSV; cols is a list of (name, array, 'f'|'i'|'s').
 
-    An 'f' column is written as doubles, an 'i' column as ints and an 's'
-    column, text such as axis values formatted once and then repeated, as
-    it is.  An unknown kind or columns of unequal length raise ValueError
+    An 'f' column, of real numbers, is written as doubles, an 'i' column as
+    ints and an 's' column, ASCII text such as axis values formatted once
+    and then repeated, as it is.  An unknown kind, an 'f' column of complex
+    numbers, objects or text, or columns of unequal length raise ValueError
     before any file is opened.
 
-    The rows are cut into min(cores, cells // _SPLIT_CELLS) contiguous
+    The rows are cut into min(cores, doubles // _SPLIT_CELLS) contiguous
     ranges, at least one.  The parent writes the header and the first
     range; a forked child formats each later range into an unlinked
     temporary file, which the parent appends once the child has exited 0.
     No child outlives the call, and a failed write leaves no file behind.
     """
-    unknown = [f"{name!r} ({k!r})" for name, _, k in cols if k not in _FORMAT]
+    arrays = [(np.asarray(a), k) for _, a, k in cols]
+    unknown = [f"{name!r} ({k!r})" for name, _, k in cols
+               if k not in ("f", "i", "s")]
     if unknown:
         raise ValueError(f"{path}: unknown column kind of "
                          f"{', '.join(unknown)}; use 'f', 'i' or 's'")
-    arrays = [(np.asarray(a, dtype=np.float64) if k == "f" else np.asarray(a),
-               k) for _, a, k in cols]
+    # a complex double would lose its imaginary part, and text would be
+    # parsed, if cast to float64
+    unreal = [f"{name!r} ({a.dtype})" for (name, _, k), (a, _) in
+              zip(cols, arrays) if k == "f" and a.dtype.kind not in "biuf"]
+    if unreal:
+        raise ValueError(f"{path}: 'f' column of no real dtype: "
+                         f"{', '.join(unreal)}")
+    arrays = [(a.astype(np.float64, copy=False) if k == "f" else a, k)
+              for a, k in arrays]
     n = len(arrays[0][0])
     if any(len(a) != n for a, _ in arrays):
         raise ValueError(f"{path}: columns of unequal length "
@@ -381,8 +429,9 @@ def _write_csv(path, cols):
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
+    doubles = n * sum(k == "f" for _, k in arrays)
     parts = max(1, min(len(os.sched_getaffinity(0)),
-                       n * len(arrays) // _SPLIT_CELLS))
+                       doubles // _SPLIT_CELLS))
     bounds = [n * i // parts for i in range(parts + 1)]
     children = []  # (pid, temporary file, first row, end row), in order
     reaped = 0
@@ -592,9 +641,11 @@ def _run_invariant(cfg, prefix):
             else quadrupole_chern
         result, field = compute(model, with_field=True, **kw)
     # each axis value is formatted once, and its text is repeated over the
-    # grid: n1 + n2 repr calls for the axis cells, not 2 * n1 * n2
-    x1, x2 = (np.array(_cells(x, "f"), dtype=object)
-              for x in (field.x1, field.x2))
+    # grid: n1 + n2 doubles formatted for the axis cells, not 2 * n1 * n2.
+    # The repeats are object arrays, cast to bytes a block at a time: held
+    # as fixed-width bytes over the grid (3 MB for the 400 x 200 Klein
+    # grid), they raised the peak RSS of flat-and-grids by 0.5 MiB
+    x1, x2 = (_text(x) for x in (field.x1, field.x2))
     path = _write_csv(prefix + "curvature.csv",
                       [("x1", np.repeat(x1, len(x2)), "s"),
                        ("x2", np.tile(x2, len(x1)), "s"),

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geodrive import WriteError, cli
-from geodrive.cli import (_BLOCK_ROWS, PRESETS, SCHEMA, _job, _path,
-                          _schema_errors, _write_csv, main, validate_config)
+from geodrive.cli import (PRESETS, SCHEMA, _job, _path, _schema_errors,
+                          _write_csv, main, validate_config)
 from geodrive.models import BUILTIN_MODELS
 from geodrive.response import IMAG_TOL
 from geodrive.topology import chern_bolza, dipolar_chern, quadrupole_chern
@@ -678,9 +678,18 @@ def per_row_csv(cols):
     return "\n".join(lines) + "\n"
 
 
+# rows per block in TestWriteCsv, small enough that block edges and range
+# edges fall inside files of a few hundred rows
+BLOCK = 256
+
+
 class TestWriteCsv:
     SPECIAL = [-0.0, 0.0, 5e-324, 1e16, 1e22, 0.1, 1 / 3, math.nan,
                math.inf, -math.inf]
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", BLOCK)
 
     def check(self, tmp_path, cols):
         path = str(tmp_path / "sub" / "out.csv")
@@ -699,6 +708,12 @@ class TestWriteCsv:
         assert text.splitlines()[1].startswith("-0.0,-0.0,-7")
         assert "5e-324" in text and "1e+16" in text and "nan" in text
 
+    def test_ints_and_text_only(self, tmp_path):
+        n = 2 * BLOCK + 3
+        self.check(tmp_path, [("k", np.arange(n) - 9, "i"),
+                              ("s", np.resize(np.array(["a", "", "-0.5"],
+                                                       dtype=object), n), "s")])
+
     def test_header_only(self, tmp_path):
         self.check(tmp_path, [("a", np.empty(0), "f"),
                               ("b", np.empty(0, dtype=int), "i")])
@@ -707,11 +722,11 @@ class TestWriteCsv:
     def test_grid_columns_across_blocks(self, tmp_path):
         # repeat/tile grid columns, a strided column, and a row count that
         # is not a multiple of the block size
-        n1, n2 = 7, _BLOCK_ROWS // 3 + 5
+        n1, n2 = 7, BLOCK // 3 + 5
         x1 = np.linspace(-math.pi, math.pi, n1)
         x2 = np.linspace(-math.pi, 0.0, n2)
         omega = np.random.default_rng(0).standard_normal((n1 * n2, 2))
-        assert (n1 * n2) % _BLOCK_ROWS
+        assert (n1 * n2) % BLOCK
         self.check(tmp_path, [("x1", np.repeat(x1, n2), "f"),
                               ("x2", np.tile(x2, n1), "f"),
                               ("omega", omega[:, 1], "f"),
@@ -746,10 +761,10 @@ class TestWriteCsv:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("n", [2 * _BLOCK_ROWS + 101, 5 * _BLOCK_ROWS])
+    @pytest.mark.parametrize("n", [2 * BLOCK + 101, 5 * BLOCK])
     def test_ranges_give_the_bytes_of_one_process(self, tmp_path, forks, n):
         # three ranges of n // 3 rows or one more, none on a block boundary
-        assert (n // 3) % _BLOCK_ROWS and n % 3
+        assert (n // 3) % BLOCK and n % 3
         self.check(tmp_path, self.columns(n))
         assert len(forks) == 2
         assert os.listdir(tmp_path / "sub") == ["out.csv"]
@@ -758,7 +773,7 @@ class TestWriteCsv:
     def test_text_column_across_ranges(self, tmp_path, forks):
         # repeated axis text, as the curvature writer passes it, cut into
         # three ranges that split the blocks of the repeats
-        n = 2 * _BLOCK_ROWS + 101
+        n = 2 * BLOCK + 101
         axis = np.array([repr(v) for v in self.SPECIAL], dtype=object)
         cols = [("x", np.resize(axis, n), "s"), *self.columns(n)]
         self.check(tmp_path, cols)
@@ -776,20 +791,20 @@ class TestWriteCsv:
         def no_fork():
             raise AssertionError("forked on one core")
         monkeypatch.setattr(os, "fork", no_fork)
-        self.check(tmp_path, self.columns(3 * _BLOCK_ROWS + 5))
+        self.check(tmp_path, self.columns(3 * BLOCK + 5))
 
     def test_failed_child_is_a_named_error(self, tmp_path, monkeypatch,
                                            forks):
         parent, cells = os.getpid(), cli._cells
 
-        def child_fails(a, kind):
+        def child_fails(a):
             if os.getpid() != parent:
                 raise RuntimeError("formatting failed")
-            return cells(a, kind)
+            return cells(a)
         monkeypatch.setattr(cli, "_cells", child_fails)
         with pytest.raises(WriteError, match=r"out\.csv: .* rows 204 to 407"):
             _write_csv(str(tmp_path / "out.csv"),
-                       self.columns(2 * _BLOCK_ROWS + 101))
+                       self.columns(2 * BLOCK + 101))
         assert len(forks) == 2
         assert os.listdir(tmp_path) == []
         self.assert_no_child()
@@ -798,10 +813,10 @@ class TestWriteCsv:
                                             forks):
         parent, cells = os.getpid(), cli._cells
 
-        def parent_fails(a, kind):
+        def parent_fails(a):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
-            return cells(a, kind)
+            return cells(a)
         monkeypatch.setattr(cli, "_cells", parent_fails)
         with pytest.raises(KeyboardInterrupt):
             _write_csv(str(tmp_path / "out.csv"), self.columns(1000))
@@ -817,6 +832,21 @@ class TestWriteCsv:
         assert forks == []
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("values", [
+        np.array([1 + 2j, 3 - 4j]), np.array([1.0, 2.0], dtype=object),
+        np.array(["1.5", "2"])])
+    def test_float_column_of_no_real_dtype_is_an_error(self, tmp_path, forks,
+                                                       values):
+        # a complex column would lose its imaginary part and text would be
+        # parsed; raised before any range is forked or any file is opened
+        n = 500
+        with pytest.raises(ValueError, match=r"out\.csv: .*'z'"):
+            _write_csv(str(tmp_path / "out.csv"),
+                       [("a", np.zeros(n), "f"),
+                        ("z", np.resize(values, n), "f")])
+        assert forks == []
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("kind", ["d", "F", "", None])
     def test_unknown_kind_is_an_error(self, tmp_path, forks, kind):
         # raised before any range is forked or any file is opened
@@ -825,3 +855,20 @@ class TestWriteCsv:
                        [("a", np.zeros(500), "f"), ("b", np.zeros(500), kind)])
         assert forks == []
         assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("n", [0, 1, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS,
+                               cli._BLOCK_ROWS + 1])
+def test_files_at_the_block_size(tmp_path, n):
+    # the block size the writer runs with: empty, one-row and block-edge files
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    x[::11] = np.round(x[::11], 2)
+    cols = [("t", np.arange(n) * 0.02, "f"), ("x", x, "f"),
+            ("k", np.arange(n) - 7, "i"),
+            ("s", np.resize(np.array(["a", "bc", "-0.5"], dtype=object), n),
+             "s")]
+    path = str(tmp_path / "out.csv")
+    _write_csv(path, cols)
+    with open(path, "rb") as fh:
+        assert fh.read() == per_row_csv(cols).encode()
