@@ -58,7 +58,3 @@ class DegeneracyError(GeodriveError, RuntimeError):
 
 class ResolutionError(GeodriveError, RuntimeError):
     """A discretization is too coarse for the requested quantity."""
-
-
-class WriteError(GeodriveError, RuntimeError):
-    """An output file could not be written."""

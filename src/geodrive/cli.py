@@ -22,14 +22,10 @@ text of repr, so identical configs produce byte-identical files.  Cells
 are formatted a block of rows at a time: the doubles of a block by one
 call to a numpy kernel (geodrive.shortest), the ints and text of each
 column by one cast to bytes; each cell is a NUL-padded row of a byte
-matrix, and a block is written as that matrix with its NULs removed.  The axis values of a curvature grid
-are formatted once each and their text is repeated over the grid, which
-gives the bytes of formatting every cell on its own.  A file with many
-doubles is cut into one contiguous row range per available core: forked
-children format all ranges but the first into unlinked temporary files
-in the output directory, and the parent appends them in order, so the
-bytes are those of one process.  On one core, or below 2 * _SPLIT_CELLS
-doubles, nothing forks.
+matrix, and a block is written as that matrix with its NULs removed.  The
+axis values of a curvature grid are formatted once each and their text is
+repeated over the grid, which gives the bytes of formatting every cell on
+its own.
 """
 
 import argparse
@@ -40,15 +36,12 @@ import json
 import math
 import operator
 import os
-import shutil
 import sys
-import tempfile
 import time
-import warnings
 
 import numpy as np
 
-from . import GeodriveError, ValidationError, WriteError, __version__
+from . import GeodriveError, ValidationError, __version__
 from .trajectories import GeodesicSpec, default_digits, trajectory
 from .models import BUILTIN_MODELS, bolza_qubit
 from .evolution import evolve, fidelity, g_correction, track_band
@@ -302,17 +295,6 @@ def validate_config(cfg):
 # 42.15 MiB at 1024 or 2048 rows, 42.43 at 4096
 _BLOCK_ROWS = 2048
 
-# doubles per row range: a file is split only from twice this many, as a
-# double costs about ten times an int or text cell.  One range against two
-# on 2 cores in a process of about 50 MB, medians of 20 alternating runs:
-# curvature-like files (two text axes, one float column) of 80k doubles
-# 59 against 40 ms (two faster in 19/20), 60k 43 against 51 ms (0/20), 40k
-# 31 against 39 ms (4/20); response-like files (three float columns) of
-# 120k doubles 77 against 45 ms (20/20), 60k 37 against 26 ms (17/20), 45k
-# 25 against 35 ms (0/20)
-_SPLIT_CELLS = 35_000
-
-
 def _cells(a):
     """The cells of an int or text column block as a uint8 matrix, one row
     per cell: its nonzero bytes are the cell's text (an int's decimal form,
@@ -360,38 +342,6 @@ def _write_rows(fh, arrays, start, stop):
         fh.write(block[block != 0])
 
 
-def _fork_rows(fd, arrays, start, stop):
-    """Fork a child that writes rows [start, stop) to fd; returns its pid.
-
-    The child exits 0 once the rows are written, 1 on any error, by
-    os._exit: it runs no exit handlers, never flushes the parent's stdio
-    and never returns into the parent's frames, even when interrupted.
-    """
-    parent = os.getpid()
-    status = 1
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12 warns when it forks a process with threads, such
-            # as numpy's BLAS pool; the child only formats and writes, and
-            # calls no BLAS and takes no lock those threads could hold
-            warnings.filterwarnings("ignore", r".*multi-threaded.*fork\(\)",
-                                    DeprecationWarning)
-            pid = os.fork()
-        if pid:
-            return pid
-        with open(fd, "wb", closefd=False) as out:
-            _write_rows(out, arrays, start, stop)
-        status = 0
-    except Exception:
-        if os.getpid() == parent:
-            raise
-        import traceback
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        if os.getpid() != parent:
-            os._exit(status)
-
-
 def _write_csv(path, cols):
     """Write columns as CSV; cols is a list of (name, array, 'f'|'i'|'s').
 
@@ -399,13 +349,7 @@ def _write_csv(path, cols):
     ints and an 's' column, ASCII text such as axis values formatted once
     and then repeated, as it is.  An unknown kind, an 'f' column of complex
     numbers, objects or text, or columns of unequal length raise ValueError
-    before any file is opened.
-
-    The rows are cut into min(cores, doubles // _SPLIT_CELLS) contiguous
-    ranges, at least one.  The parent writes the header and the first
-    range; a forked child formats each later range into an unlinked
-    temporary file, which the parent appends once the child has exited 0.
-    No child outlives the call, and a failed write leaves no file behind.
+    before any file is opened.  A failed write leaves no file behind.
     """
     arrays = [(np.asarray(a), k) for _, a, k in cols]
     unknown = [f"{name!r} ({k!r})" for name, _, k in cols
@@ -429,43 +373,14 @@ def _write_csv(path, cols):
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    doubles = n * sum(k == "f" for _, k in arrays)
-    parts = max(1, min(len(os.sched_getaffinity(0)),
-                       doubles // _SPLIT_CELLS))
-    bounds = [n * i // parts for i in range(parts + 1)]
-    children = []  # (pid, temporary file, first row, end row), in order
-    reaped = 0
     try:
-        with contextlib.ExitStack() as temps:
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
-                fd = temps.enter_context(
-                    tempfile.TemporaryFile(dir=parent or ".")).fileno()
-                children.append((_fork_rows(fd, arrays, start, stop), fd,
-                                 start, stop))
-            with open(path, "wb") as fh:
-                fh.write((",".join(name for name, _, _ in cols)
-                          + "\n").encode())
-                _write_rows(fh, arrays, 0, bounds[1])
-                for pid, fd, start, stop in children:
-                    status = os.waitpid(pid, 0)[1]
-                    reaped += 1
-                    if status:
-                        raise WriteError(
-                            f"{path}: the process writing rows {start} to "
-                            f"{stop - 1} failed (exit code "
-                            f"{os.waitstatus_to_exitcode(status)})")
-                    os.lseek(fd, 0, os.SEEK_SET)
-                    with open(fd, "rb", closefd=False) as part:
-                        shutil.copyfileobj(part, fh)
+        with open(path, "wb") as fh:
+            fh.write((",".join(name for name, _, _ in cols) + "\n").encode())
+            _write_rows(fh, arrays, 0, n)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(path)
         raise
-    finally:
-        # children are left to reap only when the write has failed; each
-        # ends once its range is written, or at once on the terminal's ^C
-        for pid, *_ in children[reaped:]:
-            os.waitpid(pid, 0)
     return path
 
 
@@ -893,6 +808,9 @@ def run_preset(name, out=None, jobs=1):
     if name not in PRESETS:
         raise ValidationError(f"unknown preset {name!r}; choose from "
                               + ", ".join(sorted(PRESETS)))
+    if jobs < 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs}",
+                              param="jobs")
     out = out or os.path.join("geodrive-out", name)
     os.makedirs(out, exist_ok=True)
     t0 = time.perf_counter()

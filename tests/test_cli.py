@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geodrive import WriteError, cli
+from geodrive import cli
 from geodrive.cli import (PRESETS, SCHEMA, _job, _path, _schema_errors,
                           _write_csv, main, validate_config)
 from geodrive.models import BUILTIN_MODELS
@@ -666,6 +666,18 @@ class TestPreset:
         assert len(results[0][0]) == 3  # two curvature CSVs and the summary
         assert results[0] == results[1]
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_is_config_error(self, tmp_path, monkeypatch,
+                                            capsys, jobs):
+        monkeypatch.setitem(PRESETS, "never",
+                            lambda: pytest.fail("the preset ran"))
+        out = tmp_path / "out"
+        assert main(["preset", "never", "--out", str(out),
+                     "--jobs", jobs]) == 2
+        assert "config error: jobs must be at least 1" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
 
 def per_row_csv(cols):
     """The CSV text of the per-row rule: repr of each double, str of each
@@ -678,8 +690,8 @@ def per_row_csv(cols):
     return "\n".join(lines) + "\n"
 
 
-# rows per block in TestWriteCsv, small enough that block edges and range
-# edges fall inside files of a few hundred rows
+# rows per block in TestWriteCsv, small enough that block edges fall inside
+# files of a few hundred rows
 BLOCK = 256
 
 
@@ -720,140 +732,64 @@ class TestWriteCsv:
         assert (tmp_path / "sub" / "out.csv").read_text() == "a,b\n"
 
     def test_grid_columns_across_blocks(self, tmp_path):
-        # repeat/tile grid columns, a strided column, and a row count that
-        # is not a multiple of the block size
+        # repeat/tile grid columns, repeated axis text as the curvature
+        # writer passes it, a strided column, and a row count that is not a
+        # multiple of the block size
         n1, n2 = 7, BLOCK // 3 + 5
         x1 = np.linspace(-math.pi, math.pi, n1)
         x2 = np.linspace(-math.pi, 0.0, n2)
+        axis = np.array([repr(v) for v in self.SPECIAL], dtype=object)
         omega = np.random.default_rng(0).standard_normal((n1 * n2, 2))
         assert (n1 * n2) % BLOCK
-        self.check(tmp_path, [("x1", np.repeat(x1, n2), "f"),
+        self.check(tmp_path, [("x", np.resize(axis, n1 * n2), "s"),
+                              ("x1", np.repeat(x1, n2), "f"),
                               ("x2", np.tile(x2, n1), "f"),
                               ("omega", omega[:, 1], "f"),
                               ("k", np.arange(n1 * n2, dtype=np.int32), "i")])
 
-    # files cut into forked row ranges, on a pretended three-core machine
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        cells, calls = cli._cells, []
 
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """Split from 2 * 64 cells over three cores; lists the forked pids."""
-        monkeypatch.setattr(cli, "_SPLIT_CELLS", 64)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        pids, fork = [], os.fork
-
-        def counting_fork():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-        monkeypatch.setattr(os, "fork", counting_fork)
-        return pids
-
-    def columns(self, n):
-        vals = np.resize(np.array(self.SPECIAL), n)
-        vals[::7] = np.random.default_rng(n).standard_normal(len(vals[::7]))
-        return [("f64", vals, "f"),
-                ("f32", vals.astype(np.float32), "f"),
-                ("k", np.arange(n) - n // 2, "i")]
-
-    @staticmethod
-    def assert_no_child():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.parametrize("n", [2 * BLOCK + 101, 5 * BLOCK])
-    def test_ranges_give_the_bytes_of_one_process(self, tmp_path, forks, n):
-        # three ranges of n // 3 rows or one more, none on a block boundary
-        assert (n // 3) % BLOCK and n % 3
-        self.check(tmp_path, self.columns(n))
-        assert len(forks) == 2
-        assert os.listdir(tmp_path / "sub") == ["out.csv"]
-        self.assert_no_child()
-
-    def test_text_column_across_ranges(self, tmp_path, forks):
-        # repeated axis text, as the curvature writer passes it, cut into
-        # three ranges that split the blocks of the repeats
-        n = 2 * BLOCK + 101
-        axis = np.array([repr(v) for v in self.SPECIAL], dtype=object)
-        cols = [("x", np.resize(axis, n), "s"), *self.columns(n)]
-        self.check(tmp_path, cols)
-        assert len(forks) == 2
-        self.assert_no_child()
-
-    def test_small_file_stays_in_one_process(self, tmp_path, forks):
-        self.check(tmp_path, self.columns(42))  # 126 cells: one range
-        assert forks == []
-
-    def test_one_core_never_forks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_SPLIT_CELLS", 64)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-        def no_fork():
-            raise AssertionError("forked on one core")
-        monkeypatch.setattr(os, "fork", no_fork)
-        self.check(tmp_path, self.columns(3 * BLOCK + 5))
-
-    def test_failed_child_is_a_named_error(self, tmp_path, monkeypatch,
-                                           forks):
-        parent, cells = os.getpid(), cli._cells
-
-        def child_fails(a):
-            if os.getpid() != parent:
-                raise RuntimeError("formatting failed")
-            return cells(a)
-        monkeypatch.setattr(cli, "_cells", child_fails)
-        with pytest.raises(WriteError, match=r"out\.csv: .* rows 204 to 407"):
-            _write_csv(str(tmp_path / "out.csv"),
-                       self.columns(2 * BLOCK + 101))
-        assert len(forks) == 2
-        assert os.listdir(tmp_path) == []
-        self.assert_no_child()
-
-    def test_parent_error_reaps_every_child(self, tmp_path, monkeypatch,
-                                            forks):
-        parent, cells = os.getpid(), cli._cells
-
-        def parent_fails(a):
-            if os.getpid() == parent:
+        def second_block_fails(a):
+            calls.append(len(a))
+            if len(calls) == 2:
                 raise KeyboardInterrupt
             return cells(a)
-        monkeypatch.setattr(cli, "_cells", parent_fails)
+        monkeypatch.setattr(cli, "_cells", second_block_fails)
+        n = 3 * BLOCK
         with pytest.raises(KeyboardInterrupt):
-            _write_csv(str(tmp_path / "out.csv"), self.columns(1000))
-        assert len(forks) == 2
+            _write_csv(str(tmp_path / "out.csv"),
+                       [("x", np.zeros(n), "f"), ("k", np.arange(n), "i")])
+        assert calls == [BLOCK, BLOCK]
         assert os.listdir(tmp_path) == []
-        self.assert_no_child()
 
-    def test_short_column_is_an_error(self, tmp_path, forks):
-        # raised before any range is forked or any file is opened
+    def test_short_column_is_an_error(self, tmp_path):
+        # raised before any file is opened
         with pytest.raises(ValueError, match="unequal length"):
             _write_csv(str(tmp_path / "out.csv"),
                        [("a", np.zeros(500), "f"), ("b", np.zeros(499), "f")])
-        assert forks == []
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("values", [
         np.array([1 + 2j, 3 - 4j]), np.array([1.0, 2.0], dtype=object),
         np.array(["1.5", "2"])])
-    def test_float_column_of_no_real_dtype_is_an_error(self, tmp_path, forks,
+    def test_float_column_of_no_real_dtype_is_an_error(self, tmp_path,
                                                        values):
         # a complex column would lose its imaginary part and text would be
-        # parsed; raised before any range is forked or any file is opened
+        # parsed; raised before any file is opened
         n = 500
         with pytest.raises(ValueError, match=r"out\.csv: .*'z'"):
             _write_csv(str(tmp_path / "out.csv"),
                        [("a", np.zeros(n), "f"),
                         ("z", np.resize(values, n), "f")])
-        assert forks == []
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("kind", ["d", "F", "", None])
-    def test_unknown_kind_is_an_error(self, tmp_path, forks, kind):
-        # raised before any range is forked or any file is opened
+    def test_unknown_kind_is_an_error(self, tmp_path, kind):
+        # raised before any file is opened
         with pytest.raises(ValueError, match=r"out\.csv: .*'b'"):
             _write_csv(str(tmp_path / "out.csv"),
                        [("a", np.zeros(500), "f"), ("b", np.zeros(500), kind)])
-        assert forks == []
         assert os.listdir(tmp_path) == []
 
 
