@@ -313,16 +313,17 @@ def _text(x):
                     dtype=object)
 
 
-def _write_rows(fh, arrays, start, stop):
-    """Write rows [start, stop) of the columns to the binary file fh.
+def _write_rows(fh, arrays):
+    """Write the rows of the columns to the binary file fh.
 
     A block's cells are rows of one uint8 matrix: those of its doubles from
     one kernel call, the shortest text that reads back as each double, as
     repr gives it; those of its ints and text from _cells.
     """
     floats = [a for a, k in arrays if k == "f"]
-    for lo in range(start, stop, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, stop)
+    n = len(arrays[0][0])
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
         doubles = iter(())
         if floats:
             # one call for every float column, as a call costs about 0.2 ms
@@ -376,7 +377,7 @@ def _write_csv(path, cols):
     try:
         with open(path, "wb") as fh:
             fh.write((",".join(name for name, _, _ in cols) + "\n").encode())
-            _write_rows(fh, arrays, 0, n)
+            _write_rows(fh, arrays)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(path)
@@ -569,7 +570,8 @@ def _run_invariant(cfg, prefix):
                "quantization_unit": result.quantization_unit,
                "nearest_quantum": result.nearest_quantum,
                "residue": result.residue,
-               "grid_shape": list(result.grid_shape)}
+               "grid_shape": list(result.grid_shape),
+               "min_gap": result.min_gap, "min_overlap": result.min_overlap}
     return [path], summary
 
 

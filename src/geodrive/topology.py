@@ -15,7 +15,20 @@ The invariants take the solid-angle route for models with a Bloch field
 eigenvector plaquette stays the reference the two are checked against.
 Invariants are midpoint-rule sums of plaquette phases times coordinate
 weights (1, theta_y, theta_x theta_y), reported next to their nearest
-quantized value.
+quantized value, the grid's smallest band gap and its smallest link
+overlap |<psi_i|psi_j>|.
+
+An invariant computes its grid in strips of plaquette rows, about
+evolution._CHUNK nodes each: a strip's node points are built from the grid
+axes, together with the node row that bounds it (node row 0 for the last
+strip of the Klein grid, whose x axis wraps), then go through either route
+to phases written into one preallocated plaquette array.  Gap and overlap
+minima are carried across strips and checked once the grid is done, so the
+errors name the whole grid's minima.  Besides its two axes an invariant
+thus holds its omega, 8 bytes per plaquette, and one strip's temporaries;
+no array of the whole node grid is built.  Every node and plaquette value
+is computed as the one-shot curvature_solid_angle or curvature_plaquette
+of the whole grid computes it, so omega is the same to the bit.
 """
 
 import math
@@ -25,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ResolutionError, ValidationError
+from .evolution import _CHUNK
 from .models import (GAP_THRESHOLD, band_gap, eig_many, gap_report,
                      mirror_symmetry_residual, require_gap,
                      s_symmetry_residual)
@@ -108,24 +122,49 @@ def curvature_plaquette(states, spacing, origin=(0.0, 0.0), band=0,
         psi = np.concatenate([psi, psi[:1]], axis=0)
     if wrap_y:
         psi = np.concatenate([psi, psi[:, :1]], axis=1)
+    phases, small = _loop_phases(psi)
+    _checked_overlap(small, dots=False)
+    return _plaquette_field(phases, spacing, origin, band)
+
+
+def _loop_phases(psi):
+    """Wilson-loop phases of a (m + 1, k, D) block of node states: the
+    (m, k - 1) plaquette phases and the smallest link overlap."""
     u1 = np.einsum("xyi,xyi->xy", psi[:-1].conj(), psi[1:])
     u2 = np.einsum("xyi,xyi->xy", psi[:, :-1].conj(), psi[:, 1:])
-    small = min(np.abs(u1).min(), np.abs(u2).min())
-    if small < OVERLAP_FLOOR:
-        raise ResolutionError(
-            f"plaquette link overlap {small:.2e} below {OVERLAP_FLOOR:g}; "
-            "grid too coarse near a near-degeneracy")
+    small = np.minimum(np.abs(u1).min(), np.abs(u2).min())
     loop = (u2[:-1, :] * u1[:, 1:]
             * np.conj(u2[1:, :]) * np.conj(u1[:, :-1]))
-    return _plaquette_field(-np.log(loop).imag, spacing, origin, band)
+    # a zero loop has a zero link, which the overlap check then rejects
+    with np.errstate(divide="ignore"):
+        return -np.log(loop).imag, small
+
+
+def _checked_overlap(smallest, dots):
+    """The smallest link overlap |<psi_i|psi_j>| of a grid, from its smallest
+    overlap or, with dots, from its smallest dhat_i . dhat_j, whose overlap
+    is sqrt((1 + dhat_i . dhat_j) / 2).  Raises ResolutionError below
+    OVERLAP_FLOOR; a NaN passes, as the phases then show it."""
+    if dots:
+        small = 1.0 + smallest
+        low = small < 2 * OVERLAP_FLOOR ** 2
+        smallest = math.sqrt(max(small, 0.0) / 2)
+    else:
+        low = smallest < OVERLAP_FLOOR
+    if low:
+        raise ResolutionError(
+            f"plaquette link overlap {smallest:.2e} below {OVERLAP_FLOOR:g}; "
+            "grid too coarse near a near-degeneracy")
+    return float(smallest)
 
 
 def _plaquette_field(phases, spacing, origin, band):
+    # phases become omega in place: an invariant holds one plaquette array
     h1, h2 = spacing
     x1 = origin[0] + h1 * (0.5 + np.arange(phases.shape[0]))
     x2 = origin[1] + h2 * (0.5 + np.arange(phases.shape[1]))
-    return BerryField(x1, x2, phases / (h1 * h2), (h1, h2), band,
-                      "plaquette")
+    phases /= h1 * h2
+    return BerryField(x1, x2, phases, (h1, h2), band, "plaquette")
 
 
 def _dot(a, b):
@@ -168,14 +207,16 @@ def curvature_solid_angle(dhat, spacing, origin=(0.0, 0.0), band=1,
         raise ValidationError("curvature_solid_angle: band must be 0 or 1")
     if wrap_x:
         n = np.concatenate([n, n[:1]], axis=0)
+    phases, small = _solid_angle_phases(n, band)
+    _checked_overlap(small, dots=True)
+    return _plaquette_field(phases, spacing, origin, band)
+
+
+def _solid_angle_phases(n, band):
+    """Solid-angle phases of a (m + 1, k, 3) block of unit Bloch vectors:
+    the (m, k - 1) plaquette phases and the smallest dhat_i . dhat_j."""
     link1 = _dot(n[:-1], n[1:])        # (i,j) - (i+1,j)
     link2 = _dot(n[:, :-1], n[:, 1:])  # (i,j) - (i,j+1)
-    small = 1.0 + min(link1.min(), link2.min())
-    if small < 2 * OVERLAP_FLOOR ** 2:
-        raise ResolutionError(
-            f"plaquette link overlap {math.sqrt(max(small, 0.0) / 2):.2e} "
-            f"below {OVERLAP_FLOOR:g}; grid too coarse near a "
-            "near-degeneracy")
     # tan(Omega_abc / 2) and tan(Omega_acd / 2) as the arguments of two
     # complex numbers; their product carries the quadrilateral, wrapped
     a, b, c, d = n[:-1, :-1], n[:-1, 1:], n[1:, 1:], n[1:, :-1]
@@ -184,23 +225,31 @@ def curvature_solid_angle(dhat, spacing, origin=(0.0, 0.0), band=1,
     x2 = 1.0 + ac + link2[1:] + link1[:, :-1]
     y1, y2 = _triple(a, b, c), _triple(a, c, d)
     omega_half = np.arctan2(x1 * y2 + y1 * x2, x1 * x2 - y1 * y2)
-    phases = -omega_half if band == 1 else omega_half
-    return _plaquette_field(phases, spacing, origin, band)
+    return (-omega_half if band == 1 else omega_half,
+            np.minimum(link1.min(), link2.min()))
 
 
 @dataclass
 class InvariantResult:
-    """A real-valued invariant next to its nearest quantized value."""
+    """A real-valued invariant next to its nearest quantized value.
+
+    min_gap and min_overlap are the smallest band gap and the smallest link
+    overlap |<psi_i|psi_j>| over the invariant's node grid.
+    """
     value: float
     quantization_unit: float
     nearest_quantum: float
     residue: float
     grid_shape: tuple
+    min_gap: float = None
+    min_overlap: float = None
 
     @classmethod
-    def quantize(cls, value, unit, grid_shape):
+    def quantize(cls, value, unit, grid_shape, min_gap=None,
+                 min_overlap=None):
         nearest = unit * round(value / unit) if unit else 0.0
-        return cls(value, unit, nearest, abs(value - nearest), grid_shape)
+        return cls(value, unit, nearest, abs(value - nearest), grid_shape,
+                   min_gap, min_overlap)
 
     def __str__(self):
         return (f"{self.value:.8f} (nearest quantum {self.nearest_quantum:g}"
@@ -208,27 +257,57 @@ class InvariantResult:
                 f" {self.residue:.2e})")
 
 
-def _band_field(model, pts, shape, band, threshold, spacing, origin,
-                wrap_x=False):
-    """Plaquette curvature of one band over a node grid of the given shape.
+def _nodes(manifold, xs, ys):
+    """Chart points of the node block xs x ys, row-major: complex x + iy on
+    the Bolza disk, (theta_x, theta_y) pairs on a flat manifold."""
+    if manifold == "bolza":
+        return (xs[:, None] + 1j * ys[None, :]).ravel()
+    return np.stack(np.meshgrid(xs, ys, indexing="ij"),
+                    axis=-1).reshape(-1, 2)
 
-    A two-level model with a Bloch field takes the solid-angle route, whose
-    gap is 2 min |d|; any other model is diagonalized at every node.
+
+def _band_field(model, x1, x2, band, threshold, spacing, origin,
+                wrap_x=False):
+    """Plaquette curvature of one band over the node grid x1 x x2.
+
+    Returns the BerryField with the grid's smallest band gap and smallest
+    link overlap.  A two-level model with a Bloch field takes the
+    solid-angle route, whose gap is 2 min |d|; any other model is
+    diagonalized at every node.  The grid goes in strips of about _CHUNK
+    nodes; wrap_x links the last node row back to the first.
     """
     if band < 0 or band >= model.dim:
         raise ValidationError(f"band index {band} out of range")
-    where = f"band {band} on the invariant grid"
-    if model.has_d_field:
-        d = model.d_field(pts)
-        r = np.linalg.norm(d, axis=-1)
-        require_gap(2.0 * r.min(), threshold, where)
-        return curvature_solid_angle((d / r[:, None]).reshape(shape + (3,)),
-                                     spacing, origin, band, wrap_x)
-    energies, vecs, _ = eig_many(model.evaluate_many(pts))
-    require_gap(band_gap(energies, band)[0], threshold, where)
-    return curvature_plaquette(
-        vecs[:, :, band].reshape(shape + (model.dim,)), spacing, origin,
-        band, wrap_x=wrap_x)
+    if wrap_x:
+        x1 = np.append(x1, x1[:1])
+    rows, cols = len(x1) - 1, len(x2)
+    step = max(1, _CHUNK // cols)
+    phases = np.empty((rows, cols - 1))
+    gap = smallest = math.inf
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        pts = _nodes(model.manifold, x1[lo:hi + 1], x2)
+        if model.has_d_field:
+            d = model.d_field(pts)
+            r = np.linalg.norm(d, axis=-1)
+            gap = np.minimum(gap, 2.0 * r.min())
+        else:
+            energies, vecs, _ = eig_many(model.evaluate_many(pts))
+            gap = np.minimum(gap, band_gap(energies, band)[0])
+        if not gap > threshold:
+            continue  # the gap error follows the loop; no phase is needed
+        if model.has_d_field:
+            block, small = _solid_angle_phases(
+                (d / r[:, None]).reshape(hi - lo + 1, cols, 3), band)
+        else:
+            block, small = _loop_phases(
+                vecs[:, :, band].reshape(hi - lo + 1, cols, model.dim))
+        phases[lo:hi] = block
+        smallest = np.minimum(smallest, small)
+    require_gap(gap, threshold, f"band {band} on the invariant grid")
+    overlap = _checked_overlap(smallest, dots=model.has_d_field)
+    return (_plaquette_field(phases, spacing, origin, band), float(gap),
+            overlap)
 
 
 def check_radius(model, radius):
@@ -267,12 +346,13 @@ def chern_bolza(model, band=1, resolution=200, radius=0.62,
                 f"gap scan of {model.name} ({report})")
     nodes = np.linspace(-radius, radius, resolution + 1)
     h = nodes[1] - nodes[0]
-    zg = nodes[:, None] + 1j * nodes[None, :]
-    field = _band_field(model, zg.ravel(), zg.shape, band, gap_threshold,
-                        (h, h), (-radius, -radius))
+    field, gap, overlap = _band_field(model, nodes, nodes, band,
+                                      gap_threshold, (h, h),
+                                      (-radius, -radius))
     mask = (field.x1[:, None] ** 2 + field.x2[None, :] ** 2) <= radius ** 2
     total = (field.omega * mask).sum() * h * h / (2 * math.pi)
-    result = InvariantResult.quantize(total, 1.0, (resolution, resolution))
+    result = InvariantResult.quantize(total, 1.0, (resolution, resolution),
+                                      gap, overlap)
     return (result, field) if with_field else result
 
 
@@ -298,12 +378,12 @@ def dipolar_chern(model, band=1, resolution=(400, 200),
     hx, hy = (x_hi - x_lo) / nx, (y_hi - y_lo) / ny
     xs = x_lo + hx * np.arange(nx)
     ys = np.linspace(y_lo, y_hi, ny + 1)
-    pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
-    field = _band_field(model, pts.reshape(-1, 2), (nx, ny + 1), band,
-                        gap_threshold, (hx, hy), (x_lo, y_lo), wrap_x=True)
+    field, gap, overlap = _band_field(model, xs, ys, band, gap_threshold,
+                                      (hx, hy), (x_lo, y_lo), wrap_x=True)
     phases = field.omega * hx * hy
     value = (phases * field.x2[None, :]).sum() / (2 * math.pi)
-    result = InvariantResult.quantize(value, math.pi / 2, (nx, ny))
+    result = InvariantResult.quantize(value, math.pi / 2, (nx, ny), gap,
+                                      overlap)
     return (result, field) if with_field else result
 
 
@@ -329,10 +409,10 @@ def quadrupole_chern(model, band=1, resolution=(200, 200),
     hx, hy = (x_hi - x_lo) / nx, (y_hi - y_lo) / ny
     xs = np.linspace(x_lo, x_hi, nx + 1)
     ys = np.linspace(y_lo, y_hi, ny + 1)
-    pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
-    field = _band_field(model, pts.reshape(-1, 2), (nx + 1, ny + 1), band,
-                        gap_threshold, (hx, hy), (x_lo, y_lo))
+    field, gap, overlap = _band_field(model, xs, ys, band, gap_threshold,
+                                      (hx, hy), (x_lo, y_lo))
     phases = field.omega * hx * hy
     value = (phases * field.x1[:, None] * field.x2[None, :]).sum() / math.pi
-    result = InvariantResult.quantize(value, math.pi ** 2 / 2, (nx, ny))
+    result = InvariantResult.quantize(value, math.pi ** 2 / 2, (nx, ny),
+                                      gap, overlap)
     return (result, field) if with_field else result

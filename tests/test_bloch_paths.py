@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from geodrive import ResolutionError, ValidationError
+from geodrive import ResolutionError, ValidationError, topology
 from geodrive.evolution import _CHUNK, evolve
 from geodrive.models import (adjacent_gaps, bolza_qubit, eigensystem,
                              gap_report, klein_qubit, rp2_qubit)
@@ -81,6 +81,33 @@ def test_plaquette_phases(name, band, generic):
                     atol=AGREE)
     assert_allclose(fast.value, slow.value, rtol=0, atol=AGREE)
     assert fast.nearest_quantum == slow.nearest_quantum
+
+
+@pytest.mark.parametrize("band", BANDS)
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_plaquette_phases_across_strips(name, band, generic, monkeypatch):
+    # each of these grids fits one strip of _CHUNK nodes; 500 nodes a strip
+    # cuts them into strips of 8 (61-node rows) or 12 (41-node rows)
+    # plaquette rows, the last one part full.  Neither route's field moves
+    # by a bit, and the routes still agree
+    model = MODELS[name]()
+    compute, resolution = INVARIANTS[name]
+    whole = [compute(m, band=band, resolution=resolution, with_field=True)
+             for m in (model, generic(model))]
+    monkeypatch.setattr(topology, "_CHUNK", 500)
+    strips = [compute(m, band=band, resolution=resolution, with_field=True)
+              for m in (model, generic(model))]
+    for (w, w_field), (s, s_field) in zip(whole, strips):
+        assert s == w
+        assert np.array_equal(s_field.omega.view(np.uint64),
+                              w_field.omega.view(np.uint64))
+    (fast, f_field), (slow, s_field) = strips
+    area = f_field.spacing[0] * f_field.spacing[1]
+    assert_allclose(f_field.omega * area, s_field.omega * area, rtol=0,
+                    atol=AGREE)
+    assert fast.nearest_quantum == slow.nearest_quantum
+    assert_allclose(fast.min_gap, slow.min_gap, rtol=0, atol=AGREE)
+    assert_allclose(fast.min_overlap, slow.min_overlap, rtol=0, atol=AGREE)
 
 
 def test_antipodal_neighbours_are_a_resolution_error():

@@ -519,6 +519,26 @@ class TestRunKinds:
         with open(prefix + "curvature.csv", "rb") as fh:
             assert fh.read() == expected.encode()
 
+    @pytest.mark.parametrize("manifold, model, grid, compute", [
+        ("bolza", {"name": "bolza_qubit", "epsilon": 0.5}, [30], chern_bolza),
+        ("klein", {"name": "klein_qubit", "m": 2.0}, [40, 20], dipolar_chern),
+        ("rp2", {"name": "rp2_qubit", "m": 1.0}, [20, 20], quadrupole_chern),
+    ])
+    def test_invariant_manifest_has_grid_minima(self, tmp_path, manifold,
+                                                model, grid, compute):
+        # the whole-grid minima themselves are checked in test_topology
+        prefix = str(tmp_path / "inv_")
+        summary = self.run_ok(tmp_path, {
+            "kind": "invariant", "manifold": manifold, "model": model,
+            "numerics": {"grid": grid, "band": 1},
+            "output": {"prefix": prefix}})["summary"]
+        params = {k: v for k, v in model.items() if k != "name"}
+        resolution = grid[0] if manifold == "bolza" else tuple(grid)
+        result = compute(BUILTIN_MODELS[model["name"]](**params),
+                         resolution=resolution, band=1)
+        assert summary["min_gap"] == result.min_gap > 0.0
+        assert summary["min_overlap"] == result.min_overlap >= 1e-6
+
     def check_evolve(self, tmp_path, manifold, model, drive):
         prefix = str(tmp_path / "ev_")
         cfg = {"kind": "evolve", "manifold": manifold, "model": model,

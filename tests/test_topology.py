@@ -3,6 +3,7 @@ invariants, including gauge invariance and convergence of the plaquette
 phases against the analytic two-level curvature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from numpy.testing import assert_allclose
 from geodrive import DegeneracyError, ResolutionError, ValidationError, topology
 from geodrive.models import (
     ParentHamiltonian,
+    bolza_qubit,
     eig_many,
     klein_qubit,
     pauli_hamiltonian,
@@ -21,10 +23,12 @@ from geodrive.topology import (
     InvariantResult,
     chern_bolza,
     curvature_plaquette,
+    curvature_solid_angle,
     curvature_two_level,
     dipolar_chern,
     quadrupole_chern,
 )
+from geodrive.trajectories import FLAT_DOMAINS
 
 
 def _meron_states(model, lo, hi, n, band=1):
@@ -270,3 +274,273 @@ class TestQuadrupoleChern:
     def test_rejects_wrong_manifold(self, klein_m2):
         with pytest.raises(ValidationError):
             quadrupole_chern(klein_m2)
+
+
+# ---------------------------------------------------------------------------
+# the strip loop of the invariants against one-shot curvature of the grid
+
+STRIP_CASES = {
+    "bolza": (chern_bolza, 16, lambda: bolza_qubit(0.5), (-0.62, -0.62)),
+    "klein": (dipolar_chern, (20, 10), lambda: klein_qubit(2.0),
+              (-math.pi, -math.pi)),
+    "rp2": (quadrupole_chern, (16, 16), lambda: rp2_qubit(1.0), (0.0, 0.0)),
+}
+# nodes per strip: fewer than a node row (one plaquette row per strip), and
+# three rows and a node (three plaquette rows, the last strip part full)
+CHUNKS = {"one_row": lambda cols: 5, "part_full": lambda cols: 3 * cols + 1}
+
+
+def _axes(name):
+    """Node axes and node steps of a case's grid, as its invariant lays
+    them out."""
+    resolution = STRIP_CASES[name][1]
+    if name == "bolza":
+        nodes = np.linspace(-0.62, 0.62, resolution + 1)
+        h = nodes[1] - nodes[0]
+        return nodes, nodes, (h, h)
+    (x_lo, x_hi), (y_lo, y_hi) = FLAT_DOMAINS[name]
+    nx, ny = resolution
+    hx, hy = (x_hi - x_lo) / nx, (y_hi - y_lo) / ny
+    ys = np.linspace(y_lo, y_hi, ny + 1)
+    if name == "klein":  # theta_x wraps: no node at x_hi
+        return x_lo + hx * np.arange(nx), ys, (hx, hy)
+    return np.linspace(x_lo, x_hi, nx + 1), ys, (hx, hy)
+
+
+def _point(name, x, y):
+    return x + 1j * y if name == "bolza" else np.array([x, y])
+
+
+def _grid_points(manifold, xs, ys):
+    if manifold == "bolza":
+        return (xs[:, None] + 1j * ys[None, :]).ravel()
+    return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _whole_grid(model, xs, ys, band):
+    """Unit Bloch vectors, or band states, at every node in one array."""
+    pts = _grid_points(model.manifold, xs, ys)
+    shape = (len(xs), len(ys))
+    if model.has_d_field:
+        d = model.d_field(pts)
+        return (d / np.linalg.norm(d, axis=-1)[:, None]).reshape(shape + (3,))
+    _, vecs, _ = eig_many(model.evaluate_many(pts))
+    return vecs[:, :, band].reshape(shape + (model.dim,))
+
+
+def _one_shot(model, name, band=1):
+    """The field of the whole grid from one curvature_solid_angle or
+    curvature_plaquette call."""
+    xs, ys, spacing = _axes(name)
+    nodes = _whole_grid(model, xs, ys, band)
+    curvature = (curvature_solid_angle if model.has_d_field
+                 else curvature_plaquette)
+    return curvature(nodes, spacing, STRIP_CASES[name][3], band=band,
+                     wrap_x=name == "klein")
+
+
+def _overlaps(model, name, band=1):
+    """Every link overlap |<psi_i|psi_j>| of the whole grid."""
+    xs, ys, _ = _axes(name)
+    nodes = _whole_grid(model, xs, ys, band)
+    if name == "klein":
+        nodes = np.concatenate([nodes, nodes[:1]], axis=0)
+    if model.has_d_field:  # |<psi_i|psi_j>|^2 = (1 + dhat_i . dhat_j) / 2
+        dots = [np.einsum("...k,...k->...", nodes[:-1], nodes[1:]),
+                np.einsum("...k,...k->...", nodes[:, :-1], nodes[:, 1:])]
+        return np.concatenate([np.sqrt((1.0 + x.ravel()) / 2) for x in dots])
+    links = [np.einsum("...k,...k->...", nodes[:-1].conj(), nodes[1:]),
+             np.einsum("...k,...k->...", nodes[:, :-1].conj(), nodes[:, 1:])]
+    return np.concatenate([np.abs(x).ravel() for x in links])
+
+
+def _strips(monkeypatch, chunk):
+    """Set the strip size; returns the node x axis of each strip, in order."""
+    monkeypatch.setattr(topology, "_CHUNK", chunk)
+    blocks, nodes = [], topology._nodes
+
+    def record(manifold, xs, ys):
+        blocks.append(xs.copy())
+        return nodes(manifold, xs, ys)
+
+    monkeypatch.setattr(topology, "_nodes", record)
+    return blocks
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+class TestStrips:
+    @pytest.mark.parametrize("chunk", sorted(CHUNKS))
+    @pytest.mark.parametrize("band", (0, 1))
+    @pytest.mark.parametrize("route", ("bloch", "generic"))
+    @pytest.mark.parametrize("name", sorted(STRIP_CASES))
+    def test_omega_is_the_one_shot_field(self, name, route, band, chunk,
+                                         generic, monkeypatch):
+        compute, resolution, make, _ = STRIP_CASES[name]
+        model = make() if route == "bloch" else generic(make())
+        whole, whole_field = compute(model, band=band, resolution=resolution,
+                                     with_field=True)
+        xs, ys, _ = _axes(name)
+        blocks = _strips(monkeypatch, CHUNKS[chunk](len(ys)))
+        result, field = compute(model, band=band, resolution=resolution,
+                                with_field=True)
+        rows = 1 if chunk == "one_row" else 3
+        n_rows = field.omega.shape[0]
+        assert len(blocks) == -(-n_rows // rows) > 1
+        assert [len(b) - 1 for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert len(blocks[-1]) - 1 == n_rows - rows * (len(blocks) - 1)
+        if chunk == "part_full":
+            assert len(blocks[-1]) - 1 < rows
+        # the strips share their boundary rows; the Klein x axis wraps,
+        # so the last strip ends on node row 0
+        assert np.array_equal(np.concatenate([b[:-1] for b in blocks]),
+                              xs[:n_rows])
+        assert blocks[-1][-1] == (xs[0] if name == "klein" else xs[-1])
+        ref = _one_shot(model, name, band)
+        for got in (field, whole_field):
+            assert _same_bits(got.omega, ref.omega)
+            assert _same_bits(got.x1, ref.x1) and _same_bits(got.x2, ref.x2)
+        assert result == whole
+
+    @pytest.mark.parametrize("route", ("bloch", "generic"))
+    @pytest.mark.parametrize("name", sorted(STRIP_CASES))
+    def test_minima_of_the_whole_grid(self, name, route, generic,
+                                      monkeypatch):
+        compute, resolution, make, _ = STRIP_CASES[name]
+        model = make() if route == "bloch" else generic(make())
+        xs, ys, _ = _axes(name)
+        _strips(monkeypatch, 3 * len(ys) + 1)
+        result = compute(model, resolution=resolution)
+        pts = _grid_points(name, xs, ys)
+        if route == "bloch":
+            gap = 2.0 * np.linalg.norm(model.d_field(pts), axis=-1).min()
+        else:
+            energies = eig_many(model.evaluate_many(pts)).energies
+            gap = np.abs(energies[:, 1] - energies[:, 0]).min()
+        assert result.min_gap == gap
+        assert result.min_overlap == _overlaps(model, name).min()
+        assert 0.0 < result.min_overlap <= 1.0
+
+    @staticmethod
+    def _broken(name, changes, route, generic):
+        """The case's model with its Bloch vector changed at some nodes;
+        changes maps (node row, node column) to a function of d there."""
+        base = STRIP_CASES[name][2]()
+        xs, ys, _ = _axes(name)
+        at = [(_point(name, xs[i], ys[j]), f) for (i, j), f in changes.items()]
+
+        def d_field(points):
+            pts = np.asarray(points)
+            d = base.d_field(pts)
+            for p, f in at:
+                hit = (pts == p if name == "bolza"
+                       else np.all(pts == p, axis=-1))
+                d[hit] = f(d[hit])
+            return d
+
+        model = ParentHamiltonian(
+            "broken", base.manifold, 2,
+            evaluate_many=lambda points: pauli_hamiltonian(d_field(points)),
+            d_field=d_field, d_gradient=base.d_gradient,
+            global_chart=base.global_chart,
+            compact_support=base.compact_support)
+        return model if route == "bloch" else generic(model)
+
+    @pytest.mark.parametrize("route", ("bloch", "generic"))
+    @pytest.mark.parametrize("name", sorted(STRIP_CASES))
+    def test_gap_error_names_the_grid_minimum(self, name, route, generic,
+                                              monkeypatch):
+        compute, resolution = STRIP_CASES[name][:2]
+        xs, ys, _ = _axes(name)
+        last = len(xs) - 1  # evaluated by the last strip only
+
+        def scale(gap):
+            return lambda d: d * (gap / 2
+                                  / np.linalg.norm(d, axis=-1))[:, None]
+
+        # both gaps are closed, the smaller one in the last strip
+        model = self._broken(
+            name, {(1, 3): scale(8e-4), (last, 5): scale(4e-4)}, route,
+            generic)
+        _strips(monkeypatch, 3 * len(ys) + 1)
+        with pytest.raises(DegeneracyError, match=(
+                r"^band 1 on the invariant grid: gap 4\.00e-04 is not above "
+                r"the threshold 0\.001$")):
+            compute(model, resolution=resolution)
+
+    @pytest.mark.parametrize("name", sorted(STRIP_CASES))
+    def test_nan_gap_in_the_last_strip(self, name, generic, monkeypatch):
+        compute, resolution = STRIP_CASES[name][:2]
+        xs, ys, _ = _axes(name)
+        last = len(xs) - 1
+        # a closed finite gap first, then a NaN gap: the NaN must survive
+        # the minimum across strips
+        model = self._broken(
+            name, {(1, 3): lambda d: d * 1e-4,
+                   (last, 5): lambda d: d * np.nan}, "bloch", generic)
+        _strips(monkeypatch, 3 * len(ys) + 1)
+        with pytest.raises(DegeneracyError, match=(
+                r"^band 1 on the invariant grid: gap nan is not above")):
+            compute(model, resolution=resolution)
+        # with H NaN there too, the generic route stops at its eigensolve
+        model = self._broken(
+            name, {(last, 5): lambda d: d * np.nan}, "generic", generic)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            compute(model, resolution=resolution)
+
+    @pytest.mark.parametrize("route", ("bloch", "generic"))
+    @pytest.mark.parametrize("name", sorted(STRIP_CASES))
+    def test_overlap_error_in_the_last_strip(self, name, route, generic,
+                                             monkeypatch):
+        compute, resolution = STRIP_CASES[name][:2]
+        xs, ys, _ = _axes(name)
+        last = len(xs) - 1
+        neighbour = _point(name, xs[last], ys[6])
+        base = STRIP_CASES[name][2]()
+        # -d of the next node along y: the two band states are orthogonal,
+        # and the gap stays open
+        flip = {(last, 5): lambda d: -base.d_field(
+            np.asarray([neighbour]))}
+        model = self._broken(name, flip, route, generic)
+        with pytest.raises(ResolutionError) as whole:
+            _one_shot(model, name)
+        _strips(monkeypatch, 3 * len(ys) + 1)
+        with pytest.raises(ResolutionError) as strips:
+            compute(model, resolution=resolution)
+        assert str(strips.value) == str(whole.value)
+        assert str(whole.value).startswith("plaquette link overlap ")
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        out = run()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+class TestInvariantMemory:
+    # an invariant holds its omega and one strip, not the node grid: the
+    # whole-grid arrays took 13.5 MiB at 400 x 200, 215 MiB at 1600 x 800
+    # and 24.7 MiB on the generic route
+    MIB = 1 << 20
+
+    def test_klein_400x200(self, klein_m2):
+        peak, _ = _traced_peak(
+            lambda: dipolar_chern(klein_m2, resolution=(400, 200)))
+        assert peak <= 4 * self.MIB
+
+    def test_klein_1600x800_holds_a_few_omegas(self, klein_m2):
+        peak, (_, field) = _traced_peak(lambda: dipolar_chern(
+            klein_m2, resolution=(1600, 800), with_field=True))
+        assert peak <= 4 * field.omega.nbytes
+
+    def test_generic_route_400x200(self, klein_m2, generic):
+        model = generic(klein_m2)
+        peak, _ = _traced_peak(
+            lambda: dipolar_chern(model, resolution=(400, 200)))
+        assert peak <= 8 * self.MIB
