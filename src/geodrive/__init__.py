@@ -10,15 +10,15 @@ static curvature invariants they quantize to.
 Modules
 -------
 hyperbolic    Poincare-disk geometry, the Bolza side-pairing group,
-              fundamental-domain reduction.
+              fundamental-domain membership.
 trajectories  Closed-form and high-precision numerical cogeodesic flows on
               all four manifolds.
 models        Parent Hamiltonians, eigensystems, gradients, gap scans.
 evolution     Midpoint-exponential time stepping, band tracking,
               counterdiabatic terms, off-band correction diagnostics.
 response      Drive observables and running time averages.
-topology      Berry curvature (two-level and plaquette routes), Chern /
-              dipolar / quadrupolar invariants.
+topology      Plaquette Berry curvature (solid-angle and eigenvector
+              routes), Chern / dipolar / quadrupolar invariants.
 ergodicity    Equidistribution checks for the hyperbolic flow.
 cli           JSON-config runner and figure presets.
 shortest      repr's text of a whole array of doubles at once, for the
@@ -42,10 +42,6 @@ class ValidationError(GeodriveError, ValueError):
     def __init__(self, message, param=None):
         super().__init__(message)
         self.param = param
-
-
-class ReductionError(GeodriveError, RuntimeError):
-    """Fundamental-domain reduction did not terminate."""
 
 
 class PropagationError(GeodriveError, RuntimeError):

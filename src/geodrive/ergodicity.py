@@ -17,6 +17,7 @@ import mpmath as mp
 import numpy as np
 
 from . import ValidationError
+from .evolution import _cumtrapz
 
 TOTAL_AREA = 4 * math.pi  # Gauss-Bonnet area of the genus-2 surface
 
@@ -37,30 +38,21 @@ def _unit_speed_bolza(trajectory):
             f"area estimate assumes unit speed, got lambda = {spec.speed}")
 
 
-def area_estimate(trajectory, r=0.6, horizons=None):
+def area_estimate(trajectory, r=0.6):
     """Running finite-time area estimates S_est(T) for the disk |z| < r.
 
     S_est(T) = (4 pi / T) integral_0^T I(|z_t| < r) dt by trapezoid on the
     sample grid; crossings of |z| = r are not sub-resolved (O(dt) error).
-    Returns (T, S_est) arrays at the requested horizons (default: every
-    positive sample time).
+    Returns (T, S_est) arrays at every positive sample time.
     """
     _unit_speed_bolza(trajectory)
     t = np.asarray(trajectory.t, dtype=float)
     if len(t) == 0:
         raise ValidationError("empty trajectory")
     inside = (np.abs(np.asarray(trajectory.z)) < r).astype(float)
-    cum = np.empty(len(t))
-    cum[0] = 0.0
-    np.cumsum((inside[1:] + inside[:-1]) / 2 * np.diff(t), out=cum[1:])
-    if horizons is None:
-        keep = t > 0
-        return t[keep], TOTAL_AREA * cum[keep] / t[keep]
-    horizons = np.asarray(horizons, dtype=float)
-    if np.any(horizons <= 0) or np.any(horizons > t[-1] + 1e-12):
-        raise ValidationError("horizons must lie in (0, T]")
-    idx = np.searchsorted(t, horizons, side="right") - 1
-    return horizons, TOTAL_AREA * cum[idx] / t[idx]
+    cum = _cumtrapz(inside, t)
+    keep = t > 0
+    return t[keep], TOTAL_AREA * cum[keep] / t[keep]
 
 
 @dataclass
@@ -124,9 +116,9 @@ class ErgodicityReport:
         return abs(self.final_estimate - self.exact_area) / self.exact_area
 
 
-def ergodicity_report(trajectory, r=0.6, bins=36, horizons=None):
+def ergodicity_report(trajectory, r=0.6, bins=36):
     """Assemble the full diagnostic for one unit-speed Bolza trajectory."""
-    T, est = area_estimate(trajectory, r=r, horizons=horizons)
+    T, est = area_estimate(trajectory, r=r)
     return ErgodicityReport(
         r=r, exact_area=disk_area_exact(r), T=T, estimates=est,
         histogram=angle_histogram(trajectory, r=r, bins=bins))

@@ -83,7 +83,7 @@ def _eig_chunked(model, pts, bands=None):
     states = np.empty((n, model.dim, width), dtype=complex)
     for start in range(0, n, _CHUNK):
         sl = slice(start, min(start + _CHUNK, n))
-        w, v, _ = eig_many(model.evaluate_many(pts[sl]))
+        w, v = eig_many(model.evaluate_many(pts[sl]))
         energies[sl] = w
         states[sl] = v if bands is None else v[:, :, bands]
     return energies, states
@@ -350,6 +350,16 @@ def _cumtrapz(y, t):
     return out
 
 
+def _berry_phase(psi):
+    """-Im log of the overlaps of successive states psi (N, D), summed from
+    0 at the first state."""
+    overlaps = np.einsum("ni,ni->n", psi[:-1].conj(), psi[1:])
+    out = np.empty(len(psi))
+    out[0] = 0.0
+    np.cumsum(-np.log(overlaps).imag, out=out[1:])
+    return out
+
+
 def track_band(model, trajectory, band=1, gap_threshold=GAP_THRESHOLD):
     """Follow a band along a trajectory, accumulating its phases.
 
@@ -363,14 +373,10 @@ def track_band(model, trajectory, band=1, gap_threshold=GAP_THRESHOLD):
     min_gap = _gap_guard(trajectory, energies, band, gap_threshold)
     psi = states[:, :, 0]
     t = np.asarray(trajectory.t)
-    overlaps = np.einsum("ni,ni->n", psi[:-1].conj(), psi[1:])
-    berry = np.empty(len(t))
-    berry[0] = 0.0
-    np.cumsum(-np.log(overlaps).imag, out=berry[1:])
     return BandTrack(
         t=t, band=band, energies=energies[:, band], states=psi,
-        dynamic_phase=-_cumtrapz(energies[:, band], t), berry_phase=berry,
-        min_gap=min_gap)
+        dynamic_phase=-_cumtrapz(energies[:, band], t),
+        berry_phase=_berry_phase(psi), min_gap=min_gap)
 
 
 @dataclass
@@ -416,10 +422,7 @@ def g_correction(model, trajectory, m, n, lam=None,
                  + vel[:, 1] * np.conj(cross[:, 1])) / (e_n - e_m)
     phi_n = -_cumtrapz(e_n, t)
     phi_m = -_cumtrapz(e_m, t)
-    overlaps = np.einsum("ni,ni->n", psi_n[:-1].conj(), psi_n[1:])
-    gamma_n = np.empty(len(t))
-    gamma_n[0] = 0.0
-    np.cumsum(-np.log(overlaps).imag, out=gamma_n[1:])
+    gamma_n = _berry_phase(psi_n)
     integrand = d_psi_dot * np.exp(-1j * (gamma_n + phi_n - phi_m))
     g_re = _cumtrapz(integrand.real, t)
     g_im = _cumtrapz(integrand.imag, t)

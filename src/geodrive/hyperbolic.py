@@ -15,9 +15,10 @@ four hyperbolic translations gamma_1..gamma_4 of translation length
 domain is the regular octagon bounded by eight geodesic arcs; membership
 uses the closed domain (boundary points count as inside).
 
-Everything here is generic over plain floats/complex and mpmath types, so
-the same code path serves both fast double-precision work and the
-high-precision propagation needed for long geodesics.
+Mobius maps and the group are generic over plain floats/complex and mpmath
+types, so the same code path serves both fast double-precision work and the
+high-precision propagation needed for long geodesics.  The octagon is in
+doubles: membership is only ever tested on double samples.
 """
 
 import cmath
@@ -26,7 +27,7 @@ import math
 import mpmath as mp
 from mpmath.libmp import mpf_neg
 
-from . import ReductionError, ValidationError
+from . import ValidationError
 
 # generator indices in canonical order; negative means inverse
 WORD_ORDER = (1, 2, 3, 4, -1, -2, -3, -4)
@@ -34,10 +35,6 @@ WORD_ORDER = (1, 2, 3, 4, -1, -2, -3, -4)
 
 def _is_mp(x):
     return isinstance(x, (mp.mpf, mp.mpc))
-
-
-def _atanh(x):
-    return mp.atanh(x) if _is_mp(x) else math.atanh(x)
 
 
 # mpmath rounds every operation to the ambient working precision, including
@@ -54,26 +51,6 @@ def _conj_exact(x):
         re, im = x._mpc_
         return mp.make_mpc((re, mpf_neg(im)))
     return x.conjugate()
-
-
-def metric_factor(z):
-    """Conformal factor g(z) = 4/(1-|z|^2)^2 of the disk metric.
-
-    Raises ValidationError outside the open disk.
-    """
-    u = abs(z) ** 2
-    if u >= 1:
-        raise ValidationError(f"point |z| = {float(abs(z))!r} is not inside the unit disk")
-    return 4 / (1 - u) ** 2
-
-
-def hyperbolic_distance(z1, z2):
-    """Geodesic distance d(z1, z2) = 2*atanh |(z1-z2)/(1 - z1*conj(z2))|."""
-    for z in (z1, z2):
-        if abs(z) >= 1:
-            raise ValidationError("distance arguments must lie inside the unit disk")
-    w = (z1 - z2) / (1 - z1 * z2.conjugate())
-    return 2 * _atanh(abs(w))
 
 
 def kinetic_energy(z, p):
@@ -99,11 +76,6 @@ class MobiusMap:
 
     def __call__(self, z):
         return (self.a * z + self.b) / (self.b.conjugate() * z + self.a.conjugate())
-
-    def derivative(self, z):
-        """M'(z) = 1/(conj(b) z + conj(a))^2."""
-        den = self.b.conjugate() * z + self.a.conjugate()
-        return 1 / (den * den)
 
     def push_forward(self, z, p):
         """Image of the covector p based at z: p / conj(M'(z))."""
@@ -164,27 +136,16 @@ class FundamentalOctagon:
     or on all eight arc circles.
     """
 
-    __slots__ = ("c", "r", "vertex_radius", "centers", "digits")
+    __slots__ = ("c", "r", "vertex_radius", "centers")
 
-    def __init__(self, digits=None):
-        self.digits = digits
-        if digits:
-            with mp.workdps(digits):
-                s = mp.sqrt(2)
-                self.c = mp.sqrt((3 + 2 * s) / (2 + 2 * s))
-                self.r = 1 / mp.sqrt(2 + 2 * s)
-                self.vertex_radius = mp.power(2, mp.mpf(-1) / 4)
-                self.centers = tuple(
-                    self.c * mp.exp(1j * mp.pi * (j) / 4) for j in range(8)
-                )
-        else:
-            s = math.sqrt(2)
-            self.c = math.sqrt((3 + 2 * s) / (2 + 2 * s))
-            self.r = 1 / math.sqrt(2 + 2 * s)
-            self.vertex_radius = 2 ** -0.25
-            self.centers = tuple(
-                self.c * cmath.exp(1j * math.pi * j / 4) for j in range(8)
-            )
+    def __init__(self):
+        s = math.sqrt(2)
+        self.c = math.sqrt((3 + 2 * s) / (2 + 2 * s))
+        self.r = 1 / math.sqrt(2 + 2 * s)
+        self.vertex_radius = 2 ** -0.25
+        self.centers = tuple(
+            self.c * cmath.exp(1j * math.pi * j / 4) for j in range(8)
+        )
 
     def contains(self, z, tol=1e-12):
         """Closed-domain membership, with tol of slack toward inclusion."""
@@ -232,7 +193,7 @@ class BolzaGroup:
         for mu, (g, gi) in enumerate(zip(gens, invs), start=1):
             self._maps[mu] = g
             self._maps[-mu] = gi
-        self.octagon = FundamentalOctagon(digits)
+        self.octagon = FundamentalOctagon()
 
     def element(self, idx):
         return self._maps[idx]
@@ -271,55 +232,6 @@ def bolza_group(digits=None):
     return _GROUP_CACHE[digits]
 
 
-def in_fundamental_domain(z, octagon=None, tol=1e-12):
+def in_fundamental_domain(z, tol=1e-12):
     """Closed-domain membership test for the Bolza octagon."""
-    if octagon is None:
-        octagon = bolza_group().octagon
-    return octagon.contains(z, tol)
-
-
-def reduce_to_domain(z, p=0.0, group=None, max_word_length=64):
-    """Translate a phase point into the fundamental octagon.
-
-    Tries the eight side pairings at each stage: any image already in the
-    closed domain wins (lowest canonical index on ties); otherwise the
-    image closest to the origin is taken and must strictly descend.  The
-    momentum is pushed forward alongside.  Returns (z, p, word) where word
-    lists the applied signed generator indices in order.
-    """
-    if group is None:
-        group = bolza_group()
-    if abs(z) >= 1:
-        raise ValidationError("cannot reduce a point outside the unit disk")
-    with mp.workdps(group.digits or 15):
-        octagon = group.octagon
-        word = []
-        for _ in range(max_word_length):
-            if octagon.contains(z):
-                return z, p, word
-            inside = None
-            best = None
-            for idx, g in group.items():
-                img = g(z)
-                if octagon.contains(img):
-                    inside = (idx, g, img)
-                    break
-                m = abs(img)
-                if best is None or m < best[0]:
-                    best = (m, idx, g, img)
-            if inside is not None:
-                idx, g, img = inside
-            else:
-                m, idx, g, img = best
-                if m >= abs(z):
-                    raise ReductionError(
-                        f"greedy reduction stalled at z = {complex(z)!r}"
-                    )
-            p = g.push_forward(z, p)
-            z = img
-            word.append(idx)
-        if octagon.contains(z):
-            return z, p, word
-    raise ReductionError(
-        f"word length limit {max_word_length} exceeded while reducing z = {complex(z)!r}"
-    )
+    return bolza_group().octagon.contains(z, tol)

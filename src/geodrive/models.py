@@ -63,10 +63,10 @@ def bloch_vector(H):
     return d, (H[..., 0, 0] + H[..., 1, 1]).real / 2
 
 
-def _check_hermitian(H, tol=HERMITICITY_TOL):
+def _check_hermitian(H):
     res = np.abs(H - np.conj(np.swapaxes(H, -1, -2))).max()
     scale = max(1.0, np.abs(H).max())
-    if not res <= tol * scale:
+    if not res <= HERMITICITY_TOL * scale:
         raise ValidationError(
             f"matrix field is not Hermitian (residual {res:.2e})")
 
@@ -355,7 +355,7 @@ BUILTIN_MODELS = {
 # ---------------------------------------------------------------------------
 # eigensystems
 
-BandSystem = namedtuple("BandSystem", ["energies", "states", "point"])
+BandSystem = namedtuple("BandSystem", ["energies", "states"])
 
 
 def _pin_gauge(v):
@@ -368,24 +368,24 @@ def _pin_gauge(v):
     return v * phase.conj()
 
 
-def eigensystem(H, point=None):
+def eigensystem(H):
     """Ascending eigensystem of one Hermitian matrix in the pinned gauge.
 
-    Returns BandSystem(energies (D,), states (D, D), point); states[:, n] is
-    the n-th band.  Non-Hermitian input raises ValidationError.
+    Returns BandSystem(energies (D,), states (D, D)); states[:, n] is the
+    n-th band.  Non-Hermitian input raises ValidationError.
     """
     H = np.asarray(H, dtype=complex)
     _check_hermitian(H)
     w, v = np.linalg.eigh(H)
-    return BandSystem(w, _pin_gauge(v), point)
+    return BandSystem(w, _pin_gauge(v))
 
 
-def eig_many(H, points=None):
+def eig_many(H):
     """Batched eigensystem: energies (N, D), states (N, D, D)."""
     H = np.asarray(H, dtype=complex)
     _check_hermitian(H)
     w, v = np.linalg.eigh(H)
-    return BandSystem(w, _pin_gauge(v), points)
+    return BandSystem(w, _pin_gauge(v))
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +469,8 @@ def require_gap(gap, threshold, where):
 class GapReport:
     """Adjacent-band gap minima over a sampling grid."""
     min_gaps: np.ndarray
-    locations: list
     threshold: float
     fully_gapped: bool
-    grid_shape: tuple
 
     def __str__(self):
         pairs = ", ".join(
@@ -481,34 +479,32 @@ class GapReport:
         return f"{pairs}; {verdict} at threshold {self.threshold:g}"
 
 
-def _rect_grid(xs, ys):
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return np.stack([gx.ravel(), gy.ravel()], axis=-1)
+def _nodes(manifold, xs, ys):
+    """Chart points of the node grid xs x ys, row-major: complex x + iy on
+    the Bolza disk, (theta_x, theta_y) pairs on a flat manifold."""
+    if manifold == "bolza":
+        return (xs[:, None] + 1j * ys[None, :]).ravel()
+    return np.stack(np.meshgrid(xs, ys, indexing="ij"),
+                    axis=-1).reshape(-1, 2)
 
 
 def _box_grid(manifold, nx, ny):
     # nx x ny nodes over a flat manifold's FLAT_DOMAINS box, edges included
     (x_lo, x_hi), (y_lo, y_hi) = FLAT_DOMAINS[manifold]
-    return _rect_grid(np.linspace(x_lo, x_hi, nx),
-                      np.linspace(y_lo, y_hi, ny))
+    return _nodes(manifold, np.linspace(x_lo, x_hi, nx),
+                  np.linspace(y_lo, y_hi, ny))
 
 
-def _gap_grid(manifold, grid):
+def _gap_grid(manifold):
     # odd point counts so the symmetric critical points (0, -pi/2), (pi/2,
     # pi/2), ... land exactly on a node
-    if grid is None:
-        grid = {"bolza": (81, 81), "torus": (129, 129),
-                "klein": (129, 65), "rp2": (65, 65)}[manifold]
-    if isinstance(grid, tuple):
-        nx, ny = grid
-        if manifold == "bolza":
-            xs = np.linspace(-0.84, 0.84, nx)
-            pts = _rect_grid(xs, np.linspace(-0.84, 0.84, ny))
-            z = pts[:, 0] + 1j * pts[:, 1]
-            return z[np.abs(z) <= 0.84], (nx, ny)
-        return _box_grid(manifold, nx, ny), (nx, ny)
-    pts = np.asarray(grid)
-    return pts, (len(pts),)
+    nx, ny = {"bolza": (81, 81), "torus": (129, 129),
+              "klein": (129, 65), "rp2": (65, 65)}[manifold]
+    if manifold == "bolza":
+        xs = np.linspace(-0.84, 0.84, nx)
+        z = _nodes(manifold, xs, np.linspace(-0.84, 0.84, ny))
+        return z[np.abs(z) <= 0.84]
+    return _box_grid(manifold, nx, ny)
 
 
 def adjacent_gaps(model, pts):
@@ -522,62 +518,53 @@ def adjacent_gaps(model, pts):
     return np.diff(eig_many(model.evaluate_many(pts)).energies, axis=-1)
 
 
-def gap_report(model, grid=None, threshold=GAP_THRESHOLD):
-    """Scan adjacent-band gaps of a model over a grid.
+def gap_report(model, threshold=GAP_THRESHOLD):
+    """Scan adjacent-band gaps of a model over its manifold's gap grid.
 
-    grid can be None (manifold default), an (nx, ny) tuple, or an explicit
-    array of points.  The response and topology routines pass the smallest
-    of min_gaps to require_gap before trusting adiabatic band data.
+    The response and topology routines pass the smallest of min_gaps to
+    require_gap before trusting adiabatic band data.
     """
-    pts, shape = _gap_grid(model.manifold, grid)
-    if len(pts) == 0:
-        raise ValidationError("gap_report: empty grid")
-    gaps = adjacent_gaps(model, pts)
+    gaps = adjacent_gaps(model, _gap_grid(model.manifold))
     k = np.argmin(gaps, axis=0)
     return GapReport(
         min_gaps=gaps[k, np.arange(gaps.shape[1])],
-        locations=[pts[i] for i in k],
         threshold=threshold,
-        fully_gapped=bool(np.all(gaps.min(axis=0) > threshold)),
-        grid_shape=shape)
+        fully_gapped=bool(np.all(gaps.min(axis=0) > threshold)))
 
 
 # ---------------------------------------------------------------------------
 # symmetry residuals (preconditions for the quantized invariants)
 
-def mirror_symmetry_residual(model, resolution=(64, 33), u=None,
-                             with_point=False):
-    """Max-norm residual of U H(x, -y) U^dagger - H(x, y) over a grid.
+def mirror_symmetry_residual(model):
+    """Max-norm residual of sigma_z H(x, -y) sigma_z - H(x, y) over a 64 x 33
+    grid, and the theta where it occurs.
 
-    U defaults to sigma_z.  Vanishing residual is the y-mirror symmetry that
-    quantizes the dipolar response on the Klein bottle.  with_point=True
-    returns (residual, theta_at_max) instead of the bare number.
+    Vanishing residual is the y-mirror symmetry that quantizes the dipolar
+    response on the Klein bottle.
     """
-    U = PAULI[2] if u is None else np.asarray(u, dtype=complex)
-    pts = _box_grid("klein", *resolution)
+    U = PAULI[2]
+    pts = _box_grid("klein", 64, 33)
     H = model.evaluate_many(pts)
     Hm = model.evaluate_many(pts * (1.0, -1.0))
     res = np.abs(U @ Hm @ U.conj().T - H).max(axis=(-1, -2))
     k = int(np.argmax(res))
-    return (res[k], pts[k]) if with_point else res[k]
+    return res[k], pts[k]
 
 
-def s_symmetry_residual(model, resolution=(64, 64), u=None, with_point=False):
-    """Max-norm residual of U^dagger H(y, -x+pi) U - H(x, y) over a grid.
+def s_symmetry_residual(model):
+    """Max-norm residual of U^dagger H(y, -x+pi) U - H(x, y) over a 64 x 64
+    grid, and the theta where it occurs.
 
-    U defaults to the quarter turn exp(-i pi sigma_z / 4), which rotates the
-    in-plane Pauli components by -pi/2 to match the quarter rotation of the
-    base point; U^4 = -I.  Vanishing residual quantizes the quadrupolar
-    response on the projective plane.
+    U is the quarter turn exp(-i pi sigma_z / 4), which rotates the in-plane
+    Pauli components by -pi/2 to match the quarter rotation of the base
+    point; U^4 = -I.  Vanishing residual quantizes the quadrupolar response
+    on the projective plane.
     """
-    if u is None:
-        U = np.diag([np.exp(-1j * math.pi / 4), np.exp(1j * math.pi / 4)])
-    else:
-        U = np.asarray(u, dtype=complex)
-    pts = _box_grid("rp2", *resolution)
+    U = np.diag([np.exp(-1j * math.pi / 4), np.exp(1j * math.pi / 4)])
+    pts = _box_grid("rp2", 64, 64)
     turned = np.stack([pts[:, 1], -pts[:, 0] + math.pi], axis=-1)
     H = model.evaluate_many(pts)
     Ht = model.evaluate_many(turned)
     res = np.abs(U.conj().T @ Ht @ U - H).max(axis=(-1, -2))
     k = int(np.argmax(res))
-    return (res[k], pts[k]) if with_point else res[k]
+    return res[k], pts[k]

@@ -10,9 +10,11 @@ quadrupolar invariants.  The counterdiabatic observable replaces H with
 H + V_Q, removing the adiabatic limit: w_CD converges at order-one speed.
 
 Each observable is a weighted sum of the spatial gradients of H,
-O = c_1 d1 H + c_2 d2 H.  The builders take arrays of N samples and return
-the (N, D, D) matrices.  For a two-level model with a Bloch field the
-pipelines skip the matrices: <psi|O|psi> = c_1 s . d1 d + c_2 s . d2 d with
+O = c_1 d1 H + c_2 d2 H, with the weights (c_1, c_2) built per sample.
+The Bolza builders (observable_hdqs, observable_cd) take arrays of N
+samples and return the (N, D, D) matrices.  The pipelines take <psi|O|psi>
+from the weights: through those matrices for a generic model, and for a
+two-level model with a Bloch field as c_1 s . d1 d + c_2 s . d2 d with
 s = <psi|sigma|psi>, real by construction.  Pipelines (run_hdqs, run_klein,
 run_rp2) wire trajectory -> evolution -> expectation series -> running
 average along the drive that drive_spec builds; they are what the CLI and
@@ -156,6 +158,8 @@ def _flat_weights(manifold, theta, vy):
 
     c = vy theta_y on the Klein bottle and vy theta_x theta_y on RP2, with
     vy the signed dtheta_y/dt of FlatTrajectory.velocities (or a scalar).
+    Only the sign of vy varies, so vy^2 = omega_y^2 identically (the
+    normalization constant of nu and mu).
     """
     c = vy * theta[:, 1] if manifold == "klein" \
         else vy * theta[:, 0] * theta[:, 1]
@@ -185,23 +189,6 @@ def observable_cd(model, z, p, band, threshold):
     dv = np.stack([vq(z + h) - vq(z - h), vq(z + 1j * h) - vq(z - 1j * h)],
                   axis=1) / (2 * h)
     return _contract(_hdqs_weights(z, p), model.gradient_many(z) + dv)
-
-
-def observable_klein(model, theta, omega_y):
-    """O = omega_y theta_y d_{theta_x} H at Klein samples."""
-    return _contract(_flat_weights("klein", theta, omega_y),
-                     model.gradient_many(theta))
-
-
-def observable_rp2(model, theta, vy):
-    """O = omega_y(t) theta_x theta_y d_{theta_x} H at RP2 samples.
-
-    vy holds the signed dtheta_y/dt at each sample, the second column of
-    FlatTrajectory.velocities.  Only its sign varies, so omega_y(t)^2 =
-    omega_y^2 identically (the mu normalization constant).
-    """
-    return _contract(_flat_weights("rp2", theta, vy),
-                     model.gradient_many(theta))
 
 
 # ---------------------------------------------------------------------------

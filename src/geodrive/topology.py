@@ -1,14 +1,14 @@
 """Static topological invariants from Berry curvature fields.
 
-Three curvature discretizations with one fixed sign convention: the
-analytic two-level formula Omega = s (1/2) dhat . (d1 dhat x d2 dhat), the
+Two curvature discretizations with one fixed sign convention: the
 gauge-invariant plaquette (link-variable) phase of an eigenvector grid, and
 the same plaquette phase of a two-level band read off its unit Bloch vectors
-as -s/2 times the solid angle of each plaquette's dhat quadrilateral.  The
-band sign s (+1 upper, -1 lower for a qubit) is anchored so that the upper
-band of the meron model at epsilon = 0.5 integrates to Chern number +1; the
-same convention then feeds the dipolar and quadrupolar moments, so their
-signs are not free.
+as -s/2 times the solid angle of each plaquette's dhat quadrilateral.  Both
+converge at second order to the analytic two-level curvature
+Omega = s (1/2) dhat . (d1 dhat x d2 dhat).  The band sign s (+1 upper, -1
+lower for a qubit) is anchored so that the upper band of the meron model at
+epsilon = 0.5 integrates to Chern number +1; the same convention then feeds
+the dipolar and quadrupolar moments, so their signs are not free.
 
 The invariants take the solid-angle route for models with a Bloch field
 (no eigensolve, no gauge) and the eigenvector route otherwise; the
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import ResolutionError, ValidationError
 from .evolution import _CHUNK
-from .models import (GAP_THRESHOLD, band_gap, eig_many, gap_report,
+from .models import (GAP_THRESHOLD, _nodes, band_gap, eig_many, gap_report,
                      mirror_symmetry_residual, require_gap,
                      s_symmetry_residual)
 from .trajectories import FLAT_DOMAINS
@@ -50,52 +50,20 @@ OVERLAP_FLOOR = 1e-6
 
 @dataclass
 class BerryField:
-    """Berry curvature sampled on a rectangular grid.
+    """Plaquette Berry curvature on a rectangular grid.
 
-    omega[i, j] is the curvature at (x1[i], x2[j]) in 1/area units of the
-    chart coordinates; for the plaquette method these are plaquette centers
-    and omega * spacing-area is the loop phase.
+    omega[i, j] is the curvature at the plaquette center (x1[i], x2[j]) in
+    1/area units of the chart coordinates; omega * spacing-area is the loop
+    phase.
     """
     x1: np.ndarray
     x2: np.ndarray
     omega: np.ndarray
     spacing: tuple
     band: int
-    method: str
 
     def integral(self):
         return self.omega.sum() * self.spacing[0] * self.spacing[1]
-
-
-def curvature_two_level(dhat, spacing, band=1, origin=(0.0, 0.0)):
-    """Curvature of a unit Bloch field on a grid, by central differences.
-
-    Parameters
-    ----------
-    dhat : (n1, n2, 3) array of unit vectors
-    spacing : (h1, h2) grid steps
-    band : 0 (lower) or 1 (upper)
-
-    Omega = s (1/2) dhat . (d1 dhat x d2 dhat), s = +1 for the upper band.
-    Interior points get central differences (one-sided at the edges), so
-    values next to the boundary are first-order only.
-    """
-    dhat = np.asarray(dhat, dtype=float)
-    if dhat.ndim != 3 or dhat.shape[-1] != 3:
-        raise ValidationError("curvature_two_level: field must be (n1, n2, 3)")
-    norms = np.linalg.norm(dhat, axis=-1)
-    if np.abs(norms - 1.0).max() > 1e-6:
-        raise ValidationError(
-            "curvature_two_level: field is not unit-normalized")
-    if band not in (0, 1):
-        raise ValidationError("curvature_two_level: band must be 0 or 1")
-    h1, h2 = spacing
-    g1, g2 = np.gradient(dhat, h1, h2, axis=(0, 1))
-    s = 1.0 if band == 1 else -1.0
-    omega = s * 0.5 * np.einsum("ijk,ijk->ij", dhat, np.cross(g1, g2))
-    x1 = origin[0] + h1 * np.arange(dhat.shape[0])
-    x2 = origin[1] + h2 * np.arange(dhat.shape[1])
-    return BerryField(x1, x2, omega, (h1, h2), band, "two_level")
 
 
 def curvature_plaquette(states, spacing, origin=(0.0, 0.0), band=0,
@@ -144,13 +112,13 @@ def _checked_overlap(smallest, dots):
     """The smallest link overlap |<psi_i|psi_j>| of a grid, from its smallest
     overlap or, with dots, from its smallest dhat_i . dhat_j, whose overlap
     is sqrt((1 + dhat_i . dhat_j) / 2).  Raises ResolutionError below
-    OVERLAP_FLOOR; a NaN passes, as the phases then show it."""
+    OVERLAP_FLOOR or at a NaN, which a NaN node state leaves in its links."""
     if dots:
         small = 1.0 + smallest
-        low = small < 2 * OVERLAP_FLOOR ** 2
+        low = not small >= 2 * OVERLAP_FLOOR ** 2
         smallest = math.sqrt(max(small, 0.0) / 2)
     else:
-        low = smallest < OVERLAP_FLOOR
+        low = not smallest >= OVERLAP_FLOOR
     if low:
         raise ResolutionError(
             f"plaquette link overlap {smallest:.2e} below {OVERLAP_FLOOR:g}; "
@@ -164,7 +132,7 @@ def _plaquette_field(phases, spacing, origin, band):
     x1 = origin[0] + h1 * (0.5 + np.arange(phases.shape[0]))
     x2 = origin[1] + h2 * (0.5 + np.arange(phases.shape[1]))
     phases /= h1 * h2
-    return BerryField(x1, x2, phases, (h1, h2), band, "plaquette")
+    return BerryField(x1, x2, phases, (h1, h2), band)
 
 
 def _dot(a, b):
@@ -257,15 +225,6 @@ class InvariantResult:
                 f" {self.residue:.2e})")
 
 
-def _nodes(manifold, xs, ys):
-    """Chart points of the node block xs x ys, row-major: complex x + iy on
-    the Bolza disk, (theta_x, theta_y) pairs on a flat manifold."""
-    if manifold == "bolza":
-        return (xs[:, None] + 1j * ys[None, :]).ravel()
-    return np.stack(np.meshgrid(xs, ys, indexing="ij"),
-                    axis=-1).reshape(-1, 2)
-
-
 def _band_field(model, x1, x2, band, threshold, spacing, origin,
                 wrap_x=False):
     """Plaquette curvature of one band over the node grid x1 x x2.
@@ -292,7 +251,7 @@ def _band_field(model, x1, x2, band, threshold, spacing, origin,
             r = np.linalg.norm(d, axis=-1)
             gap = np.minimum(gap, 2.0 * r.min())
         else:
-            energies, vecs, _ = eig_many(model.evaluate_many(pts))
+            energies, vecs = eig_many(model.evaluate_many(pts))
             gap = np.minimum(gap, band_gap(energies, band)[0])
         if not gap > threshold:
             continue  # the gap error follows the loop; no phase is needed
@@ -368,7 +327,7 @@ def dipolar_chern(model, band=1, resolution=(400, 200),
     """
     if model.manifold != "klein":
         raise ValidationError("dipolar_chern expects a Klein-bottle model")
-    res, worst = mirror_symmetry_residual(model, with_point=True)
+    res, worst = mirror_symmetry_residual(model)
     if not res <= SYMMETRY_TOL:
         raise ValidationError(
             f"y-mirror symmetry violated: residual {res:.2e} at theta = "
@@ -399,7 +358,7 @@ def quadrupole_chern(model, band=1, resolution=(200, 200),
     if model.manifold != "rp2":
         raise ValidationError("quadrupole_chern expects a projective-plane "
                               "model")
-    res, worst = s_symmetry_residual(model, with_point=True)
+    res, worst = s_symmetry_residual(model)
     if not res <= SYMMETRY_TOL:
         raise ValidationError(
             f"S symmetry violated: residual {res:.2e} at theta = "

@@ -118,9 +118,8 @@ class GeodesicSpec:
 
             if not in_fundamental_domain(self.z0):
                 raise ValidationError(
-                    "z0 must lie in the closed fundamental domain; "
-                    "reduce it with hyperbolic.reduce_to_domain first",
-                    param="z0")
+                    "z0 must lie in the closed fundamental domain, the "
+                    "Bolza octagon", param="z0")
         else:
             self.theta0 = (float(self.theta0[0]), float(self.theta0[1]))
             self.omega = (float(self.omega[0]), float(self.omega[1]))
@@ -142,7 +141,6 @@ def _check_domain(manifold, theta):
             f"[{x_lo:g}, {x_hi:g}] x [{y_lo:g}, {y_hi:g}]", param="theta0")
 
 
-TrajectorySample = namedtuple("TrajectorySample", "t z p word_len")
 CogeodesicSample = namedtuple("CogeodesicSample", "t z p v")
 
 
@@ -174,34 +172,18 @@ class BolzaTrajectory:
     def __len__(self):
         return len(self.t)
 
-    def __getitem__(self, k):
-        return TrajectorySample(self.t[k], self.z[k], self.p[k], self.word_len[k])
-
     @property
     def manifold(self):
         return "bolza"
 
-    def chart_map(self, k, digits=None):
+    def chart_map(self, k):
         """Accumulated word map at sample k (initial frame not included).
 
         Elements apply left-onto the running chart in time order, so as a
         single Mobius map the word reads right-to-left.
         """
-        group = bolza_group(digits or self.digits)
+        group = bolza_group(self.digits)
         return group.word_map(list(reversed(self.word[: self.word_len[k]])))
-
-    def unreduced_phase(self, k):
-        """Undo the word at sample k: the raw closed-form phase point.
-
-        Returned as mpmath values at the trajectory's working precision;
-        for large arc length the unreduced position is exponentially close
-        to the unit circle and cannot be represented in double precision.
-        """
-        m = self.chart_map(k).inverse()
-        with mp.workdps(self.digits):
-            z = mp.mpc(self.z[k])
-            p = mp.mpc(self.p[k])
-            return m(z), m.push_forward(z, p)
 
     def energies(self):
         """g^{-1}|p|^2/2 at every sample (double precision)."""
@@ -211,9 +193,9 @@ class BolzaTrajectory:
         """Cotangent lift: (dx/dt) as complex = (1-|z|^2)^2 p / 4."""
         return (1 - np.abs(self.z) ** 2) ** 2 * self.p / 4
 
-    def subsample(self, step, offset=0):
+    def subsample(self, step):
         """View with every step-th sample (used to align state grids)."""
-        sl = slice(offset, None, step)
+        sl = slice(None, None, step)
         return BolzaTrajectory(
             self.spec, self.digits, self.t[sl], self.z[sl], self.p[sl],
             self.word_len[sl], self.word, self.crossings, self.stats,
@@ -263,8 +245,8 @@ class FlatTrajectory:
             out[:, 1] = _parity(n[:, 0]) * wy
         return out
 
-    def subsample(self, step, offset=0):
-        sl = slice(offset, None, step)
+    def subsample(self, step):
+        sl = slice(None, None, step)
         return FlatTrajectory(self.spec, self.t[sl], self.theta[sl], self.crossings[sl])
 
 

@@ -232,7 +232,7 @@ def test_criterion_9_cross_validation(unit_speed_run, slow_drive):
         xs = np.linspace(-0.5, 0.5, n + 1)
         h = xs[1] - xs[0]
         zg = (xs[:, None] + 1j * xs[None, :]).ravel()
-        _, vecs, _ = eig_many(meron.evaluate_many(zg))
+        _, vecs = eig_many(meron.evaluate_many(zg))
         psi = vecs[:, :, 1].reshape(n + 1, n + 1, 2)
         field = curvature_plaquette(psi, (h, h), origin=(-0.5, -0.5), band=1)
         zc = (field.x1[:, None] + 1j * field.x2[None, :]).ravel()

@@ -1,5 +1,5 @@
 """Tests for the Poincare-disk building blocks: Mobius maps, the side-pairing
-group, fundamental-domain membership and reduction."""
+group and fundamental-domain membership."""
 
 import math
 
@@ -9,17 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from geodrive import ReductionError, ValidationError
+from geodrive import ValidationError
 from geodrive.hyperbolic import (
     BolzaGroup,
     FundamentalOctagon,
     MobiusMap,
     bolza_group,
-    hyperbolic_distance,
-    in_fundamental_domain,
     kinetic_energy,
-    metric_factor,
-    reduce_to_domain,
 )
 
 # points safely inside the disk, away from the boundary
@@ -30,30 +26,6 @@ momenta = st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0,
 
 
 class TestMetric:
-    def test_factor_at_origin(self):
-        assert metric_factor(0j) == 4.0
-
-    def test_factor_blows_up_toward_boundary(self):
-        assert metric_factor(0.9) > metric_factor(0.5) > metric_factor(0j)
-
-    def test_factor_rejects_boundary(self):
-        with pytest.raises(ValidationError):
-            metric_factor(1.0 + 0j)
-
-    def test_distance_radial(self):
-        # d(0, r) = 2 atanh r along a diameter
-        assert_allclose(hyperbolic_distance(0j, 0.5 + 0j),
-                        2 * math.atanh(0.5), rtol=1e-14)
-
-    def test_distance_symmetric(self):
-        z1, z2 = 0.3 + 0.2j, -0.1 + 0.6j
-        assert_allclose(hyperbolic_distance(z1, z2),
-                        hyperbolic_distance(z2, z1), rtol=1e-14)
-
-    def test_distance_rejects_outside(self):
-        with pytest.raises(ValidationError):
-            hyperbolic_distance(0j, 1.2)
-
     def test_kinetic_energy_at_origin(self):
         # g^{-1}(0) = 1/4, so E = |p|^2 / 8
         assert_allclose(kinetic_energy(0j, 2.0 + 0j), 0.5, rtol=1e-15)
@@ -94,10 +66,12 @@ class TestMobiusMap:
         assert_allclose(complex(m.inverse()(m(z))), z, atol=1e-14)
 
     def test_derivative_matches_finite_difference(self):
+        # push_forward is p -> p / conj(M'(z)); M'(z) by central differences
         m = MobiusMap.translation_to(0.4 - 0.3j)
-        z, h = 0.1 + 0.2j, 1e-7
+        z, p, h = 0.1 + 0.2j, 0.7 - 1.1j, 1e-7
         fd = (m(z + h) - m(z - h)) / (2 * h)
-        assert_allclose(complex(m.derivative(z)), complex(fd), rtol=1e-6)
+        assert_allclose(complex(m.push_forward(z, p)), p / fd.conjugate(),
+                        rtol=1e-6)
 
     @given(z=disk_points, p=momenta)
     @settings(max_examples=50, deadline=None)
@@ -153,9 +127,10 @@ class TestBolzaGroup:
                         rtol=1e-15)
 
     def test_generator_translates_origin_by_length(self):
+        # d(0, z) = 2 atanh |z|
         g = BolzaGroup()
         img = g.element(1)(0j)
-        assert_allclose(hyperbolic_distance(0j, img), g.translation_length,
+        assert_allclose(2 * math.atanh(abs(img)), g.translation_length,
                         rtol=1e-12)
 
     def test_inverse_elements(self):
@@ -179,37 +154,3 @@ class TestBolzaGroup:
         assert bolza_group(40) is bolza_group(40)
         assert bolza_group(40) is not bolza_group(41)
 
-
-class TestReduceToDomain:
-    def test_inside_point_untouched(self):
-        z, p, word = reduce_to_domain(0.1 + 0.1j, 1.0 + 0j)
-        assert word == []
-        assert z == 0.1 + 0.1j
-
-    def test_round_trip_recovers_point(self):
-        # push a domain point out with a known word, reduce it back
-        g = bolza_group()
-        z0, p0 = 0.25 + 0.1j, 0.8 - 0.3j
-        m = g.word_map([2, -4, 1])
-        z, p, word = reduce_to_domain(m(z0), m.push_forward(z0, p0))
-        assert_allclose(complex(z), z0, atol=1e-10)
-        assert_allclose(complex(p), p0, atol=1e-9)
-        assert in_fundamental_domain(z)
-
-    def test_preserves_energy(self):
-        g = bolza_group()
-        z0, p0 = 0.2 - 0.3j, 1.5 + 0.7j
-        m = g.word_map([-1, 3])
-        z, p, _ = reduce_to_domain(m(z0), m.push_forward(z0, p0))
-        assert_allclose(kinetic_energy(z, p), kinetic_energy(z0, p0),
-                        rtol=1e-10)
-
-    def test_rejects_points_outside_disk(self):
-        with pytest.raises(ValidationError):
-            reduce_to_domain(1.0 + 0j)
-
-    def test_word_length_limit(self):
-        g = bolza_group()
-        far = g.word_map([1, 2, 1, 2])(0j)
-        with pytest.raises(ReductionError):
-            reduce_to_domain(far, max_word_length=2)

@@ -15,6 +15,7 @@ from geodrive.models import (
     BUILTIN_MODELS,
     GAP_THRESHOLD,
     ParentHamiltonian,
+    adjacent_gaps,
     band_gap,
     bloch_vector,
     bolza_qubit,
@@ -152,7 +153,7 @@ class TestKleinQubit:
         assert_allclose(d, [-1.0, 0.0, 0.0], atol=1e-15)
 
     def test_mirror_symmetry(self, klein_m2):
-        assert mirror_symmetry_residual(klein_m2) < 1e-13
+        assert mirror_symmetry_residual(klein_m2)[0] < 1e-13
 
     def test_gap_closings(self):
         assert not gap_report(klein_qubit(1.0)).fully_gapped
@@ -177,7 +178,7 @@ class TestRp2Qubit:
         assert_allclose(d, [0.0, 0.0, 3.0], atol=1e-15)
 
     def test_quarter_turn_symmetry(self, rp2_m1):
-        assert s_symmetry_residual(rp2_m1) < 1e-13
+        assert s_symmetry_residual(rp2_m1)[0] < 1e-13
 
     def test_gap_closings(self):
         for m in (0.0, 2.0, -2.0):
@@ -218,7 +219,7 @@ class TestEigensystem:
 
     def test_batched_matches_single(self, klein_m2):
         pts = np.array([[0.3, -0.5], [1.1, -2.0]])
-        batch = eig_many(klein_m2.evaluate_many(pts), pts)
+        batch = eig_many(klein_m2.evaluate_many(pts))
         for i, pt in enumerate(pts):
             single = eigensystem(klein_m2.evaluate(pt))
             assert_allclose(batch.states[i], single.states, atol=1e-15)
@@ -339,14 +340,8 @@ class TestGapReport:
 
     def test_explicit_point_grid(self, klein_m2):
         pts = np.array([[0.0, 0.0], [math.pi, -math.pi / 2]])
-        report = gap_report(klein_m2, grid=pts)
-        assert report.grid_shape == (2,)
         # gap = 2|d|; at (pi, -pi/2) d = (0,0,1) for m = 2
-        assert_allclose(report.min_gaps[0], 2.0, rtol=1e-12)
-
-    def test_empty_grid_rejected(self, klein_m2):
-        with pytest.raises(ValidationError):
-            gap_report(klein_m2, grid=np.zeros((0, 2)))
+        assert_allclose(adjacent_gaps(klein_m2, pts)[1], [2.0], rtol=1e-12)
 
 
 class TestSymmetryResiduals:
@@ -362,12 +357,7 @@ class TestSymmetryResiduals:
 
         model = ParentHamiltonian("broken", "klein", 2,
                                   evaluate_many=broken, global_chart=True)
-        res, worst = mirror_symmetry_residual(model, with_point=True)
+        res, worst = mirror_symmetry_residual(model)
         assert res > 0.1
         assert -math.pi <= worst[0] <= math.pi
         assert -math.pi <= worst[1] <= 0.0
-
-    def test_quarter_turn_operator_is_required(self, rp2_m1):
-        # a plain sigma_z conjugation does not implement the quarter turn
-        res = s_symmetry_residual(rp2_m1, u=np.diag([1.0, -1.0]))
-        assert res > 0.5

@@ -20,8 +20,6 @@ from geodrive.response import (
     drive_spec,
     observable_cd,
     observable_hdqs,
-    observable_klein,
-    observable_rp2,
     run_hdqs,
     run_klein,
     run_rp2,
@@ -84,22 +82,35 @@ class TestObservableHdqs:
         assert O.shape == (1, 2, 2)
 
 
-class TestFlatObservables:
-    def test_klein_matches_hand_assembly(self, klein_m2):
-        theta, omega = (0.4, -1.3), (0.5, 0.81)
-        O = observable_klein(klein_m2, np.array([theta]), omega[1])[0]
-        gx = klein_m2.gradient_many(np.array([theta]))[0, 0]
-        assert_allclose(O, omega[1] * theta[1] * gx, atol=1e-14)
-        assert_allclose(O, O.conj().T, atol=1e-14)
+# a normalized state with no special relation to any H
+PSI = np.array([0.6, 0.48 + 0.64j])
 
-    def test_rp2_default_and_signed_velocity(self, rp2_m1):
+
+def flat_expectations(model, theta, vy, generic):
+    """<PSI|O|PSI> of a flat observable at one sample from the pipelines'
+    weights, on the Bloch route and on the matrix route."""
+    pts = np.array([theta])
+    weights = _flat_weights(model.manifold, pts, vy)
+    return [_gradient_expectations(m, PSI[None], pts, weights)[0][0]
+            for m in (model, generic(model))]
+
+
+class TestFlatObservables:
+    def test_klein_matches_hand_assembly(self, klein_m2, generic):
+        theta, omega = (0.4, -1.3), (0.5, 0.81)
+        gx = klein_m2.gradient_many(np.array([theta]))[0, 0]
+        ref = PSI.conj() @ (omega[1] * theta[1] * gx) @ PSI
+        assert_allclose(flat_expectations(klein_m2, theta, omega[1], generic),
+                        ref.real, rtol=1e-13)
+
+    def test_rp2_default_and_signed_velocity(self, rp2_m1, generic):
         theta, omega = (0.9, 1.7), (0.5, 0.81)
-        O_plus = observable_rp2(rp2_m1, *one(theta, omega[1]))[0]
-        O_signed = observable_rp2(rp2_m1, *one(theta, -omega[1]))[0]
-        assert_allclose(O_signed, -O_plus, atol=1e-14)
+        plus = flat_expectations(rp2_m1, theta, omega[1], generic)
+        signed = flat_expectations(rp2_m1, theta, -omega[1], generic)
+        assert_allclose(signed, -np.array(plus), rtol=1e-15)
         gx = rp2_m1.gradient_many(np.array([theta]))[0, 0]
-        assert_allclose(O_plus, omega[1] * theta[0] * theta[1] * gx,
-                        atol=1e-14)
+        ref = PSI.conj() @ (omega[1] * theta[0] * theta[1] * gx) @ PSI
+        assert_allclose(plus, ref.real, rtol=1e-13)
 
     def test_cd_observable_hermitian(self, meron):
         z, lam = 0.15 + 0.1j, 0.5

@@ -24,7 +24,6 @@ from geodrive.topology import (
     chern_bolza,
     curvature_plaquette,
     curvature_solid_angle,
-    curvature_two_level,
     dipolar_chern,
     quadrupole_chern,
 )
@@ -35,7 +34,7 @@ def _meron_states(model, lo, hi, n, band=1):
     xs = np.linspace(lo, hi, n + 1)
     h = xs[1] - xs[0]
     zg = (xs[:, None] + 1j * xs[None, :]).ravel()
-    _, vecs, _ = eig_many(model.evaluate_many(zg))
+    _, vecs = eig_many(model.evaluate_many(zg))
     return vecs[:, :, band].reshape(n + 1, n + 1, model.dim), h
 
 
@@ -46,15 +45,33 @@ def _omega_exact(model, z):
     return 0.5 * np.einsum("nk,nk->n", d, np.cross(g[:, 0], g[:, 1]))
 
 
+def _infinite_column(base, x0, y0):
+    """base with d_x = inf at the nodes theta_x = x0, |theta_y - y0| < 0.1.
+
+    The grid's smallest gap stays finite, but dhat = d / |d| is NaN there,
+    and so is every link overlap next to those nodes.
+    """
+    def d_field(theta):
+        d = base.d_field(theta)
+        th = np.asarray(theta)
+        d[(th[:, 0] == x0) & (np.abs(th[:, 1] - y0) < 0.1), 0] = np.inf
+        return d
+
+    return ParentHamiltonian(
+        "inf_column", base.manifold, 2, evaluate_many=base.evaluate_many,
+        d_field=d_field, d_gradient=base.d_gradient, global_chart=True)
+
+
 class TestCurvatureTwoLevel:
+    # the solid-angle curvature of a two-level band's unit Bloch vectors
     def test_meron_winding(self, meron):
         n = 161
         xs = np.linspace(-0.62, 0.62, n)
         h = xs[1] - xs[0]
         zg = (xs[:, None] + 1j * xs[None, :]).ravel()
         dhat = meron.d_field(zg).reshape(n, n, 3)
-        field = curvature_two_level(dhat, (h, h), band=1,
-                                    origin=(-0.62, -0.62))
+        field = curvature_solid_angle(dhat, (h, h), origin=(-0.62, -0.62),
+                                      band=1)
         assert_allclose(field.integral() / (2 * math.pi), 1.0, atol=5e-3)
 
     def test_band_sign_flip(self, meron):
@@ -63,19 +80,9 @@ class TestCurvatureTwoLevel:
         h = xs[1] - xs[0]
         zg = (xs[:, None] + 1j * xs[None, :]).ravel()
         dhat = meron.d_field(zg).reshape(n, n, 3)
-        up = curvature_two_level(dhat, (h, h), band=1)
-        lo = curvature_two_level(dhat, (h, h), band=0)
+        up = curvature_solid_angle(dhat, (h, h), band=1)
+        lo = curvature_solid_angle(dhat, (h, h), band=0)
         assert_allclose(lo.omega, -up.omega, atol=1e-14)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValidationError):
-            curvature_two_level(np.zeros((4, 4, 2)), (0.1, 0.1))
-        with pytest.raises(ValidationError):
-            curvature_two_level(2.0 * np.ones((4, 4, 3)), (0.1, 0.1))
-        ok = np.zeros((4, 4, 3))
-        ok[..., 2] = 1.0
-        with pytest.raises(ValidationError):
-            curvature_two_level(ok, (0.1, 0.1), band=2)
 
 
 class TestCurvaturePlaquette:
@@ -117,7 +124,7 @@ class TestCurvaturePlaquette:
 
     def test_integral_uses_spacing(self):
         field = BerryField(np.arange(2.0), np.arange(3.0),
-                           np.ones((2, 3)), (0.5, 2.0), 0, "plaquette")
+                           np.ones((2, 3)), (0.5, 2.0), 0)
         assert_allclose(field.integral(), 6.0)
 
 
@@ -211,9 +218,15 @@ class TestDipolarChern:
         with pytest.raises(ValidationError, match="not Hermitian"):
             dipolar_chern(nan_h, resolution=(32, 16))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_link_overlap_rejected(self):
+        model = _infinite_column(klein_qubit(2.0), -math.pi, -math.pi / 2)
+        with pytest.raises(ResolutionError, match="link overlap nan"):
+            dipolar_chern(model, resolution=(32, 16))
+
     def test_nan_symmetry_residual_rejected(self, klein_m2, monkeypatch):
         monkeypatch.setattr(topology, "mirror_symmetry_residual",
-                            lambda model, with_point: (math.nan, (0.0, 0.0)))
+                            lambda model: (math.nan, (0.0, 0.0)))
         with pytest.raises(ValidationError, match="mirror"):
             dipolar_chern(klein_m2, resolution=(32, 16))
 
@@ -239,9 +252,15 @@ class TestDipolarChern:
 class TestQuadrupoleChern:
     def test_nan_symmetry_residual_rejected(self, rp2_m1, monkeypatch):
         monkeypatch.setattr(topology, "s_symmetry_residual",
-                            lambda model, with_point: (math.nan, (0.0, 0.0)))
+                            lambda model: (math.nan, (0.0, 0.0)))
         with pytest.raises(ValidationError, match="S symmetry"):
             quadrupole_chern(rp2_m1, resolution=(32, 32))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_link_overlap_rejected(self):
+        model = _infinite_column(rp2_qubit(1.0), 0.0, math.pi / 2)
+        with pytest.raises(ResolutionError, match="link overlap nan"):
+            quadrupole_chern(model, resolution=(32, 32))
 
     def test_quantized_phase(self, rp2_m1):
         r = quadrupole_chern(rp2_m1, resolution=(100, 100))
@@ -324,7 +343,7 @@ def _whole_grid(model, xs, ys, band):
     if model.has_d_field:
         d = model.d_field(pts)
         return (d / np.linalg.norm(d, axis=-1)[:, None]).reshape(shape + (3,))
-    _, vecs, _ = eig_many(model.evaluate_many(pts))
+    _, vecs = eig_many(model.evaluate_many(pts))
     return vecs[:, :, band].reshape(shape + (model.dim,))
 
 
