@@ -171,6 +171,9 @@ def curvature_solid_angle(dhat, spacing, origin=(0.0, 0.0), band=1,
     if n.ndim != 3 or n.shape[-1] != 3:
         raise ValidationError("curvature_solid_angle: field must be "
                               "(n1, n2, 3)")
+    if np.abs(np.linalg.norm(n, axis=-1) - 1.0).max() > 1e-6:
+        raise ValidationError("curvature_solid_angle: field is not "
+                              "unit-normalized")
     if band not in (0, 1):
         raise ValidationError("curvature_solid_angle: band must be 0 or 1")
     if wrap_x:

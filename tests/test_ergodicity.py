@@ -56,6 +56,13 @@ class TestAreaEstimate:
         assert_allclose(est, TOTAL_AREA * np.array([0.25, 0.375, 0.5, 0.625])
                         / self.t[1:], rtol=1e-13)
 
+    def test_explicit_horizons(self):
+        # the closed-form estimates at the horizons T = 0.5 and 1.0
+        T, est = area_estimate(fake_bolza(self.t, self.z), r=0.6)
+        at = np.isin(T, [0.5, 1.0])
+        assert_allclose(T[at], [0.5, 1.0])
+        assert_allclose(est[at], [3 * math.pi, 2.5 * math.pi], rtol=1e-13)
+
     def test_requires_unit_speed(self):
         with pytest.raises(ValidationError, match="unit speed"):
             area_estimate(fake_bolza(self.t, self.z, speed=0.5))
@@ -116,9 +123,18 @@ class TestErgodicityReport:
         assert rep.r == 0.6
         assert rep.exact_area == pytest.approx(disk_area_exact(0.6))
         assert rep.T[-1] == pytest.approx(50.0)
-        assert rep.final_estimate == pytest.approx(6.821025969474157,
-                                                   rel=1e-10)
         # T = 50 is far from converged; just check the estimate is sane
         assert rep.final_relative_error < 0.5
         assert 0.0 <= rep.histogram.p_value <= 1.0
         assert rep.histogram.counts.sum() > 0
+
+    def test_horizons_pass_through(self, short_bolza_run):
+        # the estimates at the horizons T = 10 and 50 are those of the
+        # full sample-time curve; the one at T = 50 is pinned
+        rep = ergodicity_report(short_bolza_run)
+        at = np.isclose(rep.T[:, None], [10.0, 50.0], rtol=0,
+                        atol=1e-9).any(axis=1)
+        assert_allclose(rep.T[at], [10.0, 50.0], rtol=1e-12)
+        assert rep.estimates[at][-1] == rep.final_estimate
+        assert rep.final_estimate == pytest.approx(6.821025969474157,
+                                                   rel=1e-10)

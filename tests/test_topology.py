@@ -84,6 +84,16 @@ class TestCurvatureTwoLevel:
         lo = curvature_solid_angle(dhat, (h, h), band=0)
         assert_allclose(lo.omega, -up.omega, atol=1e-14)
 
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValidationError):
+            curvature_solid_angle(np.zeros((4, 4, 2)), (0.1, 0.1))
+        with pytest.raises(ValidationError):
+            curvature_solid_angle(2.0 * np.ones((4, 4, 3)), (0.1, 0.1))
+        ok = np.zeros((4, 4, 3))
+        ok[..., 2] = 1.0
+        with pytest.raises(ValidationError):
+            curvature_solid_angle(ok, (0.1, 0.1), band=2)
+
 
 class TestCurvaturePlaquette:
     def test_matches_analytic_at_second_order(self, meron):
