@@ -25,7 +25,8 @@ column by one cast to bytes; each cell is a NUL-padded row of a byte
 matrix, and a block is written as that matrix with its NULs removed.  The
 axis values of a curvature grid are formatted once each and their text is
 repeated over the grid, which gives the bytes of formatting every cell on
-its own.
+its own.  A preset's summary.csv goes through the same writer as text
+columns.
 """
 
 import argparse
@@ -54,6 +55,37 @@ from .shortest import slots
 _PAIR = {"type": "array", "items": {"type": "number"},
          "minItems": 2, "maxItems": 2}
 
+# config key -> (library keyword, conversion, JSON schema), one table per
+# config section and the one statement of its keys.  A run passes only the
+# keys its config sets, so each default stays with the function that takes
+# the argument; a ValidationError's param maps back to its config field.
+_KEYWORDS = {
+    "drive": {
+        "lambda": ("lam", float, {"type": "number", "exclusiveMinimum": 0}),
+        "omega": ("omega", tuple, _PAIR),
+        "z0": ("z0", lambda xy: complex(*xy), _PAIR),
+        "direction": ("direction", float, {"type": "number"}),
+        "theta0": ("theta0", tuple, _PAIR),
+        "T": ("T", float, {"type": "number", "minimum": 0}),
+        "dt": ("dt", float, {"type": "number", "exclusiveMinimum": 0}),
+        "counterdiabatic": ("counterdiabatic", bool, {"type": "boolean"}),
+    },
+    "numerics": {
+        "digits": ("digits", int, {"type": "integer", "minimum": 30}),
+        # grid [n] means n x n on the flat manifolds
+        "grid": ("resolution", lambda grid: (int(grid[0]), int(grid[-1])),
+                 {"type": "array", "minItems": 1, "maxItems": 2,
+                  "items": {"type": "integer", "minimum": 2}}),
+        "band": ("band", int, {"type": "integer", "minimum": 0}),
+        "radius": ("radius", float, {"type": "number"}),
+        "r": ("r", float,
+              {"type": "number", "minimum": 0, "exclusiveMaximum": 1}),
+        "bins": ("bins", int, {"type": "integer", "minimum": 1}),
+        "gap_threshold": ("gap_threshold", float,
+                          {"type": "number", "exclusiveMinimum": 0}),
+    },
+}
+
 SCHEMA = {
     "type": "object",
     "required": ["kind", "manifold", "output"],
@@ -70,35 +102,10 @@ SCHEMA = {
             "additionalProperties": {"type": "number"},
             "properties": {"name": {"enum": sorted(BUILTIN_MODELS)}},
         },
-        "drive": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "lambda": {"type": "number", "exclusiveMinimum": 0},
-                "omega": _PAIR,
-                "z0": _PAIR,
-                "direction": {"type": "number"},
-                "theta0": _PAIR,
-                "T": {"type": "number", "minimum": 0},
-                "dt": {"type": "number", "exclusiveMinimum": 0},
-                "counterdiabatic": {"type": "boolean"},
-            },
-        },
-        "numerics": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "digits": {"type": "integer", "minimum": 30},
-                "grid": {"type": "array", "minItems": 1, "maxItems": 2,
-                         "items": {"type": "integer", "minimum": 2}},
-                "band": {"type": "integer", "minimum": 0},
-                "radius": {"type": "number"},
-                "r": {"type": "number", "minimum": 0,
-                      "exclusiveMaximum": 1},
-                "bins": {"type": "integer", "minimum": 1},
-                "gap_threshold": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
+        **{section: {"type": "object", "additionalProperties": False,
+                     "properties": {key: schema for key, (_, _, schema)
+                                    in table.items()}}
+           for section, table in _KEYWORDS.items()},
         "output": {
             "type": "object",
             "required": ["prefix"],
@@ -108,30 +115,9 @@ SCHEMA = {
     },
 }
 
-# config key -> (library keyword, conversion), one table per config section.
-# A run passes only the keys its config sets, so each default stays with the
-# function that takes the argument; a ValidationError's param is mapped back
-# to the config field through the same tables.
-_KEYWORDS = {
-    "drive": {
-        "lambda": ("lam", float), "T": ("T", float), "dt": ("dt", float),
-        "direction": ("direction", float),
-        "z0": ("z0", lambda xy: complex(*xy)),
-        "omega": ("omega", tuple), "theta0": ("theta0", tuple),
-        "counterdiabatic": ("counterdiabatic", bool),
-    },
-    "numerics": {
-        "digits": ("digits", int), "band": ("band", int),
-        # grid [n] means n x n on the flat manifolds
-        "grid": ("resolution", lambda grid: (int(grid[0]), int(grid[-1]))),
-        "radius": ("radius", float), "r": ("r", float),
-        "bins": ("bins", int), "gap_threshold": ("gap_threshold", float),
-    },
-}
-
 _FIELDS = {keyword: f"{section}.{key}"
            for section, table in _KEYWORDS.items()
-           for key, (keyword, _) in table.items()}
+           for key, (keyword, _, _) in table.items()}
 
 
 def _path(parts):
@@ -371,9 +357,7 @@ def _write_csv(path, cols):
     if any(len(a) != n for a, _ in arrays):
         raise ValueError(f"{path}: columns of unequal length "
                          f"{[len(a) for a, _ in arrays]}")
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     try:
         with open(path, "wb") as fh:
             fh.write((",".join(name for name, _, _ in cols) + "\n").encode())
@@ -396,9 +380,7 @@ def _json_default(obj):
 
 
 def _write_manifest(path, payload):
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True,
                   default=_json_default)
@@ -783,26 +765,22 @@ def _compare(job, summary):
             "within_tolerance": bool(abs_error <= job["tolerance"])}
 
 
+def _summary_cell(v):
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
 def _write_sweep_csv(path, rows):
-    keys = []
-    for row in rows:
-        keys.extend(k for k in row if k not in keys)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(keys) + "\n")
-        for row in rows:
-            cells = []
-            for k in keys:
-                v = row.get(k)
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, bool):
-                    cells.append(str(v).lower())
-                elif isinstance(v, (float, np.floating)):
-                    cells.append(repr(float(v)))
-                else:
-                    cells.append(str(v))
-            fh.write(",".join(cells) + "\n")
-    return path
+    """Preset summary rows as text columns, one per key in order of first
+    appearance, written by _write_csv."""
+    keys = list(dict.fromkeys(k for row in rows for k in row))
+    return _write_csv(path, [(k, [_summary_cell(row.get(k)) for row in rows],
+                              "s") for k in keys])
 
 
 def run_preset(name, out=None, jobs=1):

@@ -15,10 +15,10 @@ four hyperbolic translations gamma_1..gamma_4 of translation length
 domain is the regular octagon bounded by eight geodesic arcs; membership
 uses the closed domain (boundary points count as inside).
 
-Mobius maps and the group are generic over plain floats/complex and mpmath
-types, so the same code path serves both fast double-precision work and the
-high-precision propagation needed for long geodesics.  The octagon is in
-doubles: membership is only ever tested on double samples.
+Each map and the group is one mpmath formula at the requested digits;
+without digits it runs at 15 (53 bits) and each entry is rounded once to a
+double.  Maps apply and compose on doubles and mpmath types alike.  The
+octagon is in doubles: membership is only ever tested on double samples.
 """
 
 import cmath
@@ -33,8 +33,12 @@ from . import ValidationError
 WORD_ORDER = (1, 2, 3, 4, -1, -2, -3, -4)
 
 
-def _is_mp(x):
-    return isinstance(x, (mp.mpf, mp.mpc))
+def _rounded(digits, *values):
+    """The values at `digits`; without digits, each rounded once to a double."""
+    if digits:
+        return values
+    return tuple(complex(v) if isinstance(v, mp.mpc) else float(v)
+                 for v in values)
 
 
 # mpmath rounds every operation to the ambient working precision, including
@@ -43,7 +47,7 @@ def _is_mp(x):
 # not depend on who calls them, so they use these exact versions.
 
 def _neg_exact(x):
-    return mp.fneg(x, exact=True) if _is_mp(x) else -x
+    return mp.fneg(x, exact=True) if isinstance(x, (mp.mpf, mp.mpc)) else -x
 
 
 def _conj_exact(x):
@@ -99,31 +103,26 @@ class MobiusMap:
 
     @staticmethod
     def identity(digits=None):
-        if digits:
-            with mp.workdps(digits):
-                return MobiusMap(mp.mpc(1), mp.mpc(0), check=False)
-        return MobiusMap(complex(1), complex(0), check=False)
+        with mp.workdps(digits or 15):
+            return MobiusMap(*_rounded(digits, mp.mpc(1), mp.mpc(0)),
+                             check=False)
 
     @staticmethod
     def rotation(phi, digits=None):
         """z -> e^{i phi} z."""
-        if digits:
-            with mp.workdps(digits):
-                return MobiusMap(mp.exp(0.5j * mp.mpf(phi)), mp.mpc(0), check=False)
-        return MobiusMap(cmath.exp(0.5j * phi), complex(0), check=False)
+        with mp.workdps(digits or 15):
+            return MobiusMap(*_rounded(digits, mp.exp(0.5j * mp.mpf(phi)),
+                                       mp.mpc(0)), check=False)
 
     @staticmethod
     def translation_to(z0, digits=None):
         """Origin -> z0 along the radial geodesic: z -> (z + z0)/(1 + conj(z0) z)."""
-        if digits:
-            with mp.workdps(digits):
-                z0 = mp.mpc(z0)
-                a = 1 / mp.sqrt(1 - abs(z0) ** 2)
-                return MobiusMap(a, z0 * a, check=False)
-        if abs(z0) >= 1:
+        if not abs(z0) < 1:
             raise ValidationError("translation target must lie inside the unit disk")
-        a = 1 / math.sqrt(1 - abs(z0) ** 2)
-        return MobiusMap(complex(a), z0 * a, check=False)
+        with mp.workdps(digits or 15):
+            z0 = mp.mpc(z0)
+            a = 1 / mp.sqrt(1 - abs(z0) ** 2)
+            return MobiusMap(*_rounded(digits, a, z0 * a), check=False)
 
 
 class FundamentalOctagon:
@@ -172,27 +171,19 @@ class BolzaGroup:
 
     def __init__(self, digits=None):
         self.digits = digits
-        if digits:
-            # mpmath rounds every operation (even negation) to the ambient
-            # precision, so the inverses must be built inside the context
-            with mp.workdps(digits):
-                a0 = mp.mpc(1 + mp.sqrt(2))
-                b0 = mp.sqrt(2 + 2 * mp.sqrt(2))
-                phases = [mp.exp(1j * mp.pi * (mu - 1) / 4) for mu in range(1, 5)]
-                gens = [MobiusMap(a0, b0 * ph, check=False) for ph in phases]
-                invs = [g.inverse() for g in gens]
-                self.translation_length = 2 * mp.acosh(1 + mp.sqrt(2))
-        else:
-            a0 = complex(1 + math.sqrt(2))
-            b0 = math.sqrt(2 + 2 * math.sqrt(2))
-            phases = [cmath.exp(1j * math.pi * (mu - 1) / 4) for mu in range(1, 5)]
-            gens = [MobiusMap(a0, b0 * ph, check=False) for ph in phases]
-            invs = [g.inverse() for g in gens]
-            self.translation_length = 2 * math.acosh(1 + math.sqrt(2))
+        with mp.workdps(digits or 15):
+            a0 = mp.mpc(1 + mp.sqrt(2))
+            b0 = mp.sqrt(2 + 2 * mp.sqrt(2))
+            phases = [mp.exp(1j * mp.pi * (mu - 1) / 4) for mu in range(1, 5)]
+            gens = [MobiusMap(*_rounded(digits, a0, b0 * ph), check=False)
+                    for ph in phases]
+            self.translation_length, = _rounded(
+                digits, 2 * mp.acosh(1 + mp.sqrt(2)))
+        # inverses are exact, so they need no working precision
         self._maps = {}
-        for mu, (g, gi) in enumerate(zip(gens, invs), start=1):
+        for mu, g in enumerate(gens, start=1):
             self._maps[mu] = g
-            self._maps[-mu] = gi
+            self._maps[-mu] = g.inverse()
         self.octagon = FundamentalOctagon()
 
     def element(self, idx):

@@ -35,28 +35,28 @@ PAULI = np.array(
      [[1.0, 0.0], [0.0, -1.0]]], dtype=complex)
 
 
-def pauli_hamiltonian(d, e0=0.0):
-    """Assemble e0*I + d.sigma for a Bloch vector or any stack of them.
+def pauli_hamiltonian(d):
+    """Assemble d.sigma for a Bloch vector or any stack of them.
 
     Parameters
     ----------
     d : array, shape (..., 3)
         Real Bloch vector(s).
-    e0 : scalar or array broadcastable to d.shape[:-1]
 
     Returns array of shape (..., 2, 2), complex.
     """
     d = np.asarray(d, dtype=float)
     out = np.empty(d.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = e0 + d[..., 2]
-    out[..., 1, 1] = e0 - d[..., 2]
+    # a zero d_z puts +0.0, never -0.0, on the diagonal
+    out[..., 0, 0] = 0.0 + d[..., 2]
+    out[..., 1, 1] = 0.0 - d[..., 2]
     out[..., 0, 1] = d[..., 0] - 1j * d[..., 1]
     out[..., 1, 0] = d[..., 0] + 1j * d[..., 1]
     return out
 
 
 def bloch_vector(H):
-    """Invert pauli_hamiltonian: return (d, e0) with H = e0*I + d.sigma."""
+    """Return (d, e0) with H = e0*I + d.sigma."""
     H = np.asarray(H)
     d = np.stack([H[..., 1, 0].real, H[..., 1, 0].imag,
                   (H[..., 0, 0] - H[..., 1, 1]).real / 2], axis=-1)

@@ -67,15 +67,15 @@ class BerryField:
 
 
 def curvature_plaquette(states, spacing, origin=(0.0, 0.0), band=0,
-                        wrap_x=False, wrap_y=False):
+                        wrap_x=False):
     """Gauge-invariant plaquette curvature from an eigenvector grid.
 
     Parameters
     ----------
     states : (n1, n2, D) complex array, one normalized eigenvector per node
     spacing : (h1, h2) node steps
-    wrap_x, wrap_y : close the grid periodically along an axis (the last
-        node then links back to the first, giving n instead of n-1
+    wrap_x : close the grid periodically along the first axis (the last
+        node row then links back to the first, giving n1 instead of n1-1
         plaquettes along it)
 
     Each plaquette phase is -Im log of the counter-oriented Wilson loop
@@ -88,8 +88,6 @@ def curvature_plaquette(states, spacing, origin=(0.0, 0.0), band=0,
         raise ValidationError("curvature_plaquette: states must be (n1, n2, D)")
     if wrap_x:
         psi = np.concatenate([psi, psi[:1]], axis=0)
-    if wrap_y:
-        psi = np.concatenate([psi, psi[:, :1]], axis=1)
     phases, small = _loop_phases(psi)
     _checked_overlap(small, dots=False)
     return _plaquette_field(phases, spacing, origin, band)
@@ -212,12 +210,11 @@ class InvariantResult:
     nearest_quantum: float
     residue: float
     grid_shape: tuple
-    min_gap: float = None
-    min_overlap: float = None
+    min_gap: float
+    min_overlap: float
 
     @classmethod
-    def quantize(cls, value, unit, grid_shape, min_gap=None,
-                 min_overlap=None):
+    def quantize(cls, value, unit, grid_shape, min_gap, min_overlap):
         nearest = unit * round(value / unit) if unit else 0.0
         return cls(value, unit, nearest, abs(value - nearest), grid_shape,
                    min_gap, min_overlap)
@@ -259,8 +256,10 @@ def _band_field(model, x1, x2, band, threshold, spacing, origin,
         if not gap > threshold:
             continue  # the gap error follows the loop; no phase is needed
         if model.has_d_field:
-            block, small = _solid_angle_phases(
-                (d / r[:, None]).reshape(hi - lo + 1, cols, 3), band)
+            # inf / inf is a NaN node, which the overlap check rejects
+            with np.errstate(invalid="ignore"):
+                block, small = _solid_angle_phases(
+                    (d / r[:, None]).reshape(hi - lo + 1, cols, 3), band)
         else:
             block, small = _loop_phases(
                 vecs[:, :, band].reshape(hi - lo + 1, cols, model.dim))

@@ -34,7 +34,6 @@ transformations literally, with boxes of their own, and serve as
 independent oracles for the closed formulas.
 """
 
-import cmath
 import math
 import time
 from collections import namedtuple
@@ -44,7 +43,7 @@ import mpmath as mp
 import numpy as np
 
 from . import PropagationError, ValidationError
-from .hyperbolic import MobiusMap, bolza_group
+from .hyperbolic import MobiusMap, _rounded, bolza_group, kinetic_energy
 
 TWO_PI = 2 * math.pi
 
@@ -99,10 +98,7 @@ class GeodesicSpec:
     def __post_init__(self):
         if self.manifold not in MANIFOLDS:
             raise ValidationError(f"unknown manifold {self.manifold!r}")
-        if isinstance(self.direction, complex):
-            if self.direction == 0:
-                raise ValidationError("direction must be a nonzero complex number or an angle")
-            self.direction = math.atan2(self.direction.imag, self.direction.real)
+        self.direction = _angle(self.direction)
         if self.dt <= 0:
             raise ValidationError("dt must be positive")
         if self.T < 0:
@@ -187,7 +183,7 @@ class BolzaTrajectory:
 
     def energies(self):
         """g^{-1}|p|^2/2 at every sample (double precision)."""
-        return (1 - np.abs(self.z) ** 2) ** 2 * np.abs(self.p) ** 2 / 8
+        return kinetic_energy(self.z, self.p)
 
     def velocities(self):
         """Cotangent lift: (dx/dt) as complex = (1-|z|^2)^2 p / 4."""
@@ -259,21 +255,36 @@ def _parity(n):
 # closed forms on the disk
 
 
+def _angle(direction):
+    """Angle in radians of a direction given as one or as a nonzero complex."""
+    if isinstance(direction, complex):
+        if direction == 0:
+            raise ValidationError(
+                "direction must be a nonzero complex number or an angle")
+        return math.atan2(direction.imag, direction.real)
+    return direction
+
+
+def _frame(z0, direction, digits):
+    """The map taking the geodesic from 0 along +x to the one leaving z0 at
+    angle `direction`: translation_to(z0) o rotation(direction)."""
+    with mp.workdps(digits):
+        return (MobiusMap.translation_to(z0, digits)
+                @ MobiusMap.rotation(direction, digits))
+
+
 def unit_geodesic_from_origin(direction, t, digits=None):
     """Unit-speed geodesic through 0: (n tanh(t/2), n (1 + cosh t)).
 
-    direction may be an angle or a complex number (its phase is used).
-    With digits set, returns mpmath values at that precision.
+    direction may be an angle or a nonzero complex number (its phase is
+    used).  Returns mpmath values at `digits`, or without digits complex
+    doubles, the 15-digit values rounded once.
     """
-    if isinstance(direction, complex):
-        direction = math.atan2(direction.imag, direction.real)
-    if digits:
-        with mp.workdps(digits):
-            n = mp.exp(1j * mp.mpf(direction))
-            t = mp.mpf(t)
-            return n * mp.tanh(t / 2), n * (1 + mp.cosh(t))
-    n = cmath.exp(1j * direction)
-    return n * math.tanh(t / 2), n * (1 + math.cosh(t))
+    direction = _angle(direction)
+    with mp.workdps(digits or 15):
+        n = mp.exp(1j * mp.mpf(direction))
+        t = mp.mpf(t)
+        return _rounded(digits, n * mp.tanh(t / 2), n * (1 + mp.cosh(t)))
 
 
 def bolza_closed_form(z0, direction, lam, t, digits=None):
@@ -282,26 +293,17 @@ def bolza_closed_form(z0, direction, lam, t, digits=None):
     Composes the rotation to `direction` with the translation taking the
     origin to z0 and evaluates the exact geodesic; no fundamental-domain
     reduction is applied.  This is the closed-form reference the sampled
-    propagator and the ODE oracle are tested against.
+    propagator and the ODE oracle are tested against.  Returns mpmath
+    values at `digits`, or without digits complex doubles, the 15-digit
+    values rounded once.
     """
-    if isinstance(direction, complex):
-        direction = math.atan2(direction.imag, direction.real)
-    if digits:
-        with mp.workdps(digits):
-            m0 = MobiusMap.translation_to(z0, digits) @ MobiusMap.rotation(direction, digits)
-            s = mp.mpf(lam) * mp.mpf(t)
-            w = mp.tanh(s / 2)
-            den = m0.b.conjugate() * w + m0.a.conjugate()
-            z = (m0.a * w + m0.b) / den
-            p = mp.mpf(lam) * (2 / ((1 - w) * (1 + w))) * (den * den).conjugate()
-            return z, p
-    m0 = MobiusMap.translation_to(complex(z0)) @ MobiusMap.rotation(direction)
-    s = lam * t
-    w = math.tanh(s / 2)
-    den = m0.b.conjugate() * w + m0.a.conjugate()
-    z = (m0.a * w + m0.b) / den
-    p = lam * (2 / ((1 - w) * (1 + w))) * (den * den).conjugate()
-    return z, p
+    direction = _angle(direction)
+    with mp.workdps(digits or 15):
+        m0 = _frame(z0, direction, digits or 15)
+        w = mp.tanh(mp.mpf(lam) * mp.mpf(t) / 2)
+        # the speed-lam momentum at w on the geodesic from 0 along +x
+        p = mp.mpf(lam) * (2 / ((1 - w) * (1 + w)))
+        return _rounded(digits, m0(w), m0.push_forward(w, p))
 
 
 # --------------------------------------------------------------------------
@@ -531,10 +533,8 @@ class _Chart:
         self.digits = (digits, digits + _CERT_DIGITS)
         self.maps, self.half_ds = [], []
         for d in self.digits:
+            self.maps.append(_frame(spec.z0, spec.direction, d))
             with mp.workdps(d):
-                self.maps.append(
-                    MobiusMap.translation_to(spec.z0, d)
-                    @ MobiusMap.rotation(spec.direction, d))
                 self.half_ds.append(mp.mpf(spec.speed) * mp.mpf(spec.dt) / 2)
         self.anchors = 0
         self.max_diff = 0.0

@@ -699,6 +699,33 @@ class TestPreset:
         assert not out.exists()
 
 
+def test_summary_csv(tmp_path, monkeypatch):
+    # keys in order of first appearance; None and a missing key are empty
+    # cells, a bool is true/false, a float (np.float64 too) its repr and an
+    # int its str
+    rows = [{"epsilon": -0.5, "label": "eps-0.5", "value": np.float64(1 / 3),
+             "target": 1, "abs_error": None, "within_tolerance": True},
+            {"label": "m2", "value": 1e-20, "target": 0,
+             "abs_error": np.float64(0.1), "within_tolerance": False,
+             "m": 2}]
+    expected = ("epsilon,label,value,target,abs_error,within_tolerance,m\n"
+                "-0.5,eps-0.5,0.3333333333333333,1,,true,\n"
+                ",m2,1e-20,0,0.1,false,2\n")
+    path = str(tmp_path / "summary.csv")
+    assert cli._write_sweep_csv(path, rows) == path
+    with open(path, "rb") as fh:
+        assert fh.read() == expected.encode()
+
+    # it is written by _write_csv, so a failed write leaves no file
+    def fails(a):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "_cells", fails)
+    os.remove(path)
+    with pytest.raises(KeyboardInterrupt):
+        cli._write_sweep_csv(path, rows)
+    assert os.listdir(tmp_path) == []
+
+
 def per_row_csv(cols):
     """The CSV text of the per-row rule: repr of each double, str of each
     int, and each text cell as it is."""

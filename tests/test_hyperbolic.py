@@ -1,6 +1,7 @@
 """Tests for the Poincare-disk building blocks: Mobius maps, the side-pairing
 group and fundamental-domain membership."""
 
+import cmath
 import math
 
 import mpmath as mp
@@ -46,8 +47,9 @@ class TestMobiusMap:
                         atol=1e-15)
 
     def test_translation_rejects_outside(self):
-        with pytest.raises(ValidationError):
-            MobiusMap.translation_to(1.5 + 0j)
+        for digits in (None, 30):
+            with pytest.raises(ValidationError, match="inside the unit disk"):
+                MobiusMap.translation_to(1.5 + 0j, digits)
 
     def test_su11_check(self):
         with pytest.raises(ValidationError):
@@ -125,6 +127,17 @@ class TestBolzaGroup:
         g = BolzaGroup()
         assert_allclose(g.translation_length, 2 * math.acosh(1 + math.sqrt(2)),
                         rtol=1e-15)
+
+    def test_double_generators_are_the_math_ones(self):
+        # without digits the mpmath formula runs at 53 bits and rounds to
+        # the doubles math and cmath give; the propagator picks its side
+        # pairings with these
+        a0 = complex(1 + math.sqrt(2))
+        b0 = math.sqrt(2 + 2 * math.sqrt(2))
+        for mu in range(1, 5):
+            g = BolzaGroup().element(mu)
+            phase = cmath.exp(1j * math.pi * (mu - 1) / 4)
+            assert (g.a, g.b) == (a0, b0 * phase)
 
     def test_generator_translates_origin_by_length(self):
         # d(0, z) = 2 atanh |z|

@@ -43,7 +43,8 @@ class TestPauliAssembly:
     @given(dx=finite, dy=finite, dz=finite, e0=finite)
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, dx, dy, dz, e0):
-        d, shift = bloch_vector(pauli_hamiltonian([dx, dy, dz], e0))
+        d, shift = bloch_vector(pauli_hamiltonian([dx, dy, dz])
+                                + e0 * np.eye(2))
         assert_allclose(d, [dx, dy, dz], atol=1e-12)
         assert_allclose(shift, e0, atol=1e-12)
 

@@ -121,9 +121,11 @@ class TestCurvaturePlaquette:
     def test_wrapping_adds_plaquettes(self, meron):
         psi, h = _meron_states(meron, -0.4, 0.4, 20)
         open_grid = curvature_plaquette(psi, (h, h))
-        wrapped = curvature_plaquette(psi, (h, h), wrap_x=True, wrap_y=True)
+        wrapped = curvature_plaquette(psi, (h, h), wrap_x=True)
         assert open_grid.omega.shape == (20, 20)
-        assert wrapped.omega.shape == (21, 21)
+        assert wrapped.omega.shape == (21, 20)
+        # the rows before the seam are the open grid's
+        assert_allclose(wrapped.omega[:20], open_grid.omega, atol=1e-12)
 
     def test_orthogonal_neighbors_rejected(self):
         psi = np.zeros((3, 3, 2), dtype=complex)
@@ -140,16 +142,18 @@ class TestCurvaturePlaquette:
 
 class TestInvariantResult:
     def test_quantize_rounding(self):
-        r = InvariantResult.quantize(0.98, 1.0, (10, 10))
+        r = InvariantResult.quantize(0.98, 1.0, (10, 10), 0.5, 0.9)
         assert r.nearest_quantum == 1.0
         assert_allclose(r.residue, 0.02)
+        assert (r.min_gap, r.min_overlap) == (0.5, 0.9)
 
     def test_quantize_half_pi_units(self):
-        r = InvariantResult.quantize(3.10, math.pi / 2, (4, 4))
+        r = InvariantResult.quantize(3.10, math.pi / 2, (4, 4), 0.5, 0.9)
         assert_allclose(r.nearest_quantum, math.pi)
 
     def test_str_mentions_residue(self):
-        assert "residue" in str(InvariantResult.quantize(1.0, 1.0, (2, 2)))
+        assert "residue" in str(
+            InvariantResult.quantize(1.0, 1.0, (2, 2), 0.5, 0.9))
 
 
 class TestChernBolza:
@@ -228,7 +232,7 @@ class TestDipolarChern:
         with pytest.raises(ValidationError, match="not Hermitian"):
             dipolar_chern(nan_h, resolution=(32, 16))
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_nan_link_overlap_rejected(self):
         model = _infinite_column(klein_qubit(2.0), -math.pi, -math.pi / 2)
         with pytest.raises(ResolutionError, match="link overlap nan"):
@@ -266,7 +270,7 @@ class TestQuadrupoleChern:
         with pytest.raises(ValidationError, match="S symmetry"):
             quadrupole_chern(rp2_m1, resolution=(32, 32))
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_nan_link_overlap_rejected(self):
         model = _infinite_column(rp2_qubit(1.0), 0.0, math.pi / 2)
         with pytest.raises(ResolutionError, match="link overlap nan"):

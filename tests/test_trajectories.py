@@ -140,6 +140,23 @@ class TestClosedForms:
         assert_allclose(ps, 0.25 * p, rtol=1e-13)
         assert_allclose(kinetic_energy(zs, ps), 0.25 ** 2 / 2, rtol=1e-12)
 
+    @pytest.mark.parametrize("digits", [None, 30])
+    def test_closed_form_rejects_start_outside_disk(self, digits):
+        with pytest.raises(ValidationError, match="inside the unit disk"):
+            bolza_closed_form(1.5 + 0j, 0.3, 1.0, 1.0, digits=digits)
+
+    @pytest.mark.parametrize("digits", [None, 30])
+    @pytest.mark.parametrize("closed_form", [
+        lambda direction, digits: unit_geodesic_from_origin(
+            direction, 1.0, digits=digits),
+        lambda direction, digits: bolza_closed_form(
+            0.1 + 0j, direction, 1.0, 1.0, digits=digits)],
+        ids=["unit_geodesic_from_origin", "bolza_closed_form"])
+    def test_zero_complex_direction_rejected(self, closed_form, digits):
+        # as GeodesicSpec rejects it; 0j has no argument to take
+        with pytest.raises(ValidationError, match="direction"):
+            closed_form(0j, digits)
+
     def test_double_vs_mpmath_paths_agree(self):
         zd, pd = bolza_closed_form(0.1 + 0.05j, 0.6, 1.0, 2.0)
         zm, pm = bolza_closed_form(0.1 + 0.05j, 0.6, 1.0, 2.0, digits=40)
