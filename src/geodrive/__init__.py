@@ -13,7 +13,8 @@ hyperbolic    Poincare-disk geometry, the Bolza side-pairing group,
               fundamental-domain membership.
 trajectories  Closed-form and high-precision numerical cogeodesic flows on
               all four manifolds.
-models        Parent Hamiltonians, eigensystems, gradients, gap scans.
+models        Parent Hamiltonians as Bloch fields or matrix fields with
+              analytic gradients, eigensystems, gap scans.
 evolution     Midpoint-exponential time stepping, band tracking,
               counterdiabatic terms, off-band correction diagnostics.
 response      Drive observables and running time averages.

@@ -335,8 +335,8 @@ def _write_csv(path, cols):
     An 'f' column, of real numbers, is written as doubles, an 'i' column as
     ints and an 's' column, ASCII text such as axis values formatted once
     and then repeated, as it is.  An unknown kind, an 'f' column of complex
-    numbers, objects or text, or columns of unequal length raise ValueError
-    before any file is opened.  A failed write leaves no file behind.
+    numbers, objects or text, an 's' column with a non-ASCII cell, or
+    columns of unequal length raise ValueError before any file is opened.  A failed write leaves no file behind.
     """
     arrays = [(np.asarray(a), k) for _, a, k in cols]
     unknown = [f"{name!r} ({k!r})" for name, _, k in cols
@@ -351,6 +351,15 @@ def _write_csv(path, cols):
     if unreal:
         raise ValueError(f"{path}: 'f' column of no real dtype: "
                          f"{', '.join(unreal)}")
+    # _cells casts text to ASCII bytes after the open; a column repeats a
+    # few distinct cells, so each is checked once here
+    nonascii = [repr(name) for (name, _, k), (a, _) in zip(cols, arrays)
+                if k == "s" and not all(
+                    c.isascii() for c in set(a.tolist())
+                    if isinstance(c, (str, bytes)))]
+    if nonascii:
+        raise ValueError(f"{path}: 's' column of non-ASCII text: "
+                         f"{', '.join(nonascii)}")
     arrays = [(a.astype(np.float64, copy=False) if k == "f" else a, k)
               for a, k in arrays]
     n = len(arrays[0][0])

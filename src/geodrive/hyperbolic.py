@@ -177,8 +177,6 @@ class BolzaGroup:
             phases = [mp.exp(1j * mp.pi * (mu - 1) / 4) for mu in range(1, 5)]
             gens = [MobiusMap(*_rounded(digits, a0, b0 * ph), check=False)
                     for ph in phases]
-            self.translation_length, = _rounded(
-                digits, 2 * mp.acosh(1 + mp.sqrt(2)))
         # inverses are exact, so they need no working precision
         self._maps = {}
         for mu, g in enumerate(gens, start=1):

@@ -1,12 +1,14 @@
 """Parent Hamiltonians steered along geodesic trajectories.
 
 A model is a Hermitian matrix field H(x) over one of the driving manifolds,
-wrapped in ParentHamiltonian together with optional analytic gradients and,
-for two-level models, the Bloch vector field d(x) with H = d . sigma.  The
-built-ins are the compactly supported meron texture on the Poincare disk
-(bolza_qubit) and the two flat-manifold textures (klein_qubit, rp2_qubit)
-whose mirror / quarter-turn symmetries quantize the dipolar and quadrupolar
-responses downstream.
+wrapped in ParentHamiltonian.  A two-level model states its Bloch vector
+field d(x) and the field's partials once, and H = d . sigma and its partials
+are assembled from them; any other model passes H and, where gradients are
+needed, its analytic partials as batch callables.  The built-ins are the
+compactly supported meron texture on the Poincare disk (bolza_qubit) and
+the two flat-manifold textures (klein_qubit, rp2_qubit) whose mirror /
+quarter-turn symmetries quantize the dipolar and quadrupolar responses
+downstream.
 
 Eigensystems are returned in a deterministic gauge (largest-magnitude
 component real positive) so identical inputs give bitwise identical states.
@@ -20,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DegeneracyError, ValidationError
-from .hyperbolic import FundamentalOctagon, in_fundamental_domain
-from .trajectories import (FLAT_DOMAINS, MANIFOLDS, klein_lift_project,
-                           rp2_lift_project)
+from .hyperbolic import FundamentalOctagon
+from .trajectories import FLAT_DOMAINS, MANIFOLDS
 
 HERMITICITY_TOL = 1e-12
 # smallest band gap that gap checks accept, unless a caller passes its own
@@ -82,33 +83,39 @@ class ParentHamiltonian:
 
     Points are complex numbers on the Poincare disk for manifold "bolza" and
     length-2 angle arrays for the flat manifolds; the *_many methods take a
-    (N,) complex or (N, 2) float array accordingly.  A model supplies H as
-    the batch callable evaluate_many and, optionally, its analytic partials
-    as gradient_many; the single-point evaluate and gradient call them on a
-    batch of one.  Without gradient_many, gradient_many falls back to the
-    finite differences of grad_H.  `global_chart` marks fields defined by a
-    single global formula (all built-ins), which finite differences may
-    probe outside the fundamental domain.  A model that passes d_field and
-    d_gradient is a two-level H = d . sigma, and has_d_field routes it
-    through the Bloch-vector paths of topology, evolution and response.
+    (N,) complex or (N, 2) float array accordingly.  A two-level model is a
+    Bloch field: d_field gives d(x) and d_gradient its partials, passed
+    together, and H = d . sigma and its partials are assembled from them
+    unless the model also passes evaluate_many or gradient_many.
+    has_d_field routes such a model through the Bloch-vector paths of
+    topology, evolution and response.  Any other model passes H as the batch
+    callable evaluate_many and, where gradients are needed, its analytic
+    partials as gradient_many.
     """
 
     def __init__(self, name, manifold, dim, evaluate_many=None,
                  gradient_many=None, d_field=None, d_gradient=None,
-                 global_chart=False, compact_support=None, params=None):
+                 compact_support=None, params=None):
         if manifold not in MANIFOLDS:
             raise ValidationError(f"unknown manifold {manifold!r}")
+        if (d_field is None) != (d_gradient is None):
+            raise ValidationError(
+                f"{name}: a Bloch field needs both d_field and d_gradient")
+        if d_field is not None:
+            if int(dim) != 2:
+                raise ValidationError("a Bloch vector field needs dim = 2")
+            evaluate_many = evaluate_many or (
+                lambda x: pauli_hamiltonian(d_field(x)))
+            gradient_many = gradient_many or (
+                lambda x: pauli_hamiltonian(d_gradient(x)))
         if evaluate_many is None:
             raise ValidationError("model needs evaluate_many")
         if int(dim) < 2:
             raise ValidationError("model dimension must be at least 2")
-        if int(dim) != 2 and (d_field is not None or d_gradient is not None):
-            raise ValidationError("a Bloch vector field needs dim = 2")
         self.name = name
         self.manifold = manifold
         self.dim = int(dim)
         self.params = dict(params or {})
-        self.global_chart = bool(global_chart)
         # radius beyond which a disk texture is constant (None = unknown)
         self.compact_support = compact_support
         self._evaluate_many = evaluate_many
@@ -121,13 +128,9 @@ class ParentHamiltonian:
         return f"ParentHamiltonian({self.name}({pars}) on {self.manifold})"
 
     @property
-    def has_gradient(self):
-        return self._gradient_many is not None
-
-    @property
     def has_d_field(self):
-        """True if H = d . sigma with both d and its partials available."""
-        return self._d_field is not None and self._d_gradient is not None
+        """True if H = d . sigma with d and its partials available."""
+        return self._d_field is not None
 
     def evaluate(self, point):
         """H at a single manifold point, shape (dim, dim)."""
@@ -143,20 +146,14 @@ class ParentHamiltonian:
         _check_hermitian(H)
         return H
 
-    def gradient(self, point):
-        """Analytic (d1 H, d2 H) at a point, shape (2, dim, dim)."""
+    def gradient_many(self, points):
+        """Analytic (d1 H, d2 H) at an array of points, shape
+        (N, 2, dim, dim)."""
         if self._gradient_many is None:
             raise ValidationError(
-                f"{self.name} has no analytic gradient; use grad_H")
-        return np.asarray(
-            self._gradient_many(_as_batch(self.manifold, point))[0],
-            dtype=complex)
-
-    def gradient_many(self, points):
-        """Gradients at an array of points, shape (N, 2, dim, dim)."""
-        if self._gradient_many is not None:
-            return np.asarray(self._gradient_many(points), dtype=complex)
-        return np.stack([grad_H(self, pt) for pt in points])
+                f"{self.name} has no gradient: pass gradient_many or a "
+                "Bloch field")
+        return np.asarray(self._gradient_many(points), dtype=complex)
 
     def d_field(self, points):
         """Bloch vector field at an array of points, shape (N, 3)."""
@@ -269,10 +266,7 @@ def bolza_qubit(epsilon, rho=0.6):
         return np.stack([gx, gy], axis=-2)
 
     return ParentHamiltonian(
-        "bolza_qubit", "bolza", 2,
-        evaluate_many=lambda z: pauli_hamiltonian(d_field(z)),
-        gradient_many=lambda z: pauli_hamiltonian(d_gradient(z)),
-        d_field=d_field, d_gradient=d_gradient, global_chart=True,
+        "bolza_qubit", "bolza", 2, d_field=d_field, d_gradient=d_gradient,
         compact_support=rho, params={"epsilon": epsilon, "rho": rho})
 
 
@@ -303,12 +297,8 @@ def klein_qubit(m):
                        -4 * np.sin(2 * y)], axis=-1)
         return np.stack([gx, gy], axis=-2)
 
-    return ParentHamiltonian(
-        "klein_qubit", "klein", 2,
-        evaluate_many=lambda th: pauli_hamiltonian(d_field(th)),
-        gradient_many=lambda th: pauli_hamiltonian(d_gradient(th)),
-        d_field=d_field, d_gradient=d_gradient, global_chart=True,
-        params={"m": m})
+    return ParentHamiltonian("klein_qubit", "klein", 2, d_field=d_field,
+                             d_gradient=d_gradient, params={"m": m})
 
 
 def rp2_qubit(m):
@@ -337,12 +327,8 @@ def rp2_qubit(m):
                        -2 * np.sin(2 * y)], axis=-1)
         return np.stack([gx, gy], axis=-2)
 
-    return ParentHamiltonian(
-        "rp2_qubit", "rp2", 2,
-        evaluate_many=lambda th: pauli_hamiltonian(d_field(th)),
-        gradient_many=lambda th: pauli_hamiltonian(d_gradient(th)),
-        d_field=d_field, d_gradient=d_gradient, global_chart=True,
-        params={"m": m})
+    return ParentHamiltonian("rp2_qubit", "rp2", 2, d_field=d_field,
+                             d_gradient=d_gradient, params={"m": m})
 
 
 BUILTIN_MODELS = {
@@ -386,53 +372,6 @@ def eig_many(H):
     _check_hermitian(H)
     w, v = np.linalg.eigh(H)
     return BandSystem(w, _pin_gauge(v))
-
-
-# ---------------------------------------------------------------------------
-# gradients
-
-def _fold_flat(manifold, theta):
-    # map an arbitrary lifted point into the fundamental domain
-    if manifold == "torus":
-        lo, hi = np.array(FLAT_DOMAINS["torus"]).T
-        return lo + np.mod(np.asarray(theta, dtype=float) - lo, hi - lo)
-    if manifold == "klein":
-        return klein_lift_project(theta, (0.0, 0.0), 0.0)
-    return rp2_lift_project(theta, (0.0, 0.0), 0.0)
-
-
-def grad_H(model, point, h=1e-5):
-    """(d1 H, d2 H) at a point: analytic when available, else central FD.
-
-    Finite-difference stencils on the flat manifolds are folded through the
-    edge identifications, so points near a boundary are fine.  Bolza models
-    are only differentiated where the whole stencil stays inside the chart:
-    the closed fundamental domain for quotient models, the unit disk for
-    global ones.  The result is symmetrized to be exactly Hermitian.
-    """
-    if model.has_gradient:
-        return model.gradient(point)
-    if h <= 0:
-        raise ValidationError("grad_H: step must be positive")
-    if model.manifold == "bolza":
-        z = complex(point)
-        if abs(z) + h >= 1.0:
-            raise ValidationError("grad_H: stencil leaves the unit disk")
-        stencil = [z + h, z - h, z + 1j * h, z - 1j * h]
-        if not model.global_chart and not all(
-                in_fundamental_domain(w) for w in stencil):
-            raise ValidationError(
-                "grad_H: stencil crosses the octagon boundary; supply an "
-                "analytic gradient for quotient models")
-    else:
-        th = np.asarray(point, dtype=float)
-        stencil = [th + (h, 0.0), th - (h, 0.0),
-                   th + (0.0, h), th - (0.0, h)]
-        if not model.global_chart:
-            stencil = [_fold_flat(model.manifold, q) for q in stencil]
-    Hxp, Hxm, Hyp, Hym = (model.evaluate(q) for q in stencil)
-    g = np.stack([Hxp - Hxm, Hyp - Hym]) / (2 * h)
-    return (g + np.conj(np.swapaxes(g, -1, -2))) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -341,8 +341,9 @@ def dipolar_chern(model, band=1, resolution=(400, 200),
     ys = np.linspace(y_lo, y_hi, ny + 1)
     field, gap, overlap = _band_field(model, xs, ys, band, gap_threshold,
                                       (hx, hy), (x_lo, y_lo), wrap_x=True)
-    phases = field.omega * hx * hy
-    value = (phases * field.x2[None, :]).sum() / (2 * math.pi)
+    # each row's weighted sum is a contiguous dot product; no array the size
+    # of omega is made
+    value = hx * hy * (field.omega @ field.x2).sum() / (2 * math.pi)
     result = InvariantResult.quantize(value, math.pi / 2, (nx, ny), gap,
                                       overlap)
     return (result, field) if with_field else result
@@ -372,8 +373,7 @@ def quadrupole_chern(model, band=1, resolution=(200, 200),
     ys = np.linspace(y_lo, y_hi, ny + 1)
     field, gap, overlap = _band_field(model, xs, ys, band, gap_threshold,
                                       (hx, hy), (x_lo, y_lo))
-    phases = field.omega * hx * hy
-    value = (phases * field.x1[:, None] * field.x2[None, :]).sum() / math.pi
+    value = hx * hy * (field.x1 @ (field.omega @ field.x2)) / math.pi
     result = InvariantResult.quantize(value, math.pi ** 2 / 2, (nx, ny),
                                       gap, overlap)
     return (result, field) if with_field else result

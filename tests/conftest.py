@@ -35,7 +35,6 @@ def _without_bloch_field(model):
     return ParentHamiltonian(
         model.name, model.manifold, model.dim,
         evaluate_many=model.evaluate_many, gradient_many=model.gradient_many,
-        global_chart=model.global_chart,
         compact_support=model.compact_support, params=model.params)
 
 

@@ -839,6 +839,16 @@ class TestWriteCsv:
                        [("a", np.zeros(500), "f"), ("b", np.zeros(500), kind)])
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("cells", [["café", "x"], [b"caf\xc3\xa9", b"x"],
+                                       np.array(["x", "é"], dtype=object)])
+    def test_non_ascii_text_is_an_error(self, tmp_path, cells):
+        # raised before any file is opened, so not even the missing output
+        # directory is made
+        with pytest.raises(ValueError, match=r"out\.csv: .*non-ASCII.*'label'"):
+            _write_csv(str(tmp_path / "new" / "out.csv"),
+                       [("k", np.arange(2), "i"), ("label", cells, "s")])
+        assert os.listdir(tmp_path) == []
+
 
 @pytest.mark.parametrize("n", [0, 1, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS,
                                cli._BLOCK_ROWS + 1])

@@ -25,7 +25,7 @@ UP = np.array([1.0, 0.0], dtype=complex)
 
 def constant_model(d=(0.0, 0.0, 1.0), manifold="klein"):
     return ParentHamiltonian(
-        "const", manifold, 2, global_chart=True,
+        "const", manifold, 2,
         evaluate_many=lambda th: pauli_hamiltonian(
             np.broadcast_to(d, (len(th), 3))))
 
@@ -39,7 +39,7 @@ def torus_model():
                          1.5 + np.cos(x)], axis=-1)
 
     return ParentHamiltonian(
-        "torus_probe", "torus", 2, global_chart=True,
+        "torus_probe", "torus", 2,
         evaluate_many=lambda th: pauli_hamiltonian(d_field(th)))
 
 
@@ -87,7 +87,7 @@ class TestEvolve:
         A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         H = (A + A.conj().T) / 2
         model = ParentHamiltonian(
-            "const3", "klein", 3, global_chart=True,
+            "const3", "klein", 3,
             evaluate_many=lambda th: np.broadcast_to(H, (len(th), 3, 3)))
         psi0 = np.array([1.0, 1.0j, -1.0]) / math.sqrt(3)
         res = evolve(psi0, model, klein_traj(T=2.0, dt=0.005))

@@ -24,6 +24,8 @@ disk_points = st.complex_numbers(max_magnitude=0.8, allow_nan=False,
                                  allow_infinity=False)
 momenta = st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0,
                              allow_nan=False, allow_infinity=False)
+# how far each Bolza generator moves points along its axis
+TRANSLATION_LENGTH = 2 * math.acosh(1 + math.sqrt(2))
 
 
 class TestMetric:
@@ -124,9 +126,11 @@ class TestFundamentalOctagon:
 
 class TestBolzaGroup:
     def test_translation_length(self):
+        # a hyperbolic [[a, b], [conj b, conj a]] translates by 2 acosh |a|
         g = BolzaGroup()
-        assert_allclose(g.translation_length, 2 * math.acosh(1 + math.sqrt(2)),
-                        rtol=1e-15)
+        for mu in range(1, 5):
+            assert_allclose(2 * math.acosh(abs(g.element(mu).a)),
+                            TRANSLATION_LENGTH, rtol=1e-15)
 
     def test_double_generators_are_the_math_ones(self):
         # without digits the mpmath formula runs at 53 bits and rounds to
@@ -143,7 +147,7 @@ class TestBolzaGroup:
         # d(0, z) = 2 atanh |z|
         g = BolzaGroup()
         img = g.element(1)(0j)
-        assert_allclose(2 * math.atanh(abs(img)), g.translation_length,
+        assert_allclose(2 * math.atanh(abs(img)), TRANSLATION_LENGTH,
                         rtol=1e-12)
 
     def test_inverse_elements(self):

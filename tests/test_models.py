@@ -23,7 +23,6 @@ from geodrive.models import (
     eig_many,
     eigensystem,
     gap_report,
-    grad_H,
     klein_qubit,
     mirror_symmetry_residual,
     pauli_hamiltonian,
@@ -33,6 +32,19 @@ from geodrive.models import (
 )
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+def assert_flat_gradient_matches_fd(model, theta, h=1e-6):
+    """d_gradient of a flat-manifold model against central differences of
+    its d_field."""
+    th = np.array(theta)
+    g = model.d_gradient(th.reshape(1, 2))[0]
+    for axis in (0, 1):
+        step = np.zeros(2)
+        step[axis] = h
+        fd = (model.d_field((th + step).reshape(1, 2))[0]
+              - model.d_field((th - step).reshape(1, 2))[0]) / (2 * h)
+        assert_allclose(g[axis], fd, atol=1e-8)
 
 
 class TestPauliAssembly:
@@ -131,14 +143,16 @@ class TestBolzaQubit:
         assert_allclose(g[1], fd_y, atol=1e-6)
 
     def test_evaluate_assembles_d_field(self, meron):
-        z = np.array([0.2 + 0.1j])
-        assert_allclose(meron.evaluate_many(z)[0],
-                        pauli_hamiltonian(meron.d_field(z)[0]), atol=1e-15)
+        # H and its partials are d . sigma and (d_i d) . sigma, to the bit
+        z = np.array([0.2 + 0.1j, 0.5 - 0.3j, 0.7j])
+        assert (meron.evaluate_many(z).tobytes()
+                == pauli_hamiltonian(meron.d_field(z)).tobytes())
+        assert (meron.gradient_many(z).tobytes()
+                == pauli_hamiltonian(meron.d_gradient(z)).tobytes())
 
     def test_metadata(self, meron):
         assert meron.manifold == "bolza"
         assert meron.compact_support == 0.6
-        assert meron.global_chart
         assert meron.params["epsilon"] == 0.5
 
 
@@ -163,14 +177,7 @@ class TestKleinQubit:
         assert gap_report(klein_qubit(0.5)).fully_gapped
 
     def test_gradient_matches_finite_difference(self, klein_m2):
-        th, h = np.array([0.7, -1.3]), 1e-6
-        g = klein_m2.d_gradient(th.reshape(1, 2))[0]
-        for axis in (0, 1):
-            step = np.zeros(2)
-            step[axis] = h
-            fd = (klein_m2.d_field((th + step).reshape(1, 2))[0]
-                  - klein_m2.d_field((th - step).reshape(1, 2))[0]) / (2 * h)
-            assert_allclose(g[axis], fd, atol=1e-8)
+        assert_flat_gradient_matches_fd(klein_m2, (0.7, -1.3))
 
 
 class TestRp2Qubit:
@@ -190,6 +197,9 @@ class TestRp2Qubit:
     def test_gapped_everywhere_at_m1(self, rp2_m1):
         report = gap_report(rp2_m1)
         assert report.min_gaps[0] > 0.5
+
+    def test_gradient_matches_finite_difference(self, rp2_m1):
+        assert_flat_gradient_matches_fd(rp2_m1, (0.7, 2.3))
 
 
 class TestEigensystem:
@@ -266,55 +276,31 @@ class TestParentHamiltonian:
                 d_field=klein_m2.d_field, d_gradient=klein_m2.d_gradient)
         assert klein_m2.has_d_field
 
+    @pytest.mark.parametrize("half", ["d_field", "d_gradient"])
+    def test_half_a_bloch_field_is_an_error(self, klein_m2, half):
+        with pytest.raises(ValidationError, match="both d_field and "
+                                                  "d_gradient"):
+            ParentHamiltonian("half", "klein", 2,
+                              evaluate_many=klein_m2.evaluate_many,
+                              **{half: getattr(klein_m2, half)})
+
 
 class TestGradH:
-    def test_prefers_analytic(self, klein_m2):
-        th = (math.pi / 4, -0.1)
-        g = grad_H(klein_m2, th)
+    # (d1 H, d2 H) as gradient_many gives it
+    def test_analytic_value(self, klein_m2):
+        g = klein_m2.gradient_many(np.array([[math.pi / 4, -0.1]]))[0]
         # d(d_z)/dx = sin x at (pi/4, -0.1) shows up on the diagonal
         assert_allclose(g[0, 0, 0].real, math.sin(math.pi / 4), rtol=1e-12)
 
-    def test_finite_difference_matches_analytic(self, klein_m2):
-        # strip the gradient to force the FD path
-        fd_model = ParentHamiltonian(
-            "klein_fd", "klein", 2, evaluate_many=klein_m2.evaluate_many,
-            global_chart=True)
-        th = (0.9, -1.7)
-        assert_allclose(grad_H(fd_model, th), grad_H(klein_m2, th),
-                        atol=1e-8)
-
-    def test_fd_stencil_folds_at_boundary(self):
-        # a non-global-chart model that refuses out-of-domain points still
-        # differentiates at the edge because the stencil is folded
-        base = klein_qubit(2.0)
-
-        def strict(theta):
-            x, y = theta[:, 0], theta[:, 1]
-            assert np.all((-math.pi <= x) & (x <= math.pi)
-                          & (-math.pi <= y) & (y <= 0))
-            return base.evaluate_many(theta)
-
-        model = ParentHamiltonian("strict", "klein", 2, evaluate_many=strict)
-        g = grad_H(model, (math.pi, -0.5))
-        assert_allclose(g, grad_H(base, (math.pi, -0.5)), atol=1e-7)
-
-    def test_bolza_frozen_region_gradient_zero(self, meron):
-        fd_model = ParentHamiltonian(
-            "meron_fd", "bolza", 2, evaluate_many=meron.evaluate_many,
-            global_chart=True, compact_support=0.6)
-        g = grad_H(fd_model, 0.8 + 0j)
-        assert np.abs(g).max() < 1e-11
-
-    def test_bolza_stencil_must_stay_in_disk(self, meron):
-        fd_model = ParentHamiltonian(
-            "meron_fd", "bolza", 2, evaluate_many=meron.evaluate_many,
-            global_chart=True)
-        with pytest.raises(ValidationError):
-            grad_H(fd_model, 0.999999 + 0j)
-
     def test_grad_is_hermitian(self, meron):
-        g = grad_H(meron, 0.2 - 0.4j)
+        g = meron.gradient_many(np.array([0.2 - 0.4j]))[0]
         assert_allclose(g, np.conj(np.swapaxes(g, -1, -2)), atol=1e-14)
+
+    def test_gradient_less_model_is_an_error(self, klein_m2):
+        model = ParentHamiltonian("plain", "klein", 2,
+                                  evaluate_many=klein_m2.evaluate_many)
+        with pytest.raises(ValidationError, match="plain has no gradient"):
+            model.gradient_many(np.zeros((1, 2)))
 
 
 class TestGapReport:
@@ -356,8 +342,7 @@ class TestSymmetryResiduals:
             extra[..., 0] = 0.3 * np.cos(th[..., 1])
             return pauli_hamiltonian(base.d_field(th) + extra)
 
-        model = ParentHamiltonian("broken", "klein", 2,
-                                  evaluate_many=broken, global_chart=True)
+        model = ParentHamiltonian("broken", "klein", 2, evaluate_many=broken)
         res, worst = mirror_symmetry_residual(model)
         assert res > 0.1
         assert -math.pi <= worst[0] <= math.pi

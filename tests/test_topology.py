@@ -59,7 +59,7 @@ def _infinite_column(base, x0, y0):
 
     return ParentHamiltonian(
         "inf_column", base.manifold, 2, evaluate_many=base.evaluate_many,
-        d_field=d_field, d_gradient=base.d_gradient, global_chart=True)
+        d_field=d_field, d_gradient=base.d_gradient)
 
 
 class TestCurvatureTwoLevel:
@@ -175,8 +175,7 @@ class TestChernBolza:
 
     def test_requires_compact_support(self, meron):
         free = ParentHamiltonian(
-            "free", "bolza", 2, evaluate_many=meron.evaluate_many,
-            global_chart=True)
+            "free", "bolza", 2, evaluate_many=meron.evaluate_many)
         with pytest.raises(ValidationError):
             chern_bolza(free)
 
@@ -222,13 +221,11 @@ class TestDipolarChern:
 
         model = ParentHamiltonian(
             "nan_node", "klein", 2, evaluate_many=base.evaluate_many,
-            d_field=d_field, d_gradient=base.d_gradient, global_chart=True)
+            d_field=d_field, d_gradient=base.d_gradient)
         with pytest.raises(DegeneracyError, match="invariant grid"):
             dipolar_chern(model, resolution=(32, 16))
-        nan_h = ParentHamiltonian(
-            "nan_node", "klein", 2,
-            evaluate_many=lambda th: pauli_hamiltonian(d_field(th)),
-            d_field=d_field, d_gradient=base.d_gradient, global_chart=True)
+        nan_h = ParentHamiltonian("nan_node", "klein", 2, d_field=d_field,
+                                  d_gradient=base.d_gradient)
         with pytest.raises(ValidationError, match="not Hermitian"):
             dipolar_chern(nan_h, resolution=(32, 16))
 
@@ -253,8 +250,7 @@ class TestDipolarChern:
             extra[..., 0] = 0.2 * np.cos(th[..., 1])
             return pauli_hamiltonian(base.d_field(th) + extra)
 
-        model = ParentHamiltonian("broken", "klein", 2,
-                                  evaluate_many=broken, global_chart=True)
+        model = ParentHamiltonian("broken", "klein", 2, evaluate_many=broken)
         with pytest.raises(ValidationError, match="mirror"):
             dipolar_chern(model, resolution=(32, 16))
 
@@ -294,8 +290,7 @@ class TestQuadrupoleChern:
             extra[..., 2] = 0.2 * np.cos(th[..., 0])
             return pauli_hamiltonian(base.d_field(th) + extra)
 
-        model = ParentHamiltonian("broken", "rp2", 2,
-                                  evaluate_many=broken, global_chart=True)
+        model = ParentHamiltonian("broken", "rp2", 2, evaluate_many=broken)
         with pytest.raises(ValidationError, match="S symmetry"):
             quadrupole_chern(model, resolution=(32, 32))
 
@@ -475,11 +470,8 @@ class TestStrips:
             return d
 
         model = ParentHamiltonian(
-            "broken", base.manifold, 2,
-            evaluate_many=lambda points: pauli_hamiltonian(d_field(points)),
-            d_field=d_field, d_gradient=base.d_gradient,
-            global_chart=base.global_chart,
-            compact_support=base.compact_support)
+            "broken", base.manifold, 2, d_field=d_field,
+            d_gradient=base.d_gradient, compact_support=base.compact_support)
         return model if route == "bloch" else generic(model)
 
     @pytest.mark.parametrize("route", ("bloch", "generic"))
@@ -570,7 +562,7 @@ class TestInvariantMemory:
     def test_klein_1600x800_holds_a_few_omegas(self, klein_m2):
         peak, (_, field) = _traced_peak(lambda: dipolar_chern(
             klein_m2, resolution=(1600, 800), with_field=True))
-        assert peak <= 4 * field.omega.nbytes
+        assert peak <= 2 * field.omega.nbytes
 
     def test_generic_route_400x200(self, klein_m2, generic):
         model = generic(klein_m2)
