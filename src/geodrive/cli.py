@@ -50,7 +50,7 @@ from .response import GOLDEN, drive_spec, run_hdqs, run_klein, run_rp2
 from .topology import (chern_bolza, check_radius, dipolar_chern,
                        quadrupole_chern)
 from .ergodicity import disk_area_exact, ergodicity_report
-from .shortest import slots
+from .shortest import WIDTH, slots
 
 _PAIR = {"type": "array", "items": {"type": "number"},
          "minItems": 2, "maxItems": 2}
@@ -292,58 +292,83 @@ def _cells(a):
     return cells
 
 
-def _text(x):
-    """The text of each double of x, as an object array of bytes."""
-    cells = slots(np.asarray(x, dtype=np.float64))
-    return np.array([cell[cell != 0].tobytes() for cell in cells],
-                    dtype=object)
+class _Axis:
+    """One axis of a grid as an 'x' column of rows cells: row r holds
+    values[r // every % len(values)].  The axes of a row-major n1 x n2
+    grid are _Axis(x1, n2, n1 * n2) and _Axis(x2, 1, n1 * n2)."""
+
+    def __init__(self, values, every, rows):
+        self.values = np.asarray(values, dtype=np.float64)
+        self.every, self.rows = every, rows
+
+    def __len__(self):
+        return self.rows
+
+    def cells(self):
+        """The cells of the axis values as a uint8 matrix, each value's text
+        left-justified, then NUL, with a last NUL byte for the separator."""
+        text = slots(self.values)
+        used = text != 0
+        width = used.sum(axis=1).max(initial=0)
+        # a stable sort on NUL moves the text bytes of a row to its front
+        front = np.argsort(~used, axis=1, kind="stable")[:, :width]
+        cells = np.zeros((len(text), width + 1), dtype=np.uint8)
+        cells[:, :width] = np.take_along_axis(text, front, axis=1)
+        return cells
 
 
-def _write_rows(fh, arrays):
+def _write_rows(fh, columns):
     """Write the rows of the columns to the binary file fh.
 
     A block's cells are rows of one uint8 matrix: those of its doubles from
     one kernel call, the shortest text that reads back as each double, as
-    repr gives it; those of its ints and text from _cells.
+    repr gives it; those of an axis gathered from its cells, formatted
+    once; those of its ints and text from _cells.
     """
-    floats = [a for a, k in arrays if k == "f"]
-    n = len(arrays[0][0])
+    floats = [a for a, k in columns if k == "f"]
+    axis_cells = [a.cells() if k == "x" else None for a, k in columns]
+    n = len(columns[0][0])
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
-        doubles = iter(())
         if floats:
             # one call for every float column, as a call costs about 0.2 ms
-            # whatever its size
-            rows = slots(np.stack([a[lo:hi] for a in floats], axis=1).ravel())
-            doubles = iter(rows.reshape(hi - lo, len(floats), -1)
-                           .transpose(1, 0, 2))
-            del rows
-        cells = [next(doubles) if k == "f" else _cells(a[lo:hi])
-                 for a, k in arrays]
+            # whatever its size; its rows are the block's cells row by row
+            doubles = slots(np.stack([a[lo:hi] for a in floats], axis=1)
+                            .ravel()).reshape(hi - lo, -1)
+        if len(floats) == len(columns):
+            block, widths = doubles, [WIDTH] * len(columns)
+        else:
+            split = iter(np.hsplit(doubles, len(floats)) if floats else ())
+            rows = np.arange(lo, hi)
+            cells = [text[rows // a.every % len(text)] if text is not None
+                     else next(split) if k == "f" else _cells(a[lo:hi])
+                     for (a, k), text in zip(columns, axis_cells)]
+            widths = [c.shape[1] for c in cells]
+            block = np.concatenate(cells, axis=1)
+            del cells, split
         # the last byte of each cell separates it from the next
-        for column in cells[:-1]:
-            column[:, -1] = ord(",")
-        cells[-1][:, -1] = ord("\n")
-        block = np.concatenate(cells, axis=1)
-        del cells, doubles
+        ends = np.cumsum(widths) - 1
+        block[:, ends[:-1]] = ord(",")
+        block[:, ends[-1]] = ord("\n")
         fh.write(block[block != 0])
 
 
 def _write_csv(path, cols):
-    """Write columns as CSV; cols is a list of (name, array, 'f'|'i'|'s').
+    """Write columns as CSV; cols is a list of (name, array, kind).
 
-    An 'f' column, of real numbers, is written as doubles, an 'i' column as
-    ints and an 's' column, ASCII text such as axis values formatted once
-    and then repeated, as it is.  An unknown kind, an 'f' column of complex
-    numbers, objects or text, an 's' column with a non-ASCII cell, or
-    columns of unequal length raise ValueError before any file is opened.  A failed write leaves no file behind.
+    An 'f' column, of real numbers, and an 'x' column, an _Axis of a grid,
+    are written as doubles, an 'i' column as ints and an 's' column, ASCII
+    text, as it is.  An unknown kind, an 'f' column of complex numbers,
+    objects or text, an 's' column with a non-ASCII cell, or columns of
+    unequal length raise ValueError before any file is opened.  A failed
+    write leaves no file behind.
     """
-    arrays = [(np.asarray(a), k) for _, a, k in cols]
+    arrays = [(a if k == "x" else np.asarray(a), k) for _, a, k in cols]
     unknown = [f"{name!r} ({k!r})" for name, _, k in cols
-               if k not in ("f", "i", "s")]
+               if k not in ("f", "i", "s", "x")]
     if unknown:
         raise ValueError(f"{path}: unknown column kind of "
-                         f"{', '.join(unknown)}; use 'f', 'i' or 's'")
+                         f"{', '.join(unknown)}; use 'f', 'i', 's' or 'x'")
     # a complex double would lose its imaginary part, and text would be
     # parsed, if cast to float64
     unreal = [f"{name!r} ({a.dtype})" for (name, _, k), (a, _) in
@@ -386,6 +411,15 @@ def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     return str(obj)
+
+
+def _environment():
+    """The versions of Python, numpy and mpmath a run's numbers come from."""
+    # mpmath is loaded by the modules cli imports; a top-level import ahead
+    # of them raised the peak RSS of a geodrive process by about 0.25 MiB
+    import mpmath as mp
+    return {"python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__, "mpmath": mp.__version__}
 
 
 def _write_manifest(path, payload):
@@ -547,15 +581,12 @@ def _run_invariant(cfg, prefix):
         compute = dipolar_chern if cfg["manifold"] == "klein" \
             else quadrupole_chern
         result, field = compute(model, with_field=True, **kw)
-    # each axis value is formatted once, and its text is repeated over the
-    # grid: n1 + n2 doubles formatted for the axis cells, not 2 * n1 * n2.
-    # The repeats are object arrays, cast to bytes a block at a time: held
-    # as fixed-width bytes over the grid (3 MB for the 400 x 200 Klein
-    # grid), they raised the peak RSS of flat-and-grids by 0.5 MiB
-    x1, x2 = (_text(x) for x in (field.x1, field.x2))
+    # each axis value is formatted once, n1 + n2 doubles for the axis
+    # cells, not 2 * n1 * n2, and no array over the grid is made for them
+    rows = field.omega.size
     path = _write_csv(prefix + "curvature.csv",
-                      [("x1", np.repeat(x1, len(x2)), "s"),
-                       ("x2", np.tile(x2, len(x1)), "s"),
+                      [("x1", _Axis(field.x1, len(field.x2), rows), "x"),
+                       ("x2", _Axis(field.x2, 1, rows), "x"),
                        ("omega", field.omega.ravel(), "f")])
     summary = {"band": field.band, "value": result.value,
                "quantization_unit": result.quantization_unit,
@@ -824,6 +855,7 @@ def run_preset(name, out=None, jobs=1):
     manifest = {
         "preset": name,
         "version": __version__,
+        "environment": _environment(),
         "wall_time_s": time.perf_counter() - t0,
         "files": files,
         "runs": runs,
@@ -859,13 +891,17 @@ def cmd_run(args):
     t0 = time.perf_counter()
     try:
         files, summary = execute(cfg)
-    except GeodriveError as err:
-        print(f"runtime error: {err}", file=sys.stderr)
+    except (GeodriveError, MemoryError) as err:
+        # a MemoryError is a plan too large for this machine: numpy's names
+        # the allocation it could not make
+        print(f"runtime error: {str(err) or type(err).__name__}",
+              file=sys.stderr)
         return 3, []
     prefix = cfg["output"]["prefix"]
     manifest_path = _write_manifest(prefix + "manifest.json", {
         "config": cfg,
         "version": __version__,
+        "environment": _environment(),
         "wall_time_s": time.perf_counter() - t0,
         "files": files,
         "summary": summary,

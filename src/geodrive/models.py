@@ -481,11 +481,12 @@ def mirror_symmetry_residual(model):
     Vanishing residual is the y-mirror symmetry that quantizes the dipolar
     response on the Klein bottle.
     """
-    U = PAULI[2]
     pts = _box_grid("klein", 64, 33)
     H = model.evaluate_many(pts)
     Hm = model.evaluate_many(pts * (1.0, -1.0))
-    res = np.abs(U @ Hm @ U.conj().T - H).max(axis=(-1, -2))
+    # sigma_z is diagonal: (sigma_z Hm sigma_z)_ij = z_i z_j Hm_ij
+    res = np.abs(Hm * np.array([[1.0, -1.0], [-1.0, 1.0]]) - H).max(
+        axis=(-1, -2))
     k = int(np.argmax(res))
     return res[k], pts[k]
 
@@ -499,11 +500,12 @@ def s_symmetry_residual(model):
     point; U^4 = -I.  Vanishing residual quantizes the quadrupolar response
     on the projective plane.
     """
-    U = np.diag([np.exp(-1j * math.pi / 4), np.exp(1j * math.pi / 4)])
+    u = np.array([np.exp(-1j * math.pi / 4), np.exp(1j * math.pi / 4)])
     pts = _box_grid("rp2", 64, 64)
     turned = np.stack([pts[:, 1], -pts[:, 0] + math.pi], axis=-1)
     H = model.evaluate_many(pts)
     Ht = model.evaluate_many(turned)
-    res = np.abs(U.conj().T @ Ht @ U - H).max(axis=(-1, -2))
+    # U = diag(u): (U^dagger Ht U)_ij = conj(u_i) u_j Ht_ij
+    res = np.abs(Ht * np.outer(u.conj(), u) - H).max(axis=(-1, -2))
     k = int(np.argmax(res))
     return res[k], pts[k]

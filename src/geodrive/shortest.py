@@ -36,7 +36,6 @@ _M63 = _U(2 ** 63 - 1)
 # exponent e+XX.  The last byte stays NUL for the caller's separator.
 WIDTH = 56
 _QUAD = np.dtype("<u4")
-_WORD = np.dtype("<u8")
 
 _POW10 = np.array([10 ** i for i in range(18)], dtype=_U)
 
@@ -44,6 +43,14 @@ _POW10 = np.array([10 ** i for i in range(18)], dtype=_U)
 def _bytes(mask):
     """A boolean array over bytes as 0x00 and 0xFF bytes."""
     return mask.astype(np.uint8) * np.uint8(255)
+
+
+def _planes(rows, width=None):
+    """Table rows of bytes (a uint8 matrix, or bytes of rows of width) as
+    planes of quads: row i's quad j at [j, i]."""
+    if width is not None:
+        rows = np.frombuffer(rows, dtype=np.uint8).reshape(-1, width)
+    return np.ascontiguousarray(rows.view(_QUAD).T)
 
 
 def _layout():
@@ -67,22 +74,22 @@ def _layout():
         quads=quads.view(_QUAD).ravel(), trailing=trailing,
         # by a, the number of digits before the point (0 to 16): those
         # digits
-        head=_bytes((byte >= 3) & (byte < 3 + a[:, 0, 0])).view(_QUAD),
+        head=_planes(_bytes((byte >= 3) & (byte < 3 + a[:, 0, 0]))),
         # by 36 a + 2 (digits shown, 0 to 17) + whether a point is shown:
         # the point and the digits after it
-        fraction=_bytes(((byte >= 3 + a) | (byte == 0) & point)
-                        & (byte < 3 + shown)).view(_QUAD).reshape(612, 5),
+        fraction=_planes(_bytes(((byte >= 3 + a) | (byte == 0) & point)
+                                & (byte < 3 + shown)).reshape(612, 20)),
         # by 6 (sign) + min(max(decpt, -4), 1) + 4: the sign, then "0."
         # and the zeros of a positional 0.000ddd
-        prefix=np.frombuffer(b"".join(
+        prefix=_planes(b"".join(
             (sign + ("0." + "0" * -decpt if -4 < decpt <= 0 else ""))
             .encode().ljust(8, b"\0")
-            for sign in ("", "-") for decpt in range(-4, 2)), dtype=_WORD),
+            for sign in ("", "-") for decpt in range(-4, 2)), 8),
         # by exponent + 324 (-324 to 308), then the "0" of a trailing
         # ".0", then nothing
-        tail=np.frombuffer(b"".join(
+        tail=_planes(b"".join(
             [f"e{e:+03d}".encode().ljust(8, b"\0") for e in range(-324, 309)]
-            + [b"0".ljust(8, b"\0"), bytes(8)]), dtype=_WORD),
+            + [b"0".ljust(8, b"\0"), bytes(8)]), 8),
         # the rows of nan, inf, -inf, 0.0 and -0.0
         special=np.frombuffer(b"".join(
             (b"-" if text[0] == "-" else b"").ljust(8, b"\0")
@@ -214,8 +221,9 @@ def slots(x):
     for j, half in ((1, hi), (3, lo)):
         np.floor_divide(half, _U(10 ** 4), out=quads[j])
         np.subtract(half, quads[j] * _U(10 ** 4), out=quads[j + 1])
-    quads = quads.astype(np.intp)
-    digits = np.take(tab.quads, quads).T
+    # indices below 2^63 read the same as intp: a view, not a copy
+    quads = quads.view(np.intp)
+    digits = np.take(tab.quads, quads)
     # significant digits: 17 less the trailing zeros
     t1, t2, t3, t4 = np.take(tab.trailing, quads[1:])
     four = np.uint8(4)
@@ -228,16 +236,18 @@ def slots(x):
     a = np.where(sci, 1, np.maximum(decpt, 0))
     shown = np.where(sci, n, np.maximum(n, decpt))
     point = np.where(sci, n > 1, decpt > 0)
-    out = np.empty((len(x), WIDTH // 4), dtype=_QUAD)
-    negative = (bits >> _U(63)).astype(np.intp)
+    # the 14 quads of the rows as contiguous planes, transposed once
+    planes = np.empty((WIDTH // 4, len(x)), dtype=_QUAD)
+    negative = (bits >> _U(63)).view(np.intp)
     prefix = np.minimum(np.maximum(decpt, -4), 1) + 4 + 6 * negative
-    out[:, :2] = np.take(tab.prefix, prefix).view(_QUAD).reshape(-1, 2)
-    np.bitwise_and(digits, np.take(tab.head, a, axis=0), out=out[:, 2:7])
+    np.take(tab.prefix, prefix, axis=1, out=planes[:2])
+    np.bitwise_and(digits, np.take(tab.head, a, axis=1), out=planes[2:7])
     np.bitwise_and(digits, np.take(tab.fraction, 36 * a + 2 * shown + point,
-                                   axis=0), out=out[:, 7:12])
-    out[:, 12:] = np.take(tab.tail, np.where(
-        sci, decpt + 323, np.where(decpt >= n, 633, 634))).view(
-            _QUAD).reshape(-1, 2)
+                                   axis=1), out=planes[7:12])
+    np.take(tab.tail, np.where(sci, decpt + 323,
+                               np.where(decpt >= n, 633, 634)),
+            axis=1, out=planes[12:])
+    out = np.ascontiguousarray(planes.T)
     if special.any():
         which = np.flatnonzero(special)
         code = np.where(mag[which] == _U(0), 3, 1) + negative[which]

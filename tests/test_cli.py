@@ -10,6 +10,7 @@ import subprocess
 import sys
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -281,6 +282,9 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "a_manifest.json").read_text())
         assert manifest["summary"]["samples"] == 501
         assert manifest["config"]["kind"] == "trajectory"
+        assert manifest["environment"] == {
+            "python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__, "mpmath": mpmath.__version__}
 
     def test_keys_a_kind_never_reads_are_config_errors(self, tmp_path,
                                                       capsys):
@@ -446,6 +450,20 @@ class TestExitCodes:
                "output": {"prefix": str(tmp_path / "gap_")}}
         assert main(["run", write_cfg(tmp_path, cfg)]) == 3
         assert "runtime error" in capsys.readouterr().err
+
+    def test_memory_error_is_runtime_error(self, tmp_path, monkeypatch,
+                                           capsys):
+        # a plan too large for memory: reported, with no traceback and no
+        # manifest, and nothing large is allocated to show it
+        def execute(cfg):
+            raise MemoryError("Unable to allocate 71.1 PiB for an array")
+        monkeypatch.setattr(cli, "execute", execute)
+        cfg = torus_trajectory_cfg(str(tmp_path / "big_"))
+        assert main(["run", write_cfg(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("runtime error: Unable to allocate 71.1 PiB for an "
+                       "array\n")
+        assert not os.path.exists(tmp_path / "big_manifest.json")
 
     def test_unknown_preset(self, capsys):
         assert main(["preset", "fig9-nothing"]) == 2
@@ -622,6 +640,7 @@ class TestPreset:
         stdout = capsys.readouterr().out
         assert "OFF TARGET" not in stdout
         manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
+        assert set(manifest["environment"]) == {"python", "numpy", "mpmath"}
         rows = manifest["summary"]["comparisons"]
         assert len(rows) == 7
         assert all(row["within_tolerance"] for row in rows)
@@ -750,11 +769,12 @@ class TestWriteCsv:
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(cli, "_BLOCK_ROWS", BLOCK)
 
-    def check(self, tmp_path, cols):
+    def check(self, tmp_path, cols, expected=None):
+        # expected: the same columns with each _Axis written out row by row
         path = str(tmp_path / "sub" / "out.csv")
         assert _write_csv(path, cols) == path
         with open(path, "rb") as fh:
-            assert fh.read() == per_row_csv(cols).encode()
+            assert fh.read() == per_row_csv(expected or cols).encode()
 
     def test_special_values(self, tmp_path):
         vals = np.array(self.SPECIAL * 3)
@@ -779,20 +799,65 @@ class TestWriteCsv:
         assert (tmp_path / "sub" / "out.csv").read_text() == "a,b\n"
 
     def test_grid_columns_across_blocks(self, tmp_path):
-        # repeat/tile grid columns, repeated axis text as the curvature
-        # writer passes it, a strided column, and a row count that is not a
-        # multiple of the block size
-        n1, n2 = 7, BLOCK // 3 + 5
-        x1 = np.linspace(-math.pi, math.pi, n1)
+        # grid axes as the curvature writer passes them, with special axis
+        # values, next to repeat/tile float columns, a strided column and
+        # ints, over a row count that is not a multiple of the block size
+        x1 = np.array(self.SPECIAL[:3] + [1e16, -1.5, math.nan, math.pi])
+        n1, n2 = len(x1), BLOCK // 3 + 5
         x2 = np.linspace(-math.pi, 0.0, n2)
-        axis = np.array([repr(v) for v in self.SPECIAL], dtype=object)
+        x2[:4] = [-0.0, 5e-324, 1e16, math.nan]
         omega = np.random.default_rng(0).standard_normal((n1 * n2, 2))
         assert (n1 * n2) % BLOCK
-        self.check(tmp_path, [("x", np.resize(axis, n1 * n2), "s"),
-                              ("x1", np.repeat(x1, n2), "f"),
-                              ("x2", np.tile(x2, n1), "f"),
-                              ("omega", omega[:, 1], "f"),
-                              ("k", np.arange(n1 * n2, dtype=np.int32), "i")])
+        rows = n1 * n2
+        tail = [("omega", omega[:, 1], "f"),
+                ("k", np.arange(rows, dtype=np.int32), "i")]
+        self.check(tmp_path,
+                   [("x1", cli._Axis(x1, n2, rows), "x"),
+                    ("x2", cli._Axis(x2, 1, rows), "x"),
+                    ("r1", np.repeat(x1, n2), "f"),
+                    ("r2", np.tile(x2, n1), "f"), *tail],
+                   [("x1", np.repeat(x1, n2), "f"),
+                    ("x2", np.tile(x2, n1), "f"),
+                    ("r1", np.repeat(x1, n2), "f"),
+                    ("r2", np.tile(x2, n1), "f"), *tail])
+
+    def test_text_columns_across_blocks(self, tmp_path):
+        # an 's' column of repeated axis text between float columns
+        n = 3 * BLOCK + 7
+        axis = np.array([repr(v) for v in self.SPECIAL], dtype=object)
+        x = np.random.default_rng(1).standard_normal(n)
+        self.check(tmp_path, [("x", x, "f"), ("s", np.resize(axis, n), "s"),
+                              ("y", x[::-1], "f")])
+
+    def test_all_float_file_is_one_kernel_call_a_block(self, tmp_path,
+                                                       monkeypatch):
+        # the kernel's rows are the block, so no cell goes through _cells,
+        # and a write that fails in the kernel leaves no file
+        kernel, calls = cli.slots, []
+
+        def counted(x):
+            calls.append(len(x))
+            if fail and len(calls) == 2:
+                raise KeyboardInterrupt
+            return kernel(x)
+
+        def no_cells(a):
+            raise AssertionError("_cells called")
+        monkeypatch.setattr(cli, "slots", counted)
+        monkeypatch.setattr(cli, "_cells", no_cells)
+        n = 3 * BLOCK + 5
+        t = np.arange(n) * 0.02
+        cols = [("t", t, "f"), ("x", np.cos(t), "f"),
+                ("y", np.array(self.SPECIAL * n)[:n], "f")]
+        fail = False
+        self.check(tmp_path, cols)
+        assert calls == [3 * BLOCK] * 3 + [3 * 5]
+        calls.clear()
+        fail = True
+        with pytest.raises(KeyboardInterrupt):
+            _write_csv(str(tmp_path / "out.csv"), cols)
+        assert calls == [3 * BLOCK] * 2
+        assert not os.path.exists(tmp_path / "out.csv")
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         cells, calls = cli._cells, []

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from geodrive import DegeneracyError, ValidationError
 from geodrive.hyperbolic import FundamentalOctagon
+from geodrive import models
 from geodrive.models import (
     BUILTIN_MODELS,
     GAP_THRESHOLD,
@@ -332,6 +333,40 @@ class TestGapReport:
 
 
 class TestSymmetryResiduals:
+    @pytest.mark.parametrize("manifold", ["klein", "rp2"])
+    def test_diagonal_form_is_the_matmul_form(self, manifold):
+        # a field with generic off-diagonal entries breaks both symmetries;
+        # its diagonal is constant, so the largest residual is off the
+        # diagonal.  The residual from U's diagonal is U Hm U^dagger - H by
+        # matrix products
+        rng = np.random.default_rng(5)
+        off = 0.25 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+
+        def field(theta):
+            x, y = np.asarray(theta, dtype=float).T
+            h01 = off @ [np.cos(x), np.sin(y), np.cos(x + 2 * y)]
+            return np.stack([np.full_like(h01, 2.0), h01,
+                             h01.conj(), np.full_like(h01, -1.5)],
+                            axis=-1).reshape(-1, 2, 2)
+
+        model = ParentHamiltonian("generic", manifold, 2,
+                                  evaluate_many=field)
+        if manifold == "klein":
+            pts = models._box_grid("klein", 64, 33)
+            U = np.diag([1.0, -1.0]).astype(complex)
+            other = field(pts * (1.0, -1.0))
+            res, worst = mirror_symmetry_residual(model)
+        else:
+            pts = models._box_grid("rp2", 64, 64)
+            U = np.diag([np.exp(1j * math.pi / 4), np.exp(-1j * math.pi / 4)])
+            other = field(np.stack([pts[:, 1], -pts[:, 0] + math.pi], -1))
+            res, worst = s_symmetry_residual(model)
+        ref = np.abs(U @ other @ U.conj().T - field(pts)).max(axis=(-1, -2))
+        assert ref.max() > 0.1
+        assert abs(res - ref.max()) <= 1e-15
+        [at] = np.flatnonzero((pts == worst).all(axis=1))
+        assert ref[at] >= ref.max() - 1e-15
+
     def test_broken_mirror_is_detected(self):
         base = klein_qubit(2.0)
 
