@@ -187,6 +187,20 @@ def _schema_errors(schema, value, path=()):
     return errors
 
 
+def _nonfinite_errors(value, path=()):
+    """(path, message) pairs for the numbers in value that are not finite
+    doubles.  JSON has none, but json.load reads NaN, Infinity and a
+    literal beyond the doubles as such a float or int."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [error for key, item in items
+                for error in _nonfinite_errors(item, (*path, key))]
+    # the comparison is False for NaN and exact for an int of any size
+    if not _is_type(value, "number") or abs(value) <= sys.float_info.max:
+        return []
+    return [(path, "not a finite double")]
+
+
 def _model_errors(cfg):
     """The model's keys against its factory's signature, then the model
     built as the run builds it."""
@@ -220,14 +234,15 @@ def _model_errors(cfg):
 def validate_config(cfg):
     """All diagnostics for a config dict as (field-path, message) pairs.
 
-    After the schema and the rules on what each kind runs, a set key that
-    no library call of the run reads is an error at its field; then the
-    model and the drive are built as the run builds them, and a
-    ValidationError they raise is reported at the config field of the
-    argument it names.
+    After the schema, the finiteness of every number and the rules on what
+    each kind runs, a set key that no library call of the run reads is an
+    error at its field; then the model and the drive are built as the run
+    builds them, and a ValidationError they raise is reported at the
+    config field of the argument it names.
     """
     errors = [(_path(path), message) for path, message in sorted(
-        _schema_errors(SCHEMA, cfg), key=lambda e: list(map(str, e[0])))]
+        _schema_errors(SCHEMA, cfg) + _nonfinite_errors(cfg),
+        key=lambda e: list(map(str, e[0])))]
     if errors:
         # structural problems make the consistency checks unreliable
         return errors
@@ -468,7 +483,6 @@ def _calls(cfg):
     calls = {"drive": _drive_args(cfg)}
     if kind == "evolve":
         calls["track_band"] = numerics("band", "gap_threshold")
-        calls["evolve"] = numerics("gap_threshold")
     elif kind == "response":
         calls["run"] = numerics("band", "gap_threshold")
         if bolza:
@@ -534,7 +548,7 @@ def _run_evolve(cfg, prefix):
     calls = _calls(cfg)
     traj = trajectory(_drive(cfg))
     track = track_band(model, traj.subsample(2), **calls["track_band"])
-    result = evolve(track.states[0], model, traj, **calls["evolve"])
+    result = evolve(track.states[0], model, traj)
     fid = fidelity(result.states, track.states[: len(result.states)])
     path = _write_csv(prefix + "evolve.csv",
                       [("t", result.t, "f"),

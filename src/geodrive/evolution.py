@@ -3,22 +3,23 @@
 The propagator is the midpoint exponential: along a trajectory sampled at
 spacing dt/2, one step of size dt applies exp(-i H(t + dt/2) dt) with H at
 the sample between its ends, computed exactly for Hermitian H, so every
-step is unitary by construction.  Two routes share that step:
+step is unitary by construction.  The route depends on the dimension:
 
-- a two-level model with a Bloch field, H = d . sigma, builds each step
-  from d at the midpoint as the unit quaternion (cos |d|dt,
-  dt sinc(|d|dt/pi) d), stored as four reals, and a blocked scan turns the
-  steps into states: prefix products inside _BLOCK-step blocks, vectorized
-  across blocks, then one sequential pass over the block totals.  The
-  smallest gap 2|d| at the midpoints comes with it;
-- any other model (D > 2, no Bloch field, or the counterdiabatic drive)
-  builds the step unitaries from H (Bloch rotation formula for two levels,
-  spectral decomposition otherwise) and runs one sequential pass
-  psi_{k+1} = U_k psi_k.
+- two levels: H = e0 + d . sigma, with d from the Bloch field where the
+  model has one and from H (bloch_vector) otherwise, as for every
+  counterdiabatic drive, which steps H + V.  Each step is the unit
+  quaternion (cos |d|dt, dt sinc(|d|dt/pi) d) of d at the midpoint,
+  stored as four reals, and a blocked scan turns the steps into states:
+  prefix products inside _BLOCK-step blocks, vectorized across blocks,
+  then one sequential pass over the block totals.  The trace e0 turns
+  the states by the phase their steps have summed.  The smallest gap 2|d|
+  at the midpoints comes with it, except on a counterdiabatic drive;
+- D > 2: the step unitaries come from the spectral decomposition of H,
+  and one sequential pass psi_{k+1} = U_k psi_k gives the states.
 
 A two-level step in doubles is unit only to about 1e-16, and the error
-leans one way where |d|dt repeats; both routes scale their states to
-those of exactly unit steps (_quaternions).
+leans one way where |d|dt repeats; the scan scales its states to those of
+exactly unit steps (_su2_steps).
 
 Both work _CHUNK steps at a time, so no stack the length of the drive is
 built besides the states.  The response pipelines go one step further and
@@ -100,9 +101,10 @@ def _gap_guard(trajectory, energies, band, threshold):
 class EvolutionResult:
     """States at the step boundaries t, their norms, and the step dt.
 
-    min_gap is the smallest band gap 2|d| at the step midpoints on the
-    Bloch-field route, and min_gap_t the midpoint time where it occurs;
-    both are None on the generic route.
+    min_gap is the smallest band gap 2|d| at the step midpoints of a
+    two-level drive, and min_gap_t the midpoint time where it occurs; both
+    are None for D > 2 and for a counterdiabatic drive, whose stepped d is
+    that of H + V.
     """
     t: np.ndarray
     states: np.ndarray
@@ -112,65 +114,31 @@ class EvolutionResult:
     min_gap_t: float | None
 
 
-def _quaternions(d, dt):
-    """q = (cos |d|dt, dt sinc(|d|dt/pi) d) for Bloch vectors d (..., 3).
-
-    Returns q (..., 4), |d| and |q|^2 - 1.  No double q is unit: near the
-    identity q0 sits on a grid of 1.1e-16, and when every step has the
-    same |d|dt the rounding leans the same way at every step, so the norm
-    of the states would drift linearly.  Dividing q by its computed norm
-    moves q0 by whole grid steps and leans another way.  |q|^2 - 1 is
-    exact to about 1e-20 here (q0 - 1 is exact for q0 >= 1/2), so the
-    states are scaled by the product of (1 + (|q|^2 - 1))^(-1/2) instead
-    (_unit_steps), which is what exactly unit steps give.
-    """
-    r = np.linalg.norm(d, axis=-1)
-    theta = r * dt
-    q = np.empty(d.shape[:-1] + (4,))
-    q[..., 0] = np.cos(theta)
-    # sin(theta)/|d| written through sinc so d -> 0 is regular
-    q[..., 1:] = (dt * np.sinc(theta / math.pi))[..., None] * d
-    excess = (q[..., 0] - 1.0) * (q[..., 0] + 1.0) \
-        + np.einsum("...i,...i->...", q[..., 1:], q[..., 1:])
-    return q, r, excess
-
-
-def _unit_steps(states, excess):
-    """Scale the states that steps with |q|^2 - 1 = excess produced to
-    those of exactly unit steps; returns the last state."""
-    states *= np.exp(-0.5 * np.cumsum(excess))[:, None]
-    return states[-1]
-
-
-def _step_unitaries(model, H, dt):
-    """exp(-i H dt) for a stack of Hermitian H, exactly per step.
-
-    Returns the unitaries and, for two levels, the |q|^2 - 1 of their
-    quaternions (see _quaternions); None for D > 2.
-    """
-    if model.dim == 2:
-        d, e0 = bloch_vector(H)
-        q, _, excess = _quaternions(d, dt)
-        # U = q0 - i q . sigma
-        U = np.empty_like(H)
-        U[..., 0, 0] = q[..., 0] - 1j * q[..., 3]
-        U[..., 1, 1] = q[..., 0] + 1j * q[..., 3]
-        U[..., 0, 1] = -q[..., 2] - 1j * q[..., 1]
-        U[..., 1, 0] = q[..., 2] - 1j * q[..., 1]
-        return U * np.exp(-1j * e0 * dt)[..., None, None], excess
-    w, v = np.linalg.eigh(H)
-    phase = np.exp(-1j * w * dt)
-    return np.einsum("nij,nj,nkj->nik", v, phase, v.conj()), None
-
-
 def _su2_steps(d, dt):
     """exp(-i dt d . sigma) for a stack of Bloch vectors d (m, 3).
 
-    The step is the quaternion q of _quaternions, U = q0 - i q . sigma =
-    [[a, -conj(b)], [b, conj(a)]], kept as its four reals in the pair
-    a = q0 - i q3, b = q2 - i q1.  Returns (a, b, |d|, |q|^2 - 1).
+    The step is the unit quaternion q = (cos |d|dt, dt sinc(|d|dt/pi) d),
+    U = q0 - i q . sigma = [[a, -conj(b)], [b, conj(a)]], kept as its four
+    reals in the pair a = q0 - i q3, b = q2 - i q1.  Returns (a, b, |d|,
+    |q|^2 - 1).
+
+    No double q is unit: near the identity q0 sits on a grid of 1.1e-16,
+    and when every step has the same |d|dt the rounding leans the same way
+    at every step, so the norm of the states would drift linearly.
+    Dividing q by its computed norm moves q0 by whole grid steps and leans
+    another way.  |q|^2 - 1 is exact to about 1e-20 here (q0 - 1 is exact
+    for q0 >= 1/2), so the states are scaled by the product of
+    (1 + (|q|^2 - 1))^(-1/2) instead (_propagate), which is what exactly
+    unit steps give.
     """
-    q, r, excess = _quaternions(d, dt)
+    r = np.linalg.norm(d, axis=-1)
+    theta = r * dt
+    q = np.empty((len(d), 4))
+    q[:, 0] = np.cos(theta)
+    # sin(theta)/|d| written through sinc so d -> 0 is regular
+    q[:, 1:] = (dt * np.sinc(theta / math.pi))[:, None] * d
+    excess = (q[:, 0] - 1.0) * (q[:, 0] + 1.0) \
+        + np.einsum("...i,...i->...", q[:, 1:], q[:, 1:])
     a = np.empty(len(d), dtype=complex)
     b = np.empty(len(d), dtype=complex)
     a.real = q[:, 0]
@@ -251,39 +219,49 @@ def _propagate(model, trajectory, psi0, cd_band, gap_threshold):
 
     The steps take H at the odd samples, their midpoints.  Returns (states,
     gap); gap is (smallest 2|d| at the step midpoints, index of its step)
-    on the Bloch-field route and None on the generic one.
+    for two levels, and None for D > 2 and for the counterdiabatic drive,
+    whose stepped d is that of H + V, not of H.
     """
     mid = _points(model, trajectory)[1:-1:2]
     n_steps = len(mid)
     dt = 2 * trajectory.spec.dt
     states = np.empty((n_steps + 1, model.dim), dtype=complex)
     psi = states[0] = psi0
-    chunks = [slice(start, min(start + _CHUNK, n_steps))
-              for start in range(0, n_steps, _CHUNK)]
-    if cd_band is None and model.has_d_field:
-        gap = (math.inf, 0)
-        for sl in chunks:
-            a, b, r, excess = _su2_steps(model.d_field(mid[sl]), dt)
-            j = int(np.argmin(r))
-            gap = min(gap, (2.0 * float(r[j]), sl.start + j))
-            out = states[sl.start + 1:sl.stop + 1]
-            _su2_scan(a, b, psi, out)
-            psi = _unit_steps(out, excess)
-        return states, gap
-    if cd_band is not None:
-        cd = counterdiabatic_term(
-            model, mid, _velocities(model, trajectory)[1:-1:2], cd_band,
-            gap_threshold)
-    for sl in chunks:
+    cd = None if cd_band is None else counterdiabatic_term(
+        model, mid, _velocities(model, trajectory)[1:-1:2], cd_band,
+        gap_threshold)
+
+    def hamiltonians(sl):
         H = model.evaluate_many(mid[sl])
-        if cd_band is not None:
-            H = H + cd[sl]
-        steps, excess = _step_unitaries(model, H, dt)
-        for j, U in enumerate(steps, sl.start + 1):
-            psi = states[j] = U.dot(psi)
-        if excess is not None:
-            psi = _unit_steps(states[sl.start + 1:sl.stop + 1], excess)
-    return states, None
+        return H if cd is None else H + cd[sl]
+
+    gap = (math.inf, 0)
+    for start in range(0, n_steps, _CHUNK):
+        sl = slice(start, min(start + _CHUNK, n_steps))
+        out = states[sl.start + 1:sl.stop + 1]
+        if model.dim > 2:
+            w, v = np.linalg.eigh(hamiltonians(sl))
+            steps = np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * w * dt),
+                              v.conj())
+            for j, U in enumerate(steps):
+                psi = out[j] = U.dot(psi)
+            continue
+        if cd is None and model.has_d_field:
+            d, e0 = model.d_field(mid[sl]), None
+        else:
+            d, e0 = bloch_vector(hamiltonians(sl))
+        a, b, r, excess = _su2_steps(d, dt)
+        j = int(np.argmin(r))
+        gap = min(gap, (2.0 * float(r[j]), sl.start + j))
+        _su2_scan(a, b, psi, out)
+        # the states of exactly unit steps (see _su2_steps)
+        out *= np.exp(-0.5 * np.cumsum(excess))[:, None]
+        if e0 is not None:
+            # H = e0 + d . sigma: the trace turns each state by the phase
+            # its steps have summed
+            out *= np.exp(-1j * dt * np.cumsum(e0))[:, None]
+        psi = out[-1]
+    return states, gap if model.dim == 2 and cd is None else None
 
 
 def evolve(psi0, model, trajectory, *, counterdiabatic_band=None,
@@ -294,7 +272,8 @@ def evolve(psi0, model, trajectory, *, counterdiabatic_band=None,
     midpoint is a sample: step j applies exp(-i H dt) with H taken at
     sample 2j + 1, and a trajectory of an even number of samples leaves
     its last one out.  With counterdiabatic_band = n the Hermitized
-    counterdiabatic term for band n is added to H at the midpoints.
+    counterdiabatic term for band n is added to H at the midpoints; only
+    that term reads gap_threshold, the gap it requires there.
     Returns the states at every step boundary, the even samples.
     """
     psi0 = np.asarray(psi0, dtype=complex)

@@ -355,10 +355,12 @@ def _pin_gauge(v):
 
 
 def eigensystem(H):
-    """Ascending eigensystem of one Hermitian matrix in the pinned gauge.
+    """Ascending eigensystem in the pinned gauge of one Hermitian matrix
+    (D, D) or of a stack of them (..., D, D).
 
-    Returns BandSystem(energies (D,), states (D, D)); states[:, n] is the
-    n-th band.  Non-Hermitian input raises ValidationError.
+    Returns BandSystem(energies (..., D), states (..., D, D));
+    states[..., :, n] is the n-th band.  Non-Hermitian input raises
+    ValidationError.
     """
     H = np.asarray(H, dtype=complex)
     _check_hermitian(H)
@@ -366,12 +368,8 @@ def eigensystem(H):
     return BandSystem(w, _pin_gauge(v))
 
 
-def eig_many(H):
-    """Batched eigensystem: energies (N, D), states (N, D, D)."""
-    H = np.asarray(H, dtype=complex)
-    _check_hermitian(H)
-    w, v = np.linalg.eigh(H)
-    return BandSystem(w, _pin_gauge(v))
+# the name the batched callers use; eigh broadcasts, so it is one rule
+eig_many = eigensystem
 
 
 # ---------------------------------------------------------------------------

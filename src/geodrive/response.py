@@ -79,8 +79,9 @@ class ResponseRun:
 
     steps, windows          steps taken, and the windows they ran in
     min_gap, min_gap_t      smallest gap 2|d| at the step midpoints and the
-                            midpoint time where it occurs; None off the
-                            Bloch-field route
+                            midpoint time where it occurs; None for a
+                            counterdiabatic drive, which steps H + V, and
+                            for D > 2
     norm_deviation          largest | |psi| - 1 | over the states
     max_imag_expectation    largest |Im <psi|O|psi>| dropped, checked
                             against IMAG_TOL
@@ -392,7 +393,7 @@ def _run_flat(model, manifold, band, gap_threshold, drive):
     psi0 = _band_state_at(model, window(0, 1).theta[0], band)
     curve, series, stats = _stream(
         model, psi0, spec.n_steps + 1, window, observe,
-        spec.omega[1] ** 2 / math.pi, {"gap_threshold": gap_threshold})
+        spec.omega[1] ** 2 / math.pi, {})
     return ResponseRun(curve=curve, series=series, band=band, spec=spec,
                        stats=stats)
 

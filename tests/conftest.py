@@ -4,11 +4,14 @@ The unit-speed reference trajectory (T = 2000, 1239 boundary crossings at
 898 digits) takes a few seconds to propagate, so it is session-scoped and
 only built when a test actually asks for it.  `generic` strips a model's
 Bloch field, so the same model runs through the eigensolver and matrix
-paths that the Bloch-field paths are checked against.
+paths that the Bloch-field paths are checked against.  `embedded` makes a
+two-level model the upper-left block of a three-level one, so its states
+can be checked against the spectral step of D > 2.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from geodrive.models import (ParentHamiltonian, bolza_qubit, klein_qubit,
@@ -42,6 +45,28 @@ def _without_bloch_field(model):
 def generic():
     """model -> the same H and gradients without the Bloch field."""
     return _without_bloch_field
+
+
+def _block(blocks, corner):
+    out = np.zeros(blocks.shape[:-2] + (3, 3), dtype=complex)
+    out[..., :2, :2] = blocks
+    out[..., 2, 2] = corner
+    return out
+
+
+def _three_level(model):
+    return ParentHamiltonian(
+        model.name, model.manifold, 3,
+        evaluate_many=lambda x: _block(model.evaluate_many(x), 10.0),
+        gradient_many=lambda x: _block(model.gradient_many(x), 0.0),
+        compact_support=model.compact_support, params=model.params)
+
+
+@pytest.fixture(scope="session")
+def embedded():
+    """Two-level model -> H as the upper-left block of a D = 3 field with
+    a third level at +10 and block-diagonal gradients."""
+    return _three_level
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,10 @@ Every built-in model is H = d . sigma with analytic d and partials, so
 gaps, plaquette phases, states and expectations are computed from d
 directly (2|d|, dhat solid angles, an SU(2) scan, s . d_i d).  Each is
 checked here, model by model and band by band, against the eigensolver
-and matrix paths that the same H takes without its Bloch field.
+and matrix paths that the same H takes without its Bloch field.  Without
+it a two-level model still takes the SU(2) scan, with d read from H, so
+states are checked against the spectral step of the model as a block of a
+D = 3 field as well.
 """
 
 import math
@@ -23,6 +26,9 @@ from geodrive.topology import (chern_bolza, curvature_solid_angle,
 from geodrive.trajectories import GeodesicSpec, trajectory
 
 AGREE = 1e-12
+# the spectral step and the quaternion step round apart by about 1e-17 a
+# step: 1.1e-12 after the 131,089 steps of test_states
+SPECTRAL = 2e-12
 MODELS = {"bolza": lambda: bolza_qubit(0.5),
           "klein": lambda: klein_qubit(2.0),
           "rp2": lambda: rp2_qubit(1.0)}
@@ -132,32 +138,44 @@ def test_solid_angle_input_checks():
 @pytest.mark.parametrize("n_steps", [1, 63, 16 * _CHUNK + 17])
 @pytest.mark.parametrize("band", BANDS)
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_states(name, band, n_steps, generic):
-    # the last size spans 17 chunks and ends in a part-filled block
+def test_states(name, band, n_steps, generic, embedded):
+    # the last size spans 17 chunks and ends in a part-filled block.  With
+    # or without its Bloch field, the model takes the SU(2) scan; as a
+    # block of a D = 3 field it takes the spectral step
     model = MODELS[name]()
     traj = drive(name, n_steps)
     psi0 = eigensystem(model.evaluate(start_point(traj))).states[:, band]
-    fast = evolve(psi0, model, traj)
-    slow = evolve(psi0, generic(model), traj)
+    spectral = evolve(np.append(psi0, 0.0), embedded(model), traj)
+    assert np.array_equal(spectral.states[:, 2], np.zeros(n_steps + 1))
+    assert spectral.min_gap is None
+    fast, slow = evolve(psi0, model, traj), evolve(psi0, generic(model), traj)
     assert len(fast.states) == n_steps + 1
-    assert_allclose(fast.states, slow.states, rtol=0, atol=AGREE)
-    assert_allclose(fast.t, slow.t, rtol=0, atol=0)
-    assert slow.min_gap is None
+    assert_allclose(slow.states, fast.states, rtol=0, atol=AGREE)
+    assert_allclose(fast.states, spectral.states[:, :2], rtol=0,
+                    atol=SPECTRAL)
+    assert_allclose(fast.t, spectral.t, rtol=0, atol=0)
     d = model.d_field(
         (traj.z if name == "bolza" else traj.theta)[1:2 * n_steps:2])
     assert fast.min_gap == pytest.approx(
         2 * np.linalg.norm(d, axis=-1).min(), rel=1e-15)
+    assert (slow.min_gap, slow.min_gap_t) == (fast.min_gap, fast.min_gap_t)
 
 
-def test_counterdiabatic_run_stays_generic(generic):
+def test_counterdiabatic_run_matches_spectral(generic, embedded):
+    # the counterdiabatic term of the D = 3 block field is that of the
+    # qubit in its upper-left block: the third level has no gradient
     model = MODELS["bolza"]()
     traj = trajectory(GeodesicSpec(manifold="bolza", T=3.0, dt=0.005,
                                    speed=0.5, direction=0.4))
     psi0 = eigensystem(model.evaluate(traj.z[0])).states[:, 1]
+    spectral = evolve(np.append(psi0, 0.0), embedded(model), traj,
+                      counterdiabatic_band=1)
+    assert np.array_equal(spectral.states[:, 2], np.zeros(len(traj.t[::2])))
     fast = evolve(psi0, model, traj, counterdiabatic_band=1)
     slow = evolve(psi0, generic(model), traj, counterdiabatic_band=1)
-    assert fast.min_gap is None
     assert np.array_equal(fast.states, slow.states)
+    assert fast.min_gap is None
+    assert_allclose(fast.states, spectral.states[:, :2], rtol=0, atol=AGREE)
 
 
 RUNS = {"bolza": lambda m, b: run_hdqs(m, band=b, lam=0.2, T=20.0,
@@ -178,5 +196,5 @@ def test_expectations(name, band, generic):
                     atol=AGREE)
     assert fast.worst_imag == 0.0
     assert slow.worst_imag < 1e-12
-    assert slow.min_gap is None
     assert fast.min_gap > 0.0
+    assert slow.min_gap == fast.min_gap

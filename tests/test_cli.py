@@ -132,14 +132,18 @@ class TestValidateConfig:
 
     def test_schema_keywords_one_by_one(self):
         # 1.5 fails both type and minimum; a bool is no integer, 2.0 is one;
-        # NaN passes the range keywords
+        # NaN passes the range keywords, and is then an error as a number
+        # that is not finite
         cfg = {"kind": "invariant", "manifold": "klein", "extra": 1, "x": 2,
                "numerics": {"grid": [1.5, True], "digits": 40.0,
                             "r": math.nan},
                "output": {}}
-        assert sorted(error_paths(cfg)) == [
+        assert sorted(schema_paths(cfg).elements()) == [
             "(root)", "numerics.grid.0", "numerics.grid.0",
             "numerics.grid.1", "output"]
+        assert sorted(error_paths(cfg)) == [
+            "(root)", "numerics.grid.0", "numerics.grid.0",
+            "numerics.grid.1", "numerics.r", "output"]
 
 
 def preset_configs():
@@ -384,6 +388,42 @@ class TestExitCodes:
                 err = capsys.readouterr().err
                 assert f"config error: {field}: " in err
                 assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("field, literal, cfg", [
+        ("drive.T", "NaN", {"kind": "trajectory", "manifold": "torus",
+                            "drive": {"T": "@"}}),
+        ("drive.T", "1e400", {"kind": "trajectory", "manifold": "torus",
+                              "drive": {"T": "@"}}),
+        ("drive.T", "1" + "0" * 400, {"kind": "trajectory",
+                                      "manifold": "torus",
+                                      "drive": {"T": "@"}}),
+        ("drive.direction", "-Infinity", {"kind": "trajectory",
+                                          "manifold": "bolza",
+                                          "drive": {"T": 1.0,
+                                                    "direction": "@"}}),
+        ("drive.z0.0", "NaN", {"kind": "trajectory", "manifold": "bolza",
+                               "drive": {"T": 1.0, "z0": ["@", 0.0]}}),
+        ("numerics.gap_threshold", "NaN", {
+            "kind": "evolve", "manifold": "klein",
+            "model": {"name": "klein_qubit", "m": 2.0},
+            "drive": {"T": 1.0}, "numerics": {"gap_threshold": "@"}}),
+        ("model.m", "NaN", {"kind": "evolve", "manifold": "klein",
+                            "model": {"name": "klein_qubit", "m": "@"},
+                            "drive": {"T": 1.0}}),
+    ], ids=["nan", "1e400", "10**400", "-inf", "z0-nan", "gap-nan",
+            "model-nan"])
+    def test_number_that_is_not_finite_is_config_error(
+            self, tmp_path, capsys, field, literal, cfg):
+        # json.load reads these literals, which JSON does not have, as
+        # floats NaN and +-inf, or an int no double holds
+        cfg["output"] = {"prefix": str(tmp_path / "n_")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg).replace('"@"', literal))
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"config error: {field}: not a finite double\n"
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_bad_json_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

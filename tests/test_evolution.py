@@ -56,6 +56,21 @@ class TestEvolve:
         assert_allclose(res.states[-1], np.exp(-3.0j) * UP, atol=1e-12)
         assert res.t[-1] == pytest.approx(3.0)
 
+    def test_constant_matrix_field_phase(self):
+        # H = e0 + d . sigma with no Bloch field: the SU(2) scan steps d
+        # from H and the trace e0 turns the states by its summed phase;
+        # every number here is exact in binary, |d| = 3/4
+        e0, d = 0.625, np.array([0.25, -0.5, 0.5])
+        H = e0 * np.eye(2) + pauli_hamiltonian(d)
+        model = ParentHamiltonian(
+            "const", "klein", 2,
+            evaluate_many=lambda th: np.broadcast_to(H, (len(th), 2, 2)))
+        psi0 = eigensystem(H).states[:, 1]
+        res = evolve(psi0, model, klein_traj(T=3.0, dt=0.005))
+        want = np.exp(-1j * (e0 + 0.75) * res.t)[:, None] * psi0
+        assert_allclose(res.states, want, rtol=0, atol=1e-12)
+        assert res.min_gap == 1.5
+
     def test_unitarity_over_a_million_steps(self):
         traj = trajectory(GeodesicSpec(
             manifold="klein", T=10_000.0, dt=0.005,
@@ -71,8 +86,8 @@ class TestEvolve:
     def test_norm_holds_where_every_step_rounds_alike(self, meron, generic):
         # outside the texture's support |d| is constant, so the steps there
         # share one |d|dt and the norm error of the rounded step leans the
-        # same way at each: 1.41e-12 (Bloch-field scan) and 1.44e-12
-        # (generic route) after 10^5 steps without the correction
+        # same way at each: 1.41e-12 after 10^5 steps without the
+        # correction, with d from the Bloch field or from H
         traj = trajectory(GeodesicSpec(manifold="bolza", T=1000.0, dt=0.005,
                                        speed=0.3, direction=0.4))
         psi0 = eigensystem(meron.evaluate(traj.z[0])).states[:, 1]
@@ -139,19 +154,24 @@ class TestEvolve:
             evolve(UP, constant_model(), traj)
 
     def test_two_level_fast_path_matches_spectral(self):
-        # same physics through the generic eigendecomposition route
-        from geodrive.evolution import _step_unitaries
-        from geodrive.models import klein_qubit
+        # the SU(2) step of d against the eigendecomposition of d . sigma
+        from geodrive.evolution import _su2_steps
+        from geodrive.models import bloch_vector, klein_qubit
 
         model = klein_qubit(2.0)
         rng = np.random.default_rng(5)
         pts = np.stack([rng.uniform(-math.pi, math.pi, 20),
                         rng.uniform(-math.pi, 0.0, 20)], axis=-1)
         H = model.evaluate_many(pts)
-        U_fast, _ = _step_unitaries(model, H, 0.1)
+        d, e0 = bloch_vector(H)
+        assert np.array_equal(e0, np.zeros(20))
+        a, b, r, _ = _su2_steps(d, 0.1)
+        U_fast = np.stack([np.stack([a, -b.conj()], axis=-1),
+                           np.stack([b, a.conj()], axis=-1)], axis=-2)
         w, v = np.linalg.eigh(H)
         U_ref = np.einsum("nij,nj,nkj->nik", v, np.exp(-0.1j * w), v.conj())
         assert_allclose(U_fast, U_ref, atol=1e-14)
+        assert_allclose(2 * r, w[:, 1] - w[:, 0], rtol=1e-14)
 
 
 class TestFidelity:
