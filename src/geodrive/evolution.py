@@ -13,7 +13,8 @@ step is unitary by construction.  The route depends on the dimension:
   prefix products inside _BLOCK-step blocks, vectorized across blocks,
   then one sequential pass over the block totals.  The trace e0 turns
   the states by the phase their steps have summed.  The smallest gap 2|d|
-  at the midpoints comes with it, except on a counterdiabatic drive;
+  at the midpoints comes with it; a counterdiabatic drive reports that of
+  H, from the eigensolve of its counterdiabatic term;
 - D > 2: the step unitaries come from the spectral decomposition of H,
   and one sequential pass psi_{k+1} = U_k psi_k gives the states.
 
@@ -101,10 +102,11 @@ def _gap_guard(trajectory, energies, band, threshold):
 class EvolutionResult:
     """States at the step boundaries t, their norms, and the step dt.
 
-    min_gap is the smallest band gap 2|d| at the step midpoints of a
-    two-level drive, and min_gap_t the midpoint time where it occurs; both
-    are None for D > 2 and for a counterdiabatic drive, whose stepped d is
-    that of H + V.
+    min_gap is the smallest band gap of H at the step midpoints, and
+    min_gap_t the midpoint time where it occurs: 2|d| on a two-level
+    drive, and on a counterdiabatic drive the gap from the driven band to
+    its neighbours, that of H, not of the stepped H + V.  Both are None for
+    a plain drive with D > 2.
     """
     t: np.ndarray
     states: np.ndarray
@@ -194,8 +196,9 @@ def counterdiabatic_term(model, pts, vel, band, threshold):
     (E_n - E_m) for n = band, with dH/dt the velocity-contracted spatial
     gradients.  V alone is not Hermitian; V^dagger annihilates band-n
     states, so V + V^dagger drives band n identically while being a
-    legitimate Hamiltonian term, and that is what is returned.  Raises
-    DegeneracyError where the band's gap is not above threshold.
+    legitimate Hamiltonian term, and that is what is returned, with (the
+    smallest gap of H from band n, its sample index).  Raises
+    DegeneracyError where that gap is not above threshold.
     """
     energies, vecs = _eig_chunked(model, pts)
     gap, k, b = band_gap(energies, band)
@@ -211,31 +214,33 @@ def counterdiabatic_term(model, pts, vel, band, threshold):
     col[:, band] = 0.0
     lead = np.einsum("nim,nm->ni", vecs, col / denom)
     V = 1j * np.einsum("ni,nj->nij", lead, psi_n.conj())
-    return V + np.conj(np.swapaxes(V, -1, -2))
+    return V + np.conj(np.swapaxes(V, -1, -2)), (gap, k)
 
 
 def _propagate(model, trajectory, psi0, cd_band, gap_threshold):
     """States at the boundaries of steps of twice the sample spacing.
 
     The steps take H at the odd samples, their midpoints.  Returns (states,
-    gap); gap is (smallest 2|d| at the step midpoints, index of its step)
-    for two levels, and None for D > 2 and for the counterdiabatic drive,
-    whose stepped d is that of H + V, not of H.
+    gap); gap is (smallest gap of H at the step midpoints, index of its
+    step): 2|d| for two levels, the counterdiabatic term's on a
+    counterdiabatic drive, whose stepped d is that of H + V, not of H, and
+    None for a plain drive with D > 2.
     """
     mid = _points(model, trajectory)[1:-1:2]
     n_steps = len(mid)
     dt = 2 * trajectory.spec.dt
     states = np.empty((n_steps + 1, model.dim), dtype=complex)
     psi = states[0] = psi0
-    cd = None if cd_band is None else counterdiabatic_term(
-        model, mid, _velocities(model, trajectory)[1:-1:2], cd_band,
-        gap_threshold)
+    cd, gap = None, (math.inf, 0)
+    if cd_band is not None:
+        cd, gap = counterdiabatic_term(
+            model, mid, _velocities(model, trajectory)[1:-1:2], cd_band,
+            gap_threshold)
 
     def hamiltonians(sl):
         H = model.evaluate_many(mid[sl])
         return H if cd is None else H + cd[sl]
 
-    gap = (math.inf, 0)
     for start in range(0, n_steps, _CHUNK):
         sl = slice(start, min(start + _CHUNK, n_steps))
         out = states[sl.start + 1:sl.stop + 1]
@@ -251,8 +256,9 @@ def _propagate(model, trajectory, psi0, cd_band, gap_threshold):
         else:
             d, e0 = bloch_vector(hamiltonians(sl))
         a, b, r, excess = _su2_steps(d, dt)
-        j = int(np.argmin(r))
-        gap = min(gap, (2.0 * float(r[j]), sl.start + j))
+        if cd is None:
+            j = int(np.argmin(r))
+            gap = min(gap, (2.0 * float(r[j]), sl.start + j))
         _su2_scan(a, b, psi, out)
         # the states of exactly unit steps (see _su2_steps)
         out *= np.exp(-0.5 * np.cumsum(excess))[:, None]
@@ -261,7 +267,7 @@ def _propagate(model, trajectory, psi0, cd_band, gap_threshold):
             # its steps have summed
             out *= np.exp(-1j * dt * np.cumsum(e0))[:, None]
         psi = out[-1]
-    return states, gap if model.dim == 2 and cd is None else None
+    return states, gap if model.dim == 2 or cd is not None else None
 
 
 def evolve(psi0, model, trajectory, *, counterdiabatic_band=None,

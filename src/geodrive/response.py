@@ -78,10 +78,11 @@ class ResponseRun:
     NaN).  stats holds:
 
     steps, windows          steps taken, and the windows they ran in
-    min_gap, min_gap_t      smallest gap 2|d| at the step midpoints and the
-                            midpoint time where it occurs; None for a
-                            counterdiabatic drive, which steps H + V, and
-                            for D > 2
+    min_gap, min_gap_t      smallest gap of H at the step midpoints and
+                            the midpoint time where it occurs (2|d| for two
+                            levels; a counterdiabatic drive, which steps
+                            H + V, reports the gap of H); None for a plain
+                            drive with D > 2
     norm_deviation          largest | |psi| - 1 | over the states
     max_imag_expectation    largest |Im <psi|O|psi>| dropped, checked
                             against IMAG_TOL
@@ -184,7 +185,7 @@ def observable_cd(model, z, p, band, threshold):
         vdot = _ginv(zs) * p
         return counterdiabatic_term(
             model, zs, np.stack([vdot.real, vdot.imag], axis=-1), band,
-            threshold)
+            threshold)[0]
 
     h = _FD_STEP
     dv = np.stack([vq(z + h) - vq(z - h), vq(z + 1j * h) - vq(z - 1j * h)],

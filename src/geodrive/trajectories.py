@@ -8,15 +8,17 @@ octagon.  Each boundary-crossing time is a root of a real quadratic, one
 per octagon arc, so nothing is solved iteratively.  The word's entries
 grow like e^{s/2} and the flow amplifies errors like e^{s}, so a
 speed-lambda run over horizon T needs roughly 0.434*lambda*T decimal
-digits of headroom.  Only the word and one anchor per crossing run under
-mpmath at that precision; the anchor (the word composed with the
-translation to the segment's first sample) has O(1) entries.  A walk over
-the crossings tests membership on plain-double samples from the anchor
-rounded to double, and decides the rare sample within 1e-13 of a slack
-circle in double-double.  One pass over the output then evaluates every
-sample from its anchor rounded to double-double and rounds it once, to
-the correctly rounded closed-form value.  A copy of the word at 20 more
-digits certifies the precision at every anchor.
+digits of headroom.  Only the word and one anchor per crossing run at that
+precision, and they run on fixed-point Python integers, the number layer
+mpmath itself is built on; mpmath builds the side pairings and the initial
+frame once, the exp of each anchor, and the closed form.  The anchor (the
+word composed with the translation to the segment's first sample) has O(1)
+entries.  A walk over the crossings tests membership on plain-double
+samples from the anchor rounded to double, and decides the rare sample
+within 1e-13 of a slack circle in double-double.  One pass over the output
+then evaluates every sample from its anchor rounded to double-double and
+rounds it once, to the correctly rounded closed-form value.  A copy of the
+word at 20 more digits certifies the precision at every anchor.
 
 A high-order Taylor-series integrator for the cogeodesic ODE is kept as
 an independent oracle.  It evolves v = 1 - |z|^2 as a third dynamical
@@ -34,6 +36,7 @@ transformations literally, with boxes of their own, and serve as
 independent oracles for the closed formulas.
 """
 
+import functools
 import math
 import time
 from collections import namedtuple
@@ -41,6 +44,7 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_exp, to_fixed
 
 from . import PropagationError, ValidationError
 from .hyperbolic import MobiusMap, _rounded, bolza_group, kinetic_energy
@@ -450,6 +454,17 @@ class _DD:
         hi = np.array([float(v) for v in values])
         return cls(hi, np.array([float(v - h) for v, h in zip(values, hi)]))
 
+    @classmethod
+    def from_fixed(cls, x, prec):
+        """Round the int x scaled by 2**prec to double-double.
+
+        int true division is correctly rounded, and so is the remainder
+        x / 2**prec - hi, computed exactly from hi = n / d.
+        """
+        hi = x / (1 << prec)
+        n, d = hi.as_integer_ratio()
+        return cls(hi, ((x * d) - (n << prec)) / (d << prec))
+
     def __getitem__(self, key):
         return _DD(self.hi[key], self.lo[key])
 
@@ -518,6 +533,30 @@ def _tanh_table(n, half_ds):
     return _DD(t.hi.ravel()[:n], t.lo.ravel()[:n])
 
 
+def _map_fixed(m, prec):
+    """An mpmath MobiusMap as ints (Re a, Im a, Re b, Im b) scaled by 2**prec."""
+    return tuple(int(to_fixed(x._mpf_, prec))
+                 for x in (m.a.real, m.a.imag, m.b.real, m.b.imag))
+
+
+def _compose_fixed(f, g, prec):
+    """f after g on maps given as _map_fixed ints: 16 products, 4 shifts."""
+    far, fai, fbr, fbi = f
+    gar, gai, gbr, gbi = g
+    # a = f.a g.a + f.b conj(g.b), b = f.a g.b + f.b conj(g.a)
+    return ((far * gar - fai * gai + fbr * gbr + fbi * gbi) >> prec,
+            (far * gai + fai * gar + fbi * gbr - fbr * gbi) >> prec,
+            (far * gbr - fai * gbi + fbr * gar + fbi * gai) >> prec,
+            (far * gbi + fai * gbr + fbi * gar - fbr * gai) >> prec)
+
+
+@functools.cache
+def _group_fixed(digits):
+    """The eight side pairings at `digits` as _map_fixed ints."""
+    prec = dps_to_prec(digits)
+    return {idx: _map_fixed(g, prec) for idx, g in bolza_group(digits).items()}
+
+
 class _Chart:
     """The chart map W at the working precision and at the certificate's.
 
@@ -527,13 +566,18 @@ class _Chart:
     translation by arc s along the real axis, so sample k + j sits at
     M(tanh(j ds/2)).  M(0) is a sample inside the octagon, so M has O(1)
     entries and rounds to double-double and double without loss.
+
+    Both copies of W are fixed-point ints (_map_fixed) at the binary
+    precision of their digits; mpmath builds the frame and the side
+    pairings once, and the exp of each anchor.
     """
 
     def __init__(self, spec, digits):
         self.digits = (digits, digits + _CERT_DIGITS)
+        self.precs = tuple(dps_to_prec(d) for d in self.digits)
         self.maps, self.half_ds = [], []
-        for d in self.digits:
-            self.maps.append(_frame(spec.z0, spec.direction, d))
+        for d, prec in zip(self.digits, self.precs):
+            self.maps.append(_map_fixed(_frame(spec.z0, spec.direction, d), prec))
             with mp.workdps(d):
                 self.half_ds.append(mp.mpf(spec.speed) * mp.mpf(spec.dt) / 2)
         self.anchors = 0
@@ -541,9 +585,8 @@ class _Chart:
 
     def apply(self, idx):
         """Compose the side pairing idx onto both copies of W."""
-        for i, d in enumerate(self.digits):
-            with mp.workdps(d):
-                self.maps[i] = bolza_group(d).element(idx) @ self.maps[i]
+        for i, (d, prec) in enumerate(zip(self.digits, self.precs)):
+            self.maps[i] = _compose_fixed(_group_fixed(d)[idx], self.maps[i], prec)
 
     def anchor(self, k, t):
         """Anchors at sample k: the working one as a double MobiusMap and as
@@ -555,13 +598,17 @@ class _Chart:
         drive time t.
         """
         anchors = []
-        for d, w_map, half_ds in zip(self.digits, self.maps, self.half_ds):
-            with mp.workdps(d):
-                e = mp.exp(k * half_ds)  # T(k ds) = (cosh, sinh) of k ds/2
-                anchors.append(w_map @ MobiusMap((e + 1 / e) / 2, (e - 1 / e) / 2,
-                                                 check=False))
-        m, m_cert = (MobiusMap(complex(a.a), complex(a.b), check=False)
-                     for a in anchors)
+        for w_map, prec, half_ds in zip(self.maps, self.precs, self.half_ds):
+            # T(k ds) = (cosh, sinh) of k ds/2, from E = exp(k ds/2)
+            _, man, exp, _ = half_ds._mpf_
+            e = int(to_fixed(mpf_exp(from_man_exp(k * man, exp), prec), prec))
+            e_inv = (1 << 2 * prec) // e
+            anchors.append(_compose_fixed(
+                w_map, ((e + e_inv) >> 1, 0, (e - e_inv) >> 1, 0), prec))
+        dd = [tuple(_DD.from_fixed(x, prec) for x in a)
+              for a, prec in zip(anchors, self.precs)]
+        m, m_cert = (MobiusMap(complex(ar.hi, ai.hi), complex(br.hi, bi.hi),
+                               check=False) for ar, ai, br, bi in dd)
         diff = max(abs(m.a - m_cert.a), abs(m.b - m_cert.b))
         self.anchors += 1
         self.max_diff = max(self.max_diff, diff)
@@ -570,9 +617,7 @@ class _Chart:
                 f"precision certificate failed at t = {float(t)!r}: the chart map at "
                 f"{self.digits[0]} digits is off by {diff:.1e} from the one at "
                 f"{self.digits[1]} digits; raise digits")
-        a, b = anchors[0].a, anchors[0].b
-        m_dd = tuple(_DD.from_mp(x) for x in (a.real, a.imag, b.real, b.imag))
-        return m, m_dd, m_cert
+        return m, dd[0], m_cert
 
 
 def _segment_samples(m_dd, tau, lam):
@@ -597,10 +642,7 @@ def _segment_samples(m_dd, tau, lam):
 
 def _outside(z, centers, r_slack):
     """Per sample: more than the slack inside some arc circle."""
-    out = np.zeros(z.shape, dtype=bool)
-    for c in centers:
-        out |= np.abs(z - c) < r_slack
-    return out
+    return (np.abs(z[:, None] - centers) < r_slack).any(axis=1)
 
 
 def _membership(m, m_dd, tau, j0, j1, lam, centers, r_slack):
@@ -613,12 +655,9 @@ def _membership(m, m_dd, tau, j0, j1, lam, centers, r_slack):
     stored samples give.  Returns (z, outside, number replaced).
     """
     z = m(tau.hi[j0:j1 + 1])
-    out = np.zeros(z.shape, dtype=bool)
-    near = np.zeros(z.shape, dtype=bool)
-    for c in centers:
-        d = np.abs(z - c)
-        out |= d < r_slack
-        near |= np.abs(d - r_slack) < _BAND
+    d = np.abs(z[:, None] - centers)  # (samples, arcs)
+    out = (d < r_slack).any(axis=1)
+    near = (np.abs(d - r_slack) < _BAND).any(axis=1)
     sure = np.flatnonzero(out & ~near)
     i = np.flatnonzero(near[:sure[0] if len(sure) else len(z)])
     if len(i):
@@ -648,9 +687,10 @@ def _entry_params(m, centers, r):
     return np.where(np.abs(w) < 1, w, np.nan)
 
 
-def _first_exit(m, centers, r, arcs, s_anchor):
-    """Arc time and point where w -> M(w) first enters one of the arcs' disks."""
-    w = np.fmin.reduce(np.where(arcs, _entry_params(m, centers, r), np.nan))
+def _first_exit(m, w_entry, arcs, s_anchor):
+    """Arc time and point where w -> M(w) first enters one of the arcs' disks,
+    given M's _entry_params."""
+    w = np.fmin.reduce(np.where(arcs, w_entry, np.nan))
     if np.isnan(w):
         raise PropagationError(
             f"no boundary crossing found after arc length {s_anchor!r}")
@@ -661,9 +701,9 @@ def propagate_bolza(spec):
     """Sample the reduced speed-lambda Bolza geodesic at t_k = k*dt.
 
     Between boundary crossings the chart map W is constant.  Each segment
-    is anchored at its first sample k as M = W o T(k ds), built under
-    mpmath, and its samples are M(tau_j) with tau_j = tanh(j ds/2) from one
-    shared double-double table.  The propagation runs in two passes.
+    is anchored at its first sample k as M = W o T(k ds), built on
+    fixed-point integers (_Chart), and its samples are M(tau_j) with tau_j =
+    tanh(j ds/2) from one shared double-double table.  The propagation runs in two passes.
 
     The walk finds the crossings.  It tests membership on plain-double
     samples from the double anchor, window by window: a sample is outside
@@ -675,8 +715,8 @@ def propagate_bolza(spec):
     re-anchored and tested again (several times at a vertex passage).  A
     copy of W at 20 more digits is anchored alongside and must agree to
     1e-13 and pick the same side pairings, or PropagationError reports the
-    digits as too few.  mpmath work thus scales with crossings, not
-    samples.
+    digits as too few.  The exit roots of each anchor are solved once.
+    High-precision work thus scales with crossings, not samples.
 
     The evaluation pass then rounds every sample once: block by block, each
     sample gathers the double-double parts of its segment's anchor (the
@@ -717,15 +757,15 @@ def propagate_bolza(spec):
         segments.append((k, [h for x in m_dd for h in (x.hi, x.lo)], len(word)))
         z, _, n = _membership(m, m_dd, tau, 0, 0, lam, centers, r_slack)
         exact += n
-        return m, m_dd, m_cert, z[0]
+        return m, m_dd, m_cert, _entry_params(m, centers, octagon.r), z[0]
 
-    m, m_dd, m_cert, z_k = anchor(0, 0.0)
+    m, m_dd, m_cert, w_entry, z_k = anchor(0, 0.0)
     if (np.abs(z_k - centers) < r_slack).any():
         raise PropagationError("initial position is outside the fundamental domain")
     k = 0  # anchor sample of the current segment
     while k < n_out - 1:
         # test up to the sample past the predicted exit, then window by window
-        w_exit = np.fmin.reduce(_entry_params(m, centers, octagon.r))
+        w_exit = np.fmin.reduce(w_entry)
         stop = max(1, int(np.searchsorted(tau.hi, w_exit, side="right")))
         j0 = 1
         while True:
@@ -752,8 +792,9 @@ def propagate_bolza(spec):
                     f"could not re-enter the fundamental domain near t = {t_arr[k]!r}"
                 )
             s_anchor = float(k_anchor * ds)
-            s_star, z_exit = _first_exit(m, centers, octagon.r, arcs, s_anchor)
-            _, z_check = _first_exit(m_cert, centers, octagon.r, arcs, s_anchor)
+            s_star, z_exit = _first_exit(m, w_entry, arcs, s_anchor)
+            _, z_check = _first_exit(
+                m_cert, _entry_params(m_cert, centers, octagon.r), arcs, s_anchor)
             # at a vertex the pairing just applied has an inverse that maps
             # the exit point inside too; taking it would step straight back
             back = -word[-1] if applications > 1 else None
@@ -773,7 +814,7 @@ def propagate_bolza(spec):
             word.append(idx)
             crossings.append((s_star, idx))
             k_anchor = k
-            m, m_dd, m_cert, z_k = anchor(k, t_arr[k])
+            m, m_dd, m_cert, w_entry, z_k = anchor(k, t_arr[k])
             arcs = np.abs(z_k - centers) < r_slack
         vertex_passages += applications > 1
 

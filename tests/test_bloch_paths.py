@@ -174,8 +174,13 @@ def test_counterdiabatic_run_matches_spectral(generic, embedded):
     fast = evolve(psi0, model, traj, counterdiabatic_band=1)
     slow = evolve(psi0, generic(model), traj, counterdiabatic_band=1)
     assert np.array_equal(fast.states, slow.states)
-    assert fast.min_gap is None
     assert_allclose(fast.states, spectral.states[:, :2], rtol=0, atol=AGREE)
+    # each reports the gap of H, not of H + V: the plain drive's 2|d|.
+    # The meron's gap is 2 everywhere, so where it is least is rounding
+    plain = evolve(psi0, model, traj)
+    for run in (fast, slow, spectral):
+        assert run.min_gap == pytest.approx(plain.min_gap, rel=1e-15)
+        assert run.min_gap_t in traj.t[1::2]
 
 
 RUNS = {"bolza": lambda m, b: run_hdqs(m, band=b, lam=0.2, T=20.0,

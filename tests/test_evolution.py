@@ -238,8 +238,9 @@ def cd_at(model, point, vel):
     """counterdiabatic_term for band 1 at one sample, as (D, D)."""
     pts = np.array([point], dtype=complex if model.manifold == "bolza"
                    else float)
-    return counterdiabatic_term(model, pts, np.array([vel], dtype=float), 1,
-                                GAP_THRESHOLD)[0]
+    V, _ = counterdiabatic_term(model, pts, np.array([vel], dtype=float), 1,
+                                GAP_THRESHOLD)
+    return V[0]
 
 
 class TestCounterdiabaticTerm:
@@ -282,6 +283,9 @@ class TestCounterdiabaticTerm:
         f_plain = fidelity(without.states, track.states)
         assert f_cd.min() > 1.0 - 1e-6
         assert f_plain.min() < f_cd.min()
+        # the record is the gap of H, not of H + V, at the same midpoints
+        assert with_cd.min_gap == pytest.approx(without.min_gap, rel=1e-12)
+        assert with_cd.min_gap_t == without.min_gap_t
 
 
 class TestGCorrection:

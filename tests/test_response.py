@@ -149,6 +149,17 @@ class TestRunHdqs:
         assert run.norm_deviation < 1e-9
         assert np.isfinite(run.curve.final_value)
 
+    def test_counterdiabatic_reports_the_gap_of_h(self, meron):
+        # H + V is stepped, but the record is the gap of H over the same
+        # midpoints: that of the plain drive along the same path.  The
+        # meron's gap is 2 everywhere, so where it is least is rounding
+        drive = {"lam": 0.5, "T": 20.0, "dt": 0.02, "direction": 0.4}
+        cd = run_hdqs(meron, counterdiabatic=True, **drive)
+        plain = run_hdqs(meron, **drive)
+        assert plain.min_gap == pytest.approx(2.0, rel=1e-15)
+        assert cd.min_gap == pytest.approx(plain.min_gap, rel=1e-15)
+        assert 0 < cd.stats["min_gap_t"] < drive["T"]
+
 
 class TestRunKlein:
     def test_quick_run(self, klein_m2):

@@ -2,6 +2,7 @@
 propagator against its independent oracles, and the flat-manifold geodesics
 against literal lift-and-project group actions."""
 
+import hashlib
 import math
 
 import mpmath as mp
@@ -12,11 +13,14 @@ from numpy.testing import assert_allclose
 
 from geodrive import PropagationError, ValidationError, trajectories
 from geodrive.ergodicity import angle_histogram
-from geodrive.hyperbolic import bolza_group, in_fundamental_domain, kinetic_energy
+from geodrive.hyperbolic import (MobiusMap, bolza_group, in_fundamental_domain,
+                                 kinetic_energy)
 from geodrive.trajectories import (
     _BAND,
+    _DD,
     GeodesicSpec,
     _Chart,
+    _frame,
     _segment_samples,
     _tanh_table,
     bolza_closed_form,
@@ -31,6 +35,25 @@ from geodrive.trajectories import (
 )
 
 TWO_PI = 2 * math.pi
+
+# sha256 of the z, p and word_len bytes (little-endian complex128,
+# complex128, int32) of two unit-speed drives, as the chart walk on mpmath
+# objects wrote them; the integer chart must reproduce them bit for bit
+RECORDED_DRIVES = {
+    (50.0, math.pi / 9): {
+        "z": "94ed1d5a7a03a000350b48fa020ab96112c471f6e5063a73b1e0f261c1d4c28b",
+        "p": "09a8d6e2b596fbc5930adeb340fa7cf9ade23a031e91e78d17dc357379a21a98",
+        "word_len":
+            "65ee59d9f63310a5243e69852c8108b582a031af08b556a7c7443c5bf5f3d4e6",
+    },
+    # the vertex passage
+    (5.0, math.pi / 8): {
+        "z": "22c6302a285c04c99c1c1068d1e75ce6f68591bcae250f86e20c172b5a759bf1",
+        "p": "535e6e3189094c6690b7c9f280bfa4206dfbacbd3b515e4ca658454f0ab89468",
+        "word_len":
+            "b238d1c9dc2d7e1fd3cd826de2c379a10806499e558087ea29e734dce07d887a",
+    },
+}
 
 
 def flat_point(manifold, theta0, omega, t):
@@ -375,6 +398,45 @@ class TestPropagateBolza:
         assert exact.word == ref.word
         assert exact.crossings == ref.crossings
         assert exact.stats["vertex_passages"] == ref.stats["vertex_passages"]
+
+    @pytest.mark.parametrize("T, direction", sorted(RECORDED_DRIVES))
+    def test_walk_reproduces_recorded_bytes(self, T, direction):
+        traj = trajectory(GeodesicSpec(manifold="bolza", T=T, dt=0.01,
+                                       speed=1.0, direction=direction))
+        got = {name: hashlib.sha256(np.asarray(getattr(traj, name),
+                                               dtype=dtype).tobytes()).hexdigest()
+               for name, dtype in (("z", "<c16"), ("p", "<c16"),
+                                   ("word_len", "<i4"))}
+        assert got == RECORDED_DRIVES[T, direction]
+
+    def test_integer_chart_matches_mpmath(self):
+        # every anchor of a 161-digit unit-speed drive, rebuilt in mpmath
+        # from the word: M = (word map) o frame o T(k ds).  Its rounded
+        # double map and double-double parts are the integer chart's
+        spec = GeodesicSpec(manifold="bolza", T=150.0, dt=0.01, speed=1.0,
+                            direction=math.pi / 9, digits=161)
+        traj = trajectory(spec)
+        digits = traj.digits
+        group = bolza_group(digits)
+        chart = _Chart(spec, digits)
+        # anchor n follows the first n pairings, at the first sample past them
+        firsts = [0] + [int(np.argmax(traj.word_len > i))
+                        for i in range(len(traj.word))]
+        assert len(firsts) == traj.stats["anchors"] > 90
+        for n, k in enumerate(firsts):
+            if n:
+                chart.apply(traj.word[n - 1])
+            m, m_dd, _ = chart.anchor(k, traj.t[k])
+            with mp.workdps(digits):
+                h = k * (mp.mpf(spec.speed) * mp.mpf(spec.dt) / 2)
+                ref = (group.word_map(list(reversed(traj.word[:n])))
+                       @ _frame(spec.z0, spec.direction, digits)
+                       @ MobiusMap(mp.cosh(h), mp.sinh(h), check=False))
+            assert (m.a, m.b) == (complex(ref.a), complex(ref.b)), n
+            parts = [_DD.from_mp(x) for x in (ref.a.real, ref.a.imag,
+                                              ref.b.real, ref.b.imag)]
+            assert [(x.hi, x.lo) for x in m_dd] \
+                == [(x.hi, x.lo) for x in parts], n
 
     @settings(max_examples=40, deadline=None)
     @given(x=st.floats(-0.85, 0.85), y=st.floats(-0.85, 0.85),
