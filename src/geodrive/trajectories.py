@@ -153,10 +153,10 @@ class BolzaTrajectory:
     word[:word_len[k]] reproduces the chart of sample k.  crossings
     records (arc-length time, signed index) for each boundary crossing.
     stats records what the propagation did: working digits, crossings,
-    mpmath anchors, vertex passages (steps needing more than one side
-    pairing), the largest disagreement of the precision certificate, the
-    membership tests decided in double-double (exact_membership) and the
-    wall time in seconds.
+    anchors, vertex passages (steps needing more than one side pairing),
+    the largest disagreement of the precision certificate, the membership
+    tests decided in double-double (exact_membership) and the wall time in
+    seconds.
     """
 
     spec: GeodesicSpec
@@ -688,8 +688,10 @@ def _entry_params(m, centers, r):
 
 
 def _first_exit(m, w_entry, arcs, s_anchor):
-    """Arc time and point where w -> M(w) first enters one of the arcs' disks,
-    given M's _entry_params."""
+    """Arc time and point where w -> M(w) first enters one of the arcs' disks.
+
+    w_entry is M's _entry_params, solved once per anchor.
+    """
     w = np.fmin.reduce(np.where(arcs, w_entry, np.nan))
     if np.isnan(w):
         raise PropagationError(
@@ -702,8 +704,9 @@ def propagate_bolza(spec):
 
     Between boundary crossings the chart map W is constant.  Each segment
     is anchored at its first sample k as M = W o T(k ds), built on
-    fixed-point integers (_Chart), and its samples are M(tau_j) with tau_j =
-    tanh(j ds/2) from one shared double-double table.  The propagation runs in two passes.
+    fixed-point integers (_Chart), and its samples are M(tau_j) with tau_j
+    = tanh(j ds/2) from one shared double-double table.  The propagation
+    runs in two passes.
 
     The walk finds the crossings.  It tests membership on plain-double
     samples from the double anchor, window by window: a sample is outside
