@@ -46,6 +46,7 @@ import numpy as np
 from . import ValidationError
 from .models import (GAP_THRESHOLD, band_gap, bloch_vector, eig_many,
                      require_gap)
+from .trajectories import _samples
 
 NORM_TOL = 1e-10
 # steps per window of the response pipelines and per vectorized block of
@@ -226,39 +227,38 @@ def _propagate(model, trajectory, psi0, cd_band, gap_threshold):
     counterdiabatic drive, whose stepped d is that of H + V, not of H, and
     None for a plain drive with D > 2.
     """
-    mid = _points(model, trajectory)[1:-1:2]
-    n_steps = len(mid)
+    n_steps = (len(trajectory.t) - 1) // 2
     dt = 2 * trajectory.spec.dt
     states = np.empty((n_steps + 1, model.dim), dtype=complex)
     psi = states[0] = psi0
-    cd, gap = None, (math.inf, 0)
-    if cd_band is not None:
-        cd, gap = counterdiabatic_term(
-            model, mid, _velocities(model, trajectory)[1:-1:2], cd_band,
-            gap_threshold)
-
-    def hamiltonians(sl):
-        H = model.evaluate_many(mid[sl])
-        return H if cd is None else H + cd[sl]
-
+    gap = (math.inf, 0)
     for start in range(0, n_steps, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, n_steps))
-        out = states[sl.start + 1:sl.stop + 1]
-        if model.dim > 2:
-            w, v = np.linalg.eigh(hamiltonians(sl))
-            steps = np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * w * dt),
-                              v.conj())
-            for j, U in enumerate(steps):
-                psi = out[j] = U.dot(psi)
-            continue
-        if cd is None and model.has_d_field:
-            d, e0 = model.d_field(mid[sl]), None
+        stop = min(start + _CHUNK, n_steps)
+        out = states[start + 1:stop + 1]
+        mid = _samples(trajectory, slice(2 * start + 1, 2 * stop, 2))
+        pts = _points(model, mid)
+        if cd_band is None and model.dim == 2 and model.has_d_field:
+            d, e0 = model.d_field(pts), None
         else:
-            d, e0 = bloch_vector(hamiltonians(sl))
+            H = model.evaluate_many(pts)
+            if cd_band is not None:
+                V, (g, j) = counterdiabatic_term(
+                    model, pts, _velocities(model, mid), cd_band,
+                    gap_threshold)
+                H = H + V
+                gap = min(gap, (g, start + j))
+            if model.dim > 2:
+                w, v = np.linalg.eigh(H)
+                steps = np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * w * dt),
+                                  v.conj())
+                for j, U in enumerate(steps):
+                    psi = out[j] = U.dot(psi)
+                continue
+            d, e0 = bloch_vector(H)
         a, b, r, excess = _su2_steps(d, dt)
-        if cd is None:
+        if cd_band is None:
             j = int(np.argmin(r))
-            gap = min(gap, (2.0 * float(r[j]), sl.start + j))
+            gap = min(gap, (2.0 * float(r[j]), start + j))
         _su2_scan(a, b, psi, out)
         # the states of exactly unit steps (see _su2_steps)
         out *= np.exp(-0.5 * np.cumsum(excess))[:, None]
@@ -267,7 +267,7 @@ def _propagate(model, trajectory, psi0, cd_band, gap_threshold):
             # its steps have summed
             out *= np.exp(-1j * dt * np.cumsum(e0))[:, None]
         psi = out[-1]
-    return states, gap if model.dim == 2 or cd is not None else None
+    return states, gap if model.dim == 2 or cd_band is not None else None
 
 
 def evolve(psi0, model, trajectory, *, counterdiabatic_band=None,

@@ -18,13 +18,15 @@ uses the closed domain (boundary points count as inside).
 Each map and the group is one mpmath formula at the requested digits;
 without digits it runs at 15 (53 bits) and each entry is rounded once to a
 double.  Maps apply and compose on doubles and mpmath types alike.  The
-octagon is in doubles: membership is only ever tested on double samples.
+octagon is in doubles and tests membership elementwise on arrays, and the
+group maps a point to its eight images in one array expression.
 """
 
 import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 from mpmath.libmp import mpf_neg
 
 from . import ValidationError
@@ -132,7 +134,8 @@ class FundamentalOctagon:
     c_j = c e^{i(j-1)pi/4} with c = sqrt((3+2sqrt2)/(2+2sqrt2)) and
     r = (2+2sqrt2)^{-1/2}; c^2 - r^2 = 1 so each arc meets the unit circle
     at right angles.  A point is in the closed domain iff it lies outside
-    or on all eight arc circles.
+    or on all eight arc circles.  centers is an (8,) array, and every test
+    takes a point or an array of points, elementwise.
     """
 
     __slots__ = ("c", "r", "vertex_radius", "centers")
@@ -142,21 +145,24 @@ class FundamentalOctagon:
         self.c = math.sqrt((3 + 2 * s) / (2 + 2 * s))
         self.r = 1 / math.sqrt(2 + 2 * s)
         self.vertex_radius = 2 ** -0.25
-        self.centers = tuple(
-            self.c * cmath.exp(1j * math.pi * j / 4) for j in range(8)
-        )
+        self.centers = np.array(
+            [self.c * cmath.exp(1j * math.pi * j / 4) for j in range(8)])
+
+    def distances(self, z):
+        """|z - c_j| to the eight arc centres, on a new last axis of 8."""
+        return np.abs(np.asarray(z)[..., None] - self.centers)
+
+    def outside(self, distances, tol=1e-12):
+        """Per arc, more than tol inside its circle: |z - c_j| < r - tol."""
+        return distances < self.r - tol
 
     def contains(self, z, tol=1e-12):
         """Closed-domain membership, with tol of slack toward inclusion."""
-        rmin = self.r - tol
-        for cj in self.centers:
-            if abs(z - cj) < rmin:
-                return False
-        return True
+        return ~self.outside(self.distances(z), tol).any(axis=-1)
 
     def min_depth(self, z):
         """Least |z - c_j| - r over the arcs; negative means outside."""
-        return min(abs(z - cj) - self.r for cj in self.centers)
+        return (self.distances(z) - self.r).min(axis=-1)
 
 
 class BolzaGroup:
@@ -182,6 +188,8 @@ class BolzaGroup:
         for mu, g in enumerate(gens, start=1):
             self._maps[mu] = g
             self._maps[-mu] = g.inverse()
+        self._a = np.array([self._maps[idx].a for idx in WORD_ORDER])
+        self._b = np.array([self._maps[idx].b for idx in WORD_ORDER])
         self.octagon = FundamentalOctagon()
 
     def element(self, idx):
@@ -190,6 +198,10 @@ class BolzaGroup:
     def items(self):
         """(index, map) pairs in canonical tie-break order."""
         return [(idx, self._maps[idx]) for idx in WORD_ORDER]
+
+    def images(self, z):
+        """The eight images of the point z, in canonical order, as an array."""
+        return (self._a * z + self._b) / (self._b.conj() * z + self._a.conj())
 
     def word_map(self, word):
         """Mobius map of a product word, leftmost factor applied last.

@@ -35,15 +35,15 @@ import functools
 import math
 import time
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ValidationError
 from .evolution import _CHUNK, _cumtrapz, counterdiabatic_term, evolve
 from .models import GAP_THRESHOLD, eigensystem, gap_report, require_gap
-from .trajectories import (FLAT_DOMAINS, GeodesicSpec, flat_trajectory,
-                           trajectory)
+from .trajectories import (FLAT_DOMAINS, GeodesicSpec, _samples,
+                           flat_trajectory, trajectory)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 IMAG_TOL = 1e-9
@@ -82,7 +82,9 @@ class ResponseRun:
                             the midpoint time where it occurs (2|d| for two
                             levels; a counterdiabatic drive, which steps
                             H + V, reports the gap of H); None for a plain
-                            drive with D > 2
+                            drive with D > 2.  For a constant gap, as for
+                            bolza_qubit, min_gap_t is rounding noise: the
+                            midpoint whose gap rounds lowest
     norm_deviation          largest | |psi| - 1 | over the states
     max_imag_expectation    largest |Im <psi|O|psi>| dropped, checked
                             against IMAG_TOL
@@ -350,8 +352,7 @@ def run_hdqs(model, band=1, counterdiabatic=False,
     trajectory_s = time.perf_counter() - clock
 
     def window(lo, hi):
-        return replace(traj, t=traj.t[lo:hi], z=traj.z[lo:hi],
-                       p=traj.p[lo:hi], word_len=traj.word_len[lo:hi])
+        return _samples(traj, slice(lo, hi))
 
     def observe(w, states):
         zb, pb = w.z[::2], w.p[::2]

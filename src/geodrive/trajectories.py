@@ -40,14 +40,15 @@ import functools
 import math
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import dps_to_prec, from_man_exp, mpf_exp, to_fixed
 
 from . import PropagationError, ValidationError
-from .hyperbolic import MobiusMap, _rounded, bolza_group, kinetic_energy
+from .hyperbolic import (WORD_ORDER, MobiusMap, _rounded, bolza_group,
+                         kinetic_energy)
 
 TWO_PI = 2 * math.pi
 
@@ -102,6 +103,10 @@ class GeodesicSpec:
     def __post_init__(self):
         if self.manifold not in MANIFOLDS:
             raise ValidationError(f"unknown manifold {self.manifold!r}")
+        for name in ("T", "dt", "z0", "direction", "speed", "theta0", "omega"):
+            if not np.isfinite(np.asarray(getattr(self, name),
+                                          dtype=complex)).all():
+                raise ValidationError(f"{name} must be finite", param=name)
         self.direction = _angle(self.direction)
         if self.dt <= 0:
             raise ValidationError("dt must be positive")
@@ -195,11 +200,7 @@ class BolzaTrajectory:
 
     def subsample(self, step):
         """View with every step-th sample (used to align state grids)."""
-        sl = slice(None, None, step)
-        return BolzaTrajectory(
-            self.spec, self.digits, self.t[sl], self.z[sl], self.p[sl],
-            self.word_len[sl], self.word, self.crossings, self.stats,
-        )
+        return _samples(self, slice(None, None, step))
 
 
 @dataclass
@@ -246,8 +247,14 @@ class FlatTrajectory:
         return out
 
     def subsample(self, step):
-        sl = slice(None, None, step)
-        return FlatTrajectory(self.spec, self.t[sl], self.theta[sl], self.crossings[sl])
+        return _samples(self, slice(None, None, step))
+
+
+def _samples(trajectory, sl):
+    """The samples sl of a trajectory, as a trajectory of array views."""
+    return replace(trajectory, **{name: value[sl]
+                                  for name, value in vars(trajectory).items()
+                                  if isinstance(value, np.ndarray)})
 
 
 def _parity(n):
@@ -640,12 +647,7 @@ def _segment_samples(m_dd, tau, lam):
     return z_re.hi + 1j * z_im.hi, p_re.hi + 1j * p_im.hi
 
 
-def _outside(z, centers, r_slack):
-    """Per sample: more than the slack inside some arc circle."""
-    return (np.abs(z[:, None] - centers) < r_slack).any(axis=1)
-
-
-def _membership(m, m_dd, tau, j0, j1, lam, centers, r_slack):
+def _membership(m, m_dd, tau, j0, j1, lam, octagon):
     """Samples M(tau_j) for j0 <= j <= j1 and which of them are outside.
 
     The positions are plain doubles from the double anchor m and the high
@@ -655,28 +657,28 @@ def _membership(m, m_dd, tau, j0, j1, lam, centers, r_slack):
     stored samples give.  Returns (z, outside, number replaced).
     """
     z = m(tau.hi[j0:j1 + 1])
-    d = np.abs(z[:, None] - centers)  # (samples, arcs)
-    out = (d < r_slack).any(axis=1)
-    near = (np.abs(d - r_slack) < _BAND).any(axis=1)
+    d = octagon.distances(z)
+    out = octagon.outside(d).any(axis=1)
+    near = (np.abs(d - (octagon.r - 1e-12)) < _BAND).any(axis=1)
     sure = np.flatnonzero(out & ~near)
     i = np.flatnonzero(near[:sure[0] if len(sure) else len(z)])
     if len(i):
         z[i] = _segment_samples(m_dd, tau[j0 + i], lam)[0]
-        out[i] = _outside(z[i], centers, r_slack)
+        out[i] = ~octagon.contains(z[i])
     return z, out, len(i)
 
 
-def _entry_params(m, centers, r):
+def _entry_params(m, octagon):
     """Parameter w in (-1, 1) at which w -> M(w) enters each arc disk.
 
     |M(w) - c|^2 = r^2 is the real quadratic alpha w^2 + 2 beta w + gamma
     = 0, negative inside the disk; the entering root is the one where it
     decreases.  NaN for arcs whose disk the geodesic does not enter.
     """
-    a, b = m.a, m.b
+    a, b, centers = m.a, m.b, octagon.centers
     P = a - centers * b.conjugate()
     Q = b - centers * a.conjugate()
-    r2 = r * r
+    r2 = octagon.r * octagon.r
     alpha = np.abs(P) ** 2 - r2 * abs(b) ** 2
     beta = (P * Q.conjugate()).real - r2 * (b.conjugate() * a).real
     gamma = np.abs(Q) ** 2 - r2 * abs(a) ** 2
@@ -708,18 +710,20 @@ def propagate_bolza(spec):
     = tanh(j ds/2) from one shared double-double table.  The propagation
     runs in two passes.
 
-    The walk finds the crossings.  It tests membership on plain-double
-    samples from the double anchor, window by window: a sample is outside
-    when it lies more than 1e-12 inside an arc circle, and one within
-    _BAND of that slack radius is decided on its correctly rounded value.
-    The crossing before the first sample outside is the earliest root of
-    the real quadratics |M(w) - c_j| = r, the side pairing that maps that
-    exit point back inside is composed onto W, and the sample is
-    re-anchored and tested again (several times at a vertex passage).  A
-    copy of W at 20 more digits is anchored alongside and must agree to
-    1e-13 and pick the same side pairings, or PropagationError reports the
-    digits as too few.  The exit roots of each anchor are solved once.
-    High-precision work thus scales with crossings, not samples.
+    The walk finds the crossings, one anchor per iteration of one loop.  It
+    tests membership on plain-double samples from the double anchor, window
+    by window from the anchor's own sample: a sample is outside when it
+    lies more than 1e-12 inside an arc circle, and one within _BAND of that
+    slack radius is decided on its correctly rounded value.  The crossing
+    before the first sample outside is the earliest root of the real
+    quadratics |M(w) - c_j| = r, the side pairing that maps that exit point
+    back inside is composed onto W, and that sample is the next anchor.  A
+    vertex passage is an anchor whose own sample is outside (at the start:
+    an initial position outside).  A copy of W at 20 more digits is
+    anchored alongside and must agree to 1e-13 and pick the same side
+    pairings, or PropagationError reports the digits as too few.  The exit
+    roots of each anchor are solved once.  High-precision work thus scales
+    with crossings, not samples.
 
     The evaluation pass then rounds every sample once: block by block, each
     sample gathers the double-double parts of its segment's anchor (the
@@ -744,8 +748,6 @@ def propagate_bolza(spec):
 
     group_d = bolza_group()
     octagon = group_d.octagon
-    centers = np.array(octagon.centers)
-    r_slack = octagon.r - 1e-12
     ds = lam * dt
     # a segment is a chord of the octagon, at most its diameter long
     diameter = 4 * math.atanh(octagon.vertex_radius)
@@ -753,30 +755,22 @@ def propagate_bolza(spec):
     tau = _tanh_table(min(n_out, int(diameter / ds) + 3), chart.half_ds[0])
 
     segments = []  # per anchor: first sample, double-double parts, word length
-
-    def anchor(k, t):
-        nonlocal exact
-        m, m_dd, m_cert = chart.anchor(k, t)
+    k, applications = 0, 0  # the anchor's sample, side pairings of its step
+    while True:
+        m, m_dd, m_cert = chart.anchor(k, t_arr[k])
         segments.append((k, [h for x in m_dd for h in (x.hi, x.lo)], len(word)))
-        z, _, n = _membership(m, m_dd, tau, 0, 0, lam, centers, r_slack)
-        exact += n
-        return m, m_dd, m_cert, _entry_params(m, centers, octagon.r), z[0]
-
-    m, m_dd, m_cert, w_entry, z_k = anchor(0, 0.0)
-    if (np.abs(z_k - centers) < r_slack).any():
-        raise PropagationError("initial position is outside the fundamental domain")
-    k = 0  # anchor sample of the current segment
-    while k < n_out - 1:
-        # test up to the sample past the predicted exit, then window by window
-        w_exit = np.fmin.reduce(w_entry)
-        stop = max(1, int(np.searchsorted(tau.hi, w_exit, side="right")))
-        j0 = 1
+        w_entry = _entry_params(m, octagon)
+        # test from the anchor's own sample up to the sample past the
+        # predicted exit, then window by window
+        stop = max(1, int(np.searchsorted(tau.hi, np.fmin.reduce(w_entry),
+                                          side="right")))
+        j0 = 0
         while True:
             j1 = min(stop, j0 + _WINDOW - 1, n_out - 1 - k, len(tau.hi) - 1)
             if j1 < j0:
                 raise PropagationError(
                     f"segment from t = {float(t_arr[k])!r} outran the octagon's diameter")
-            z, out, n = _membership(m, m_dd, tau, j0, j1, lam, centers, r_slack)
+            z, out, n = _membership(m, m_dd, tau, j0, j1, lam, octagon)
             exact += n
             hits = np.flatnonzero(out)
             if len(hits) or k + j1 == n_out - 1:
@@ -784,42 +778,40 @@ def propagate_bolza(spec):
             j0, stop = j1 + 1, max(stop, 2 * j1)
         if not len(hits):
             break
-        # re-enter at sample k_out, one side pairing per crossing
-        k_anchor, k = k, k + j0 + int(hits[0])
-        arcs = np.abs(z[hits[0]] - centers) < r_slack
-        applications = 0
-        while arcs.any():
-            applications += 1
-            if applications > 12:
-                raise PropagationError(
-                    f"could not re-enter the fundamental domain near t = {t_arr[k]!r}"
-                )
-            s_anchor = float(k_anchor * ds)
-            s_star, z_exit = _first_exit(m, w_entry, arcs, s_anchor)
-            _, z_check = _first_exit(
-                m_cert, _entry_params(m_cert, centers, octagon.r), arcs, s_anchor)
-            # at a vertex the pairing just applied has an inverse that maps
-            # the exit point inside too; taking it would step straight back
-            back = -word[-1] if applications > 1 else None
-            idx = _reentering_index(group_d, octagon, z_exit, back)
-            if idx is None:
-                depth = max(octagon.min_depth(g(z_exit)) for _, g in group_d.items())
-                raise PropagationError(
-                    f"vertex passage near t = {float(t_arr[k])!r}, side pairing "
-                    f"{applications} of the step: none maps the exit point "
-                    f"{z_exit!r} back into the octagon (best image depth {depth:.1e})")
-            if _reentering_index(group_d, octagon, z_check, back) != idx:
-                raise PropagationError(
-                    f"precision certificate failed at t = {float(t_arr[k])!r}: "
-                    f"{digits} and {digits + _CERT_DIGITS} digits pick "
-                    "different side pairings; raise digits")
-            chart.apply(idx)
-            word.append(idx)
-            crossings.append((s_star, idx))
-            k_anchor = k
-            m, m_dd, m_cert, w_entry, z_k = anchor(k, t_arr[k])
-            arcs = np.abs(z_k - centers) < r_slack
-        vertex_passages += applications > 1
+        j = j0 + int(hits[0])
+        if j == 0 and k == 0:
+            raise PropagationError("initial position is outside the fundamental domain")
+        # an anchor whose own sample is outside takes the next side pairing
+        # of a vertex passage
+        applications = applications + 1 if j == 0 else 1
+        if applications > 12:
+            raise PropagationError(
+                f"could not re-enter the fundamental domain near t = {t_arr[k]!r}")
+        vertex_passages += applications == 2
+        arcs = octagon.outside(octagon.distances(z[hits[0]]))
+        s_anchor = float(k * ds)
+        s_star, z_exit = _first_exit(m, w_entry, arcs, s_anchor)
+        _, z_check = _first_exit(m_cert, _entry_params(m_cert, octagon), arcs,
+                                 s_anchor)
+        k += j
+        # at a vertex the pairing just applied has an inverse that maps the
+        # exit point inside too; taking it would step straight back
+        back = -word[-1] if applications > 1 else None
+        idx = _reentering_index(group_d, z_exit, back)
+        if idx is None:
+            depth = octagon.min_depth(group_d.images(z_exit)).max()
+            raise PropagationError(
+                f"vertex passage near t = {float(t_arr[k])!r}, side pairing "
+                f"{applications} of the step: none maps the exit point "
+                f"{z_exit!r} back into the octagon (best image depth {depth:.1e})")
+        if _reentering_index(group_d, z_check, back) != idx:
+            raise PropagationError(
+                f"precision certificate failed at t = {float(t_arr[k])!r}: "
+                f"{digits} and {digits + _CERT_DIGITS} digits pick "
+                "different side pairings; raise digits")
+        chart.apply(idx)
+        word.append(idx)
+        crossings.append((s_star, idx))
 
     # evaluation pass; searchsorted takes the last anchor of a sample
     starts, parts, lengths = (np.array(c) for c in zip(*segments))
@@ -842,17 +834,16 @@ def propagate_bolza(spec):
     )
 
 
-def _reentering_index(group_d, octagon, z_exit, back=None):
+def _reentering_index(group, z_exit, back=None):
     """Signed index of the side pairing that maps the exit point back inside.
 
     Exact boundary points land on the paired edge, so membership is tested
     with a little slack; ties break toward the lowest canonical index, and
     the index back is never taken.  None if no image is inside.
     """
-    for idx, g in group_d.items():
-        if idx != back and octagon.contains(g(z_exit), tol=1e-9):
-            return idx
-    return None
+    inside = group.octagon.contains(group.images(z_exit), tol=1e-9)
+    hit = np.flatnonzero(inside & (np.array(WORD_ORDER) != back))
+    return WORD_ORDER[hit[0]] if len(hit) else None
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 term and the first-order adiabatic correction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from geodrive import DegeneracyError, ValidationError
 from geodrive.evolution import (
+    _CHUNK,
     GAP_THRESHOLD,
     counterdiabatic_term,
     evolve,
@@ -286,6 +288,27 @@ class TestCounterdiabaticTerm:
         # the record is the gap of H, not of H + V, at the same midpoints
         assert with_cd.min_gap == pytest.approx(without.min_gap, rel=1e-12)
         assert with_cd.min_gap_t == without.min_gap_t
+
+    def test_term_is_built_one_chunk_at_a_time(self):
+        # V, the gradients and the eigensystems behind it are built from
+        # each chunk's midpoints, so the peak besides the states does not
+        # grow with the drive: 30,000 steps are about 3.7 chunks, over
+        # which V built at once with its gradients would take about 14 MiB
+        from geodrive.models import klein_qubit
+
+        model = klein_qubit(2.0)
+        traj = klein_traj(T=300.0, dt=0.005, omega=(0.5, 0.81))
+        psi0 = eigensystem(model.evaluate(traj.theta[0]))[1][:, 1]
+        evolve(psi0, model, klein_traj(T=1.0), counterdiabatic_band=1)
+        tracemalloc.start()
+        try:
+            run = evolve(psi0, model, traj, counterdiabatic_band=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(run.states) == 30_001
+        outputs = run.states.nbytes + run.norms.nbytes + run.t.nbytes
+        assert peak - outputs < 1000 * _CHUNK
 
 
 class TestGCorrection:

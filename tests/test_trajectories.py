@@ -37,21 +37,51 @@ from geodrive.trajectories import (
 TWO_PI = 2 * math.pi
 
 # sha256 of the z, p and word_len bytes (little-endian complex128,
-# complex128, int32) of two unit-speed drives, as the chart walk on mpmath
-# objects wrote them; the integer chart must reproduce them bit for bit
+# complex128, int32) of six drives, keyed by (T, direction, dt, speed, z0,
+# digits), as earlier versions of the walk wrote them; the walk must
+# reproduce them bit for bit
 RECORDED_DRIVES = {
-    (50.0, math.pi / 9): {
+    (50.0, math.pi / 9, 0.01, 1.0, 0j, None): {
         "z": "94ed1d5a7a03a000350b48fa020ab96112c471f6e5063a73b1e0f261c1d4c28b",
         "p": "09a8d6e2b596fbc5930adeb340fa7cf9ade23a031e91e78d17dc357379a21a98",
         "word_len":
             "65ee59d9f63310a5243e69852c8108b582a031af08b556a7c7443c5bf5f3d4e6",
     },
     # the vertex passage
-    (5.0, math.pi / 8): {
+    (5.0, math.pi / 8, 0.01, 1.0, 0j, None): {
         "z": "22c6302a285c04c99c1c1068d1e75ce6f68591bcae250f86e20c172b5a759bf1",
         "p": "535e6e3189094c6690b7c9f280bfa4206dfbacbd3b515e4ca658454f0ab89468",
         "word_len":
             "b238d1c9dc2d7e1fd3cd826de2c379a10806499e558087ea29e734dce07d887a",
+    },
+    # 92 crossings
+    (150.0, math.pi / 9, 0.01, 1.0, 0j, 161): {
+        "z": "8363821a3c89d084e80be25db0b1b8a124145d83fd2dc07fd7450481f77f265a",
+        "p": "07704021d75dad4515d1a6b3ed206f7d3ee1498bbfcee59ebd877f6d8d681b55",
+        "word_len":
+            "ae0f0c8bf37d9d8c035cbe55d4c325757c6352c999c95f201ea12a155fb4b0e0",
+    },
+    # segments of about 20,000 samples, longer than one window
+    (100.0, math.pi / 9, 0.005, 0.05, 0j, 74): {
+        "z": "938297d8d8582c11f707ecd2457da2bbaeb368a152376275d88edc79cbe7f84b",
+        "p": "de325920093600838897c483b599c3073abc13013f0b96f6ccb1cf2500480561",
+        "word_len":
+            "69d70b9acde2d3dadbedc675de1821b309768e89ab5a4ca98b3b8e2a4a692d3e",
+    },
+    # one vertex passage each, from off-centre starts
+    (150.0, 0.8442354444173306, 0.01, 1.0,
+     0.023872135252069136 - 0.27513479874937274j, 161): {
+        "z": "5a39b6ba5495fb819514546199dff6b95ac8836fce700dcd88f8970bb0b1d1ef",
+        "p": "4f96e2dda9385ba203a027e617c2f3f1b574618c020c29020bbc1ec122a14ab1",
+        "word_len":
+            "e3473568be8bdbcf271e2c5604b031aeb86587ddc14fc26dc7d6f3cf6a627213",
+    },
+    (150.0, 6.0069404902946655, 0.01, 1.0,
+     0.27382497292606506 + 0.10160884822386876j, 161): {
+        "z": "a20273f9ca581e854928f5c67a11a75348b7150fca99d08156209039f99b346f",
+        "p": "bd3787ff1707b77b9615258a8064abc3f280301294257fe5c2e02b3da625a9bb",
+        "word_len":
+            "f35ee2be97d42246dc472522c3dd8b1b50a48fd197d51245bc253e5d41559d7b",
     },
 }
 
@@ -93,6 +123,22 @@ class TestGeodesicSpec:
     def test_zero_complex_direction_rejected(self):
         with pytest.raises(ValidationError):
             GeodesicSpec(manifold="bolza", T=1.0, dt=0.1, direction=0j)
+
+    @pytest.mark.parametrize("manifold, name, value", [
+        ("bolza", "T", math.nan),
+        ("bolza", "T", math.inf),
+        ("torus", "dt", math.nan),
+        ("bolza", "speed", math.nan),
+        ("bolza", "direction", math.nan),
+        ("bolza", "z0", complex(0.1, math.nan)),
+        ("torus", "theta0", (math.nan, 0.0)),
+        ("klein", "omega", (1.0, math.inf)),
+    ])
+    def test_nonfinite_numbers_rejected(self, manifold, name, value):
+        with pytest.raises(ValidationError) as err:
+            GeodesicSpec(**{"manifold": manifold, "T": 1.0, "dt": 0.1,
+                            name: value})
+        assert err.value.param == name
 
     def test_klein_theta0_domain(self):
         with pytest.raises(ValidationError):
@@ -399,15 +445,19 @@ class TestPropagateBolza:
         assert exact.crossings == ref.crossings
         assert exact.stats["vertex_passages"] == ref.stats["vertex_passages"]
 
-    @pytest.mark.parametrize("T, direction", sorted(RECORDED_DRIVES))
-    def test_walk_reproduces_recorded_bytes(self, T, direction):
-        traj = trajectory(GeodesicSpec(manifold="bolza", T=T, dt=0.01,
-                                       speed=1.0, direction=direction))
+    @pytest.mark.parametrize("drive", list(RECORDED_DRIVES),
+                             ids=[f"{T}-{direction}"
+                                  for T, direction, *_ in RECORDED_DRIVES])
+    def test_walk_reproduces_recorded_bytes(self, drive):
+        T, direction, dt, speed, z0, digits = drive
+        traj = trajectory(GeodesicSpec(manifold="bolza", T=T, dt=dt,
+                                       speed=speed, direction=direction,
+                                       z0=z0, digits=digits))
         got = {name: hashlib.sha256(np.asarray(getattr(traj, name),
                                                dtype=dtype).tobytes()).hexdigest()
                for name, dtype in (("z", "<c16"), ("p", "<c16"),
                                    ("word_len", "<i4"))}
-        assert got == RECORDED_DRIVES[T, direction]
+        assert got == RECORDED_DRIVES[drive]
 
     def test_integer_chart_matches_mpmath(self):
         # every anchor of a 161-digit unit-speed drive, rebuilt in mpmath
