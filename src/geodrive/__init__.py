@@ -15,8 +15,9 @@ trajectories  Closed-form and high-precision numerical cogeodesic flows on
               all four manifolds.
 models        Parent Hamiltonians as Bloch fields or matrix fields with
               analytic gradients, eigensystems, gap scans.
-evolution     Midpoint-exponential time stepping, band tracking,
-              counterdiabatic terms, off-band correction diagnostics.
+evolution     Midpoint-exponential time stepping, band tracking, the
+              closed-form counterdiabatic term of a Bloch field, off-band
+              correction diagnostics.
 response      Drive observables and running time averages.
 topology      Plaquette Berry curvature (solid-angle and eigenvector
               routes), Chern / dipolar / quadrupolar invariants.

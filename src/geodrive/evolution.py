@@ -6,15 +6,15 @@ the sample between its ends, computed exactly for Hermitian H, so every
 step is unitary by construction.  The route depends on the dimension:
 
 - two levels: H = e0 + d . sigma, with d from the Bloch field where the
-  model has one and from H (bloch_vector) otherwise, as for every
-  counterdiabatic drive, which steps H + V.  Each step is the unit
-  quaternion (cos |d|dt, dt sinc(|d|dt/pi) d) of d at the midpoint,
+  model has one and from H (bloch_vector) otherwise.  Each step is the
+  unit quaternion (cos |d|dt, dt sinc(|d|dt/pi) d) of d at the midpoint,
   stored as four reals, and a blocked scan turns the steps into states:
   prefix products inside _BLOCK-step blocks, vectorized across blocks,
   then one sequential pass over the block totals.  The trace e0 turns
   the states by the phase their steps have summed.  The smallest gap 2|d|
-  at the midpoints comes with it; a counterdiabatic drive reports that of
-  H, from the eigensolve of its counterdiabatic term;
+  at the midpoints comes with it.  A counterdiabatic drive scans d + v,
+  V_Q = v . sigma in closed form (counterdiabatic_term), on models with a
+  Bloch field only, and reports the gap of H;
 - D > 2: the step unitaries come from the spectral decomposition of H,
   and one sequential pass psi_{k+1} = U_k psi_k gives the states.
 
@@ -29,8 +29,8 @@ one window to the next, so a response holds no state array longer than a
 window.
 
 Also here: instantaneous-band tracking with dynamic and Berry phase
-accumulators, the counterdiabatic term, and the first-order adiabatic
-correction G(t, lambda).
+accumulators, the closed-form counterdiabatic term, and the first-order
+adiabatic correction G(t, lambda).
 
 Quantum evolution runs in double precision; high-precision trajectory
 samples are rounded at this interface.  The responses downstream are
@@ -73,22 +73,17 @@ def _velocities(model, trajectory):
     return np.asarray(trajectory.velocities(), dtype=float)
 
 
-def _eig_chunked(model, pts, bands=None):
-    """Eigendecompose H along a point series without holding all of H.
-
-    Returns (energies (N, D), states); states is (N, D, D) or, if `bands`
-    is a list of band indices, (N, D, len(bands)) to bound memory on long
-    runs.
-    """
+def _eig_chunked(model, pts, bands):
+    """Energies (N, D) and the states (N, D, len(bands)) of the listed
+    bands of H along a point series, _CHUNK points at a time."""
     n = len(pts)
     energies = np.empty((n, model.dim))
-    width = model.dim if bands is None else len(bands)
-    states = np.empty((n, model.dim, width), dtype=complex)
+    states = np.empty((n, model.dim, len(bands)), dtype=complex)
     for start in range(0, n, _CHUNK):
         sl = slice(start, min(start + _CHUNK, n))
         w, v = eig_many(model.evaluate_many(pts[sl]))
         energies[sl] = w
-        states[sl] = v if bands is None else v[:, :, bands]
+        states[sl] = v[:, :, bands]
     return energies, states
 
 
@@ -103,11 +98,10 @@ def _gap_guard(trajectory, energies, band, threshold):
 class EvolutionResult:
     """States at the step boundaries t, their norms, and the step dt.
 
-    min_gap is the smallest band gap of H at the step midpoints, and
-    min_gap_t the midpoint time where it occurs: 2|d| on a two-level
-    drive, and on a counterdiabatic drive the gap from the driven band to
-    its neighbours, that of H, not of the stepped H + V.  Both are None for
-    a plain drive with D > 2.
+    min_gap is the smallest band gap 2|d| of H at the step midpoints of a
+    two-level drive, and min_gap_t the midpoint time where it occurs; on a
+    counterdiabatic drive it is the gap of H, not of the stepped H + V.
+    Both are None for D > 2.
     """
     t: np.ndarray
     states: np.ndarray
@@ -122,7 +116,7 @@ def _su2_steps(d, dt):
 
     The step is the unit quaternion q = (cos |d|dt, dt sinc(|d|dt/pi) d),
     U = q0 - i q . sigma = [[a, -conj(b)], [b, conj(a)]], kept as its four
-    reals in the pair a = q0 - i q3, b = q2 - i q1.  Returns (a, b, |d|,
+    reals in the pair a = q0 - i q3, b = q2 - i q1.  Returns (a, b,
     |q|^2 - 1).
 
     No double q is unit: near the identity q0 sits on a grid of 1.1e-16,
@@ -148,7 +142,7 @@ def _su2_steps(d, dt):
     a.imag = -q[:, 3]
     b.real = q[:, 2]
     b.imag = -q[:, 1]
-    return a, b, r, excess
+    return a, b, excess
 
 
 def _su2_scan(a, b, psi, out):
@@ -189,43 +183,26 @@ def _su2_scan(a, b, psi, out):
         out[full * _BLOCK:, 1] = s1[:tail, full]
 
 
-def counterdiabatic_term(model, pts, vel, band, threshold):
-    """Hermitized counterdiabatic term at an array of phase-space samples.
+def counterdiabatic_term(model, pts, vel):
+    """Counterdiabatic term V_Q = v . sigma of a Bloch field, as v (N, 3).
 
-    pts are N manifold points, vel the (N, 2) chart velocities; returns
-    (N, D, D).  V = i sum_{m != n} |psi_m><psi_m| dH/dt |psi_n><psi_n| /
-    (E_n - E_m) for n = band, with dH/dt the velocity-contracted spatial
-    gradients.  V alone is not Hermitian; V^dagger annihilates band-n
-    states, so V + V^dagger drives band n identically while being a
-    legitimate Hamiltonian term, and that is what is returned, with (the
-    smallest gap of H from band n, its sample index).  Raises
-    DegeneracyError where that gap is not above threshold.
+    pts are N manifold points, vel the (N, 2) chart velocities, and
+    v = (d x d_dot) / (2 |d|^2) with d_dot = sum_i vel_i d_i d (Berry, J.
+    Phys. A 42, 365303 (2009)): the Hermitized i sum_{m != n} |m><m| dH/dt
+    |n><n| / (E_n - E_m) of either band n.  Callers check the gap 2|d|.
     """
-    energies, vecs = _eig_chunked(model, pts)
-    gap, k, b = band_gap(energies, band)
-    require_gap(gap, threshold,
-                f"counterdiabatic term, bands ({band},{b}) at sample {k}")
-    grads = model.gradient_many(pts)
-    dtH = (vel[:, 0, None, None] * grads[:, 0]
-           + vel[:, 1, None, None] * grads[:, 1])
-    psi_n = vecs[:, :, band]
-    col = np.einsum("nim,nij,nj->nm", vecs.conj(), dtH, psi_n)
-    denom = energies[:, band, None] - energies
-    denom[:, band] = 1.0
-    col[:, band] = 0.0
-    lead = np.einsum("nim,nm->ni", vecs, col / denom)
-    V = 1j * np.einsum("ni,nj->nij", lead, psi_n.conj())
-    return V + np.conj(np.swapaxes(V, -1, -2)), (gap, k)
+    d = model.d_field(pts)
+    d_dot = np.einsum("ni,nik->nk", vel, model.d_gradient(pts))
+    return np.cross(d, d_dot) / (2.0 * np.einsum("nk,nk->n", d, d))[:, None]
 
 
 def _propagate(model, trajectory, psi0, cd_band, gap_threshold):
     """States at the boundaries of steps of twice the sample spacing.
 
     The steps take H at the odd samples, their midpoints.  Returns (states,
-    gap); gap is (smallest gap of H at the step midpoints, index of its
-    step): 2|d| for two levels, the counterdiabatic term's on a
-    counterdiabatic drive, whose stepped d is that of H + V, not of H, and
-    None for a plain drive with D > 2.
+    gap); gap is (smallest gap 2|d| of H at the step midpoints, index of
+    its step) for two levels and None for D > 2.  A counterdiabatic drive
+    requires that gap above gap_threshold and steps d + V_Q.
     """
     n_steps = (len(trajectory.t) - 1) // 2
     dt = 2 * trajectory.spec.dt
@@ -237,28 +214,28 @@ def _propagate(model, trajectory, psi0, cd_band, gap_threshold):
         out = states[start + 1:stop + 1]
         mid = _samples(trajectory, slice(2 * start + 1, 2 * stop, 2))
         pts = _points(model, mid)
-        if cd_band is None and model.dim == 2 and model.has_d_field:
+        if model.has_d_field:
             d, e0 = model.d_field(pts), None
+        elif model.dim == 2:
+            d, e0 = bloch_vector(model.evaluate_many(pts))
         else:
-            H = model.evaluate_many(pts)
-            if cd_band is not None:
-                V, (g, j) = counterdiabatic_term(
-                    model, pts, _velocities(model, mid), cd_band,
-                    gap_threshold)
-                H = H + V
-                gap = min(gap, (g, start + j))
-            if model.dim > 2:
-                w, v = np.linalg.eigh(H)
-                steps = np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * w * dt),
-                                  v.conj())
-                for j, U in enumerate(steps):
-                    psi = out[j] = U.dot(psi)
-                continue
-            d, e0 = bloch_vector(H)
-        a, b, r, excess = _su2_steps(d, dt)
-        if cd_band is None:
-            j = int(np.argmin(r))
-            gap = min(gap, (2.0 * float(r[j]), start + j))
+            w, v = np.linalg.eigh(model.evaluate_many(pts))
+            steps = np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * w * dt),
+                              v.conj())
+            for j, U in enumerate(steps):
+                psi = out[j] = U.dot(psi)
+            continue
+        r = np.linalg.norm(d, axis=-1)
+        j = int(np.argmin(r))
+        gap = min(gap, (2.0 * float(r[j]), start + j))
+        if cd_band is not None:
+            # counted from t = 0, where every drive starts
+            step = round(float(trajectory.t[0]) / dt) + start + j
+            require_gap(2.0 * float(r[j]), gap_threshold,
+                        "counterdiabatic drive at t = "
+                        f"{float(mid.t[j]):.6g} (step {step})")
+            d = d + counterdiabatic_term(model, pts, _velocities(model, mid))
+        a, b, excess = _su2_steps(d, dt)
         _su2_scan(a, b, psi, out)
         # the states of exactly unit steps (see _su2_steps)
         out *= np.exp(-0.5 * np.cumsum(excess))[:, None]
@@ -267,7 +244,7 @@ def _propagate(model, trajectory, psi0, cd_band, gap_threshold):
             # its steps have summed
             out *= np.exp(-1j * dt * np.cumsum(e0))[:, None]
         psi = out[-1]
-    return states, gap if model.dim == 2 or cd_band is not None else None
+    return states, gap if model.dim == 2 else None
 
 
 def evolve(psi0, model, trajectory, *, counterdiabatic_band=None,
@@ -277,11 +254,16 @@ def evolve(psi0, model, trajectory, *, counterdiabatic_band=None,
     The step is twice the trajectory's sample spacing, so that every step
     midpoint is a sample: step j applies exp(-i H dt) with H taken at
     sample 2j + 1, and a trajectory of an even number of samples leaves
-    its last one out.  With counterdiabatic_band = n the Hermitized
-    counterdiabatic term for band n is added to H at the midpoints; only
-    that term reads gap_threshold, the gap it requires there.
-    Returns the states at every step boundary, the even samples.
+    its last one out.  With counterdiabatic_band = 0 or 1 the term V_Q of
+    a model's Bloch field is added to H at the midpoints; only that drive
+    reads gap_threshold, the gap 2|d| it requires there.  Returns the
+    states at every step boundary, the even samples.
     """
+    if counterdiabatic_band is not None and not (
+            model.has_d_field and counterdiabatic_band in (0, 1)):
+        raise ValidationError(
+            "a counterdiabatic drive needs a model with a Bloch field and "
+            f"band 0 or 1, not {model.name} and band {counterdiabatic_band}")
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (model.dim,):
         raise ValidationError(

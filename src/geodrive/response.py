@@ -15,10 +15,11 @@ The Bolza builders (observable_hdqs, observable_cd) take arrays of N
 samples and return the (N, D, D) matrices.  The pipelines take <psi|O|psi>
 from the weights: through those matrices for a generic model, and for a
 two-level model with a Bloch field as c_1 s . d1 d + c_2 s . d2 d with
-s = <psi|sigma|psi>, real by construction.  Pipelines (run_hdqs, run_klein,
-run_rp2) wire trajectory -> evolution -> expectation series -> running
-average along the drive that drive_spec builds; they are what the CLI and
-the acceptance checks call.
+s = <psi|sigma|psi>, real by construction (s . o for the counterdiabatic
+observable o . sigma).  Pipelines (run_hdqs, run_klein, run_rp2) wire
+trajectory -> evolution -> expectation series -> running average along
+the drive that drive_spec builds; they are what the CLI and the
+acceptance checks call.
 
 The pipelines stream the drive in windows of evolution._CHUNK steps.  Each
 window takes its samples (flat drives evaluate the closed form on the
@@ -41,7 +42,8 @@ import numpy as np
 
 from . import ValidationError
 from .evolution import _CHUNK, _cumtrapz, counterdiabatic_term, evolve
-from .models import GAP_THRESHOLD, eigensystem, gap_report, require_gap
+from .models import (GAP_THRESHOLD, eigensystem, gap_report,
+                     pauli_hamiltonian, require_gap)
 from .trajectories import (FLAT_DOMAINS, GeodesicSpec, _samples,
                            flat_trajectory, trajectory)
 
@@ -81,8 +83,8 @@ class ResponseRun:
     min_gap, min_gap_t      smallest gap of H at the step midpoints and
                             the midpoint time where it occurs (2|d| for two
                             levels; a counterdiabatic drive, which steps
-                            H + V, reports the gap of H); None for a plain
-                            drive with D > 2.  For a constant gap, as for
+                            H + V, reports the gap of H); None for D > 2.
+                            For a constant gap, as for
                             bolza_qubit, min_gap_t is rounding noise: the
                             midpoint whose gap rounds lowest
     norm_deviation          largest | |psi| - 1 | over the states
@@ -175,24 +177,33 @@ def observable_hdqs(model, z, p):
     return _contract(_hdqs_weights(z, p), model.gradient_many(z))
 
 
-def observable_cd(model, z, p, band, threshold):
-    """Counterdiabatic response observable at disk samples.
+def _cd_vector(model, z, p, threshold):
+    """Bloch vector (N, 3) of the counterdiabatic observable at disk
+    samples: the weights contract the partials of d + v, H + V_Q =
+    (d + v) . sigma, those of v central differences over phase-space
+    points (step _FD_STEP, momentum held fixed)."""
+    r = np.linalg.norm(model.d_field(z), axis=-1)
+    k = int(np.argmin(r))
+    require_gap(2.0 * float(r[k]), threshold,
+                f"counterdiabatic observable at sample {k}")
 
-    The plain observable with H replaced by H + V_Q; the spatial partials
-    of V_Q are central finite differences over phase-space points (step
-    _FD_STEP, momentum held fixed).
-    """
     def vq(zs):
         # counterdiabatic term with the chart velocity g^{-1} p at each zs
         vdot = _ginv(zs) * p
         return counterdiabatic_term(
-            model, zs, np.stack([vdot.real, vdot.imag], axis=-1), band,
-            threshold)[0]
+            model, zs, np.stack([vdot.real, vdot.imag], axis=-1))
 
     h = _FD_STEP
     dv = np.stack([vq(z + h) - vq(z - h), vq(z + 1j * h) - vq(z - 1j * h)],
                   axis=1) / (2 * h)
-    return _contract(_hdqs_weights(z, p), model.gradient_many(z) + dv)
+    return np.einsum("ni,nik->nk", _hdqs_weights(z, p),
+                     model.d_gradient(z) + dv)
+
+
+def observable_cd(model, z, p, band, threshold):
+    """Counterdiabatic observable at disk samples: the plain one with H
+    replaced by H + V_Q of a Bloch field, the same V_Q for either band."""
+    return pauli_hamiltonian(_cd_vector(model, z, p, threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +232,15 @@ def _expectation_values(states, matrices):
     return raw.real, float(worst_imag)
 
 
+def _spin(states):
+    """s = <psi|sigma|psi> (N, 3) of two-level states psi = (a, b)."""
+    a, b = states[:, 0], states[:, 1]
+    return np.stack([2.0 * (a.real * b.real + a.imag * b.imag),
+                     2.0 * (a.real * b.imag - a.imag * b.real),
+                     a.real ** 2 + a.imag ** 2 - b.real ** 2 - b.imag ** 2],
+                    axis=-1)
+
+
 def _gradient_expectations(model, states, pts, weights):
     """<psi|O|psi> for O = sum_i weights[:, i] d_i H along a drive.
 
@@ -232,12 +252,7 @@ def _gradient_expectations(model, states, pts, weights):
     if not model.has_d_field:
         return _expectation_values(
             states, _contract(weights, model.gradient_many(pts)))
-    a, b = states[:, 0], states[:, 1]
-    s = np.stack([2.0 * (a.real * b.real + a.imag * b.imag),
-                  2.0 * (a.real * b.imag - a.imag * b.real),
-                  a.real ** 2 + a.imag ** 2 - b.real ** 2 - b.imag ** 2],
-                 axis=-1)
-    grad_s = np.einsum("nik,nk->ni", model.d_gradient(pts), s)
+    grad_s = np.einsum("nik,nk->ni", model.d_gradient(pts), _spin(states))
     return np.einsum("ni,ni->n", weights, grad_s), 0.0
 
 
@@ -357,8 +372,8 @@ def run_hdqs(model, band=1, counterdiabatic=False,
     def observe(w, states):
         zb, pb = w.z[::2], w.p[::2]
         if counterdiabatic:
-            return _expectation_values(
-                states, observable_cd(model, zb, pb, band, gap_threshold))
+            return np.einsum("nk,nk->n", _spin(states),
+                             _cd_vector(model, zb, pb, gap_threshold)), 0.0
         return _gradient_expectations(model, states, zb,
                                       _hdqs_weights(zb, pb))
 

@@ -7,7 +7,9 @@ checked here, model by model and band by band, against the eigensolver
 and matrix paths that the same H takes without its Bloch field.  Without
 it a two-level model still takes the SU(2) scan, with d read from H, so
 states are checked against the spectral step of the model as a block of a
-D = 3 field as well.
+D = 3 field as well.  A counterdiabatic drive exists only on the Bloch
+path; its states are checked against a spectral step of H plus the
+eigensolved matrix term of tests/oracles.py.
 """
 
 import math
@@ -18,12 +20,14 @@ from numpy.testing import assert_allclose
 
 from geodrive import ResolutionError, ValidationError, topology
 from geodrive.evolution import _CHUNK, evolve
-from geodrive.models import (adjacent_gaps, bolza_qubit, eigensystem,
-                             gap_report, klein_qubit, rp2_qubit)
+from geodrive.models import (GAP_THRESHOLD, adjacent_gaps, bolza_qubit,
+                             eigensystem, gap_report, klein_qubit, rp2_qubit)
 from geodrive.response import run_hdqs, run_klein, run_rp2
 from geodrive.topology import (chern_bolza, curvature_solid_angle,
                                dipolar_chern, quadrupole_chern)
 from geodrive.trajectories import GeodesicSpec, trajectory
+
+import oracles
 
 AGREE = 1e-12
 # the spectral step and the quaternion step round apart by about 1e-17 a
@@ -161,26 +165,40 @@ def test_states(name, band, n_steps, generic, embedded):
     assert (slow.min_gap, slow.min_gap_t) == (fast.min_gap, fast.min_gap_t)
 
 
-def test_counterdiabatic_run_matches_spectral(generic, embedded):
-    # the counterdiabatic term of the D = 3 block field is that of the
-    # qubit in its upper-left block: the third level has no gradient
+def test_counterdiabatic_run_matches_spectral():
+    # the closed-form V_Q on the SU(2) scan against a spectral step of
+    # H + V with the eigensolved matrix term, over a drive that crosses
+    # two chunk edges and ends in a part-filled block
     model = MODELS["bolza"]()
-    traj = trajectory(GeodesicSpec(manifold="bolza", T=3.0, dt=0.005,
-                                   speed=0.5, direction=0.4))
+    n_steps = 2 * _CHUNK + 17
+    traj = trajectory(GeodesicSpec(manifold="bolza", T=n_steps * 0.01,
+                                   dt=0.005, speed=0.5, direction=0.4))
+    states = eigensystem(model.evaluate(traj.z[0])).states
+    # each run reports the gap of H, not of H + V: the plain drive's 2|d|
+    plain = evolve(states[:, 0], model, traj)
+    for band in BANDS:
+        psi0 = states[:, band]
+        run = evolve(psi0, model, traj, counterdiabatic_band=band)
+        assert len(run.states) == n_steps + 1
+        want = oracles.evolve_cd(psi0, model, traj, band, GAP_THRESHOLD)
+        assert_allclose(run.states, want, rtol=0, atol=AGREE)
+        assert (run.min_gap, run.min_gap_t) == \
+            (plain.min_gap, plain.min_gap_t)
+
+
+def test_counterdiabatic_needs_a_bloch_field(generic, embedded):
+    # the closed-form term is that of a Bloch field: the same H without
+    # one, or as a block of a D = 3 field, is refused before any step
+    model = MODELS["bolza"]()
+    traj = drive("bolza", 4)
     psi0 = eigensystem(model.evaluate(traj.z[0])).states[:, 1]
-    spectral = evolve(np.append(psi0, 0.0), embedded(model), traj,
-                      counterdiabatic_band=1)
-    assert np.array_equal(spectral.states[:, 2], np.zeros(len(traj.t[::2])))
-    fast = evolve(psi0, model, traj, counterdiabatic_band=1)
-    slow = evolve(psi0, generic(model), traj, counterdiabatic_band=1)
-    assert np.array_equal(fast.states, slow.states)
-    assert_allclose(fast.states, spectral.states[:, :2], rtol=0, atol=AGREE)
-    # each reports the gap of H, not of H + V: the plain drive's 2|d|.
-    # The meron's gap is 2 everywhere, so where it is least is rounding
-    plain = evolve(psi0, model, traj)
-    for run in (fast, slow, spectral):
-        assert run.min_gap == pytest.approx(plain.min_gap, rel=1e-15)
-        assert run.min_gap_t in traj.t[1::2]
+    for other, psi in ((generic(model), psi0),
+                       (embedded(model), np.append(psi0, 0.0))):
+        with pytest.raises(ValidationError, match="needs a model with a "
+                           "Bloch field"):
+            evolve(psi, other, traj, counterdiabatic_band=1)
+    with pytest.raises(ValidationError, match="and band 2"):
+        evolve(psi0, model, traj, counterdiabatic_band=2)
 
 
 RUNS = {"bolza": lambda m, b: run_hdqs(m, band=b, lam=0.2, T=20.0,

@@ -18,9 +18,11 @@ from geodrive.evolution import (
     g_correction,
     track_band,
 )
-from geodrive.models import (PAULI, ParentHamiltonian, eigensystem,
+from geodrive.models import (ParentHamiltonian, eigensystem,
                              pauli_hamiltonian)
-from geodrive.trajectories import GeodesicSpec, trajectory
+from geodrive.trajectories import GeodesicSpec, _samples, trajectory
+
+import oracles
 
 UP = np.array([1.0, 0.0], dtype=complex)
 
@@ -167,13 +169,14 @@ class TestEvolve:
         H = model.evaluate_many(pts)
         d, e0 = bloch_vector(H)
         assert np.array_equal(e0, np.zeros(20))
-        a, b, r, _ = _su2_steps(d, 0.1)
+        a, b, _ = _su2_steps(d, 0.1)
         U_fast = np.stack([np.stack([a, -b.conj()], axis=-1),
                            np.stack([b, a.conj()], axis=-1)], axis=-2)
         w, v = np.linalg.eigh(H)
         U_ref = np.einsum("nij,nj,nkj->nik", v, np.exp(-0.1j * w), v.conj())
         assert_allclose(U_fast, U_ref, atol=1e-14)
-        assert_allclose(2 * r, w[:, 1] - w[:, 0], rtol=1e-14)
+        assert_allclose(2 * np.linalg.norm(d, axis=-1), w[:, 1] - w[:, 0],
+                        rtol=1e-14)
 
 
 class TestFidelity:
@@ -237,40 +240,84 @@ class TestTrackBand:
 
 
 def cd_at(model, point, vel):
-    """counterdiabatic_term for band 1 at one sample, as (D, D)."""
+    """counterdiabatic_term at one sample, as its Bloch vector (3,)."""
     pts = np.array([point], dtype=complex if model.manifold == "bolza"
                    else float)
-    V, _ = counterdiabatic_term(model, pts, np.array([vel], dtype=float), 1,
-                                GAP_THRESHOLD)
-    return V[0]
+    return counterdiabatic_term(model, pts, np.array([vel], dtype=float))[0]
+
+
+def ramp_model():
+    # d = (0, 0, theta_x): the gap 2|theta_x| closes on the line x = 0
+    def d_field(theta):
+        th = np.asarray(theta, dtype=float)
+        return np.stack([0 * th[..., 0], 0 * th[..., 0], th[..., 0]],
+                        axis=-1)
+
+    def d_gradient(theta):
+        th = np.asarray(theta, dtype=float)
+        out = np.zeros(th.shape[:-1] + (2, 3))
+        out[..., 0, 2] = 1.0
+        return out
+
+    return ParentHamiltonian("ramp", "torus", 2, d_field=d_field,
+                             d_gradient=d_gradient)
 
 
 class TestCounterdiabaticTerm:
     def test_zero_where_field_is_frozen(self, meron):
-        V = cd_at(meron, 0.75 + 0j, (0.3, -0.2))
-        assert np.abs(V).max() < 1e-14
+        v = cd_at(meron, 0.75 + 0j, (0.3, -0.2))
+        assert v.shape == (3,)
+        assert np.abs(v).max() < 1e-14
 
-    def test_hermitian(self, meron):
-        V = cd_at(meron, 0.2 + 0.3j, (0.5, 0.1))
-        assert_allclose(V, V.conj().T, atol=1e-14)
+    def test_matches_bloch_formula(self):
+        # the closed form (d x d_dot) . sigma / (2 |d|^2) against the
+        # eigensolved matrix term of either band, at 1000 random points of
+        # each built-in model; Bolza velocities are those of a lambda = 0.5
+        # drive, g^{-1} p with |p| = 2 lambda / (1 - |z|^2)
+        from geodrive.models import bolza_qubit, klein_qubit, rp2_qubit
 
-    def test_matches_bloch_formula(self, meron):
-        # for a qubit, V + V^dag = (d x d_dot) . sigma / (2 |d|^2)
-        z, vel = 0.25 + 0.15j, (0.4, -0.7)
-        V = cd_at(meron, z, vel)
-        zs = np.array([z])
-        d = meron.d_field(zs)[0]
-        g = meron.d_gradient(zs)[0]
-        d_dot = vel[0] * g[0] + vel[1] * g[1]
-        ref = np.einsum("k,kij->ij", np.cross(d, d_dot),
-                        PAULI) / (2 * np.dot(d, d))
-        assert_allclose(V, ref, atol=1e-12)
+        rng = np.random.default_rng(3)
+        n = 1000
+        angle = rng.uniform(0.0, 2 * math.pi, n)
+        unit = np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+        for model in (bolza_qubit(0.5), klein_qubit(2.0), rp2_qubit(1.0)):
+            if model.manifold == "bolza":
+                pts = 0.9 * np.sqrt(rng.random(n)) * np.exp(
+                    2j * math.pi * rng.random(n))
+                vel = (0.25 * (1 - abs(pts) ** 2))[:, None] * unit
+            else:
+                pts = rng.uniform(-math.pi, math.pi, (n, 2))
+                vel = unit
+            v = counterdiabatic_term(model, pts, vel)
+            assert v.shape == (n, 3) and v.dtype == float
+            for band in (0, 1):
+                V, _ = oracles.counterdiabatic_term(model, pts, vel, band,
+                                                    GAP_THRESHOLD)
+                assert_allclose(pauli_hamiltonian(v), V, rtol=0, atol=1e-14)
 
     def test_near_degeneracy_rejected(self):
+        # klein_qubit(1) closes its gap at (pi, -pi/2), where this drive
+        # starts: the gap at its first midpoint is about 5e-4
         from geodrive.models import klein_qubit
 
-        with pytest.raises(DegeneracyError):
-            cd_at(klein_qubit(1.0), (math.pi, -math.pi / 2), (0.1, 0.1))
+        model = klein_qubit(1.0)
+        traj = klein_traj(T=0.01, dt=0.0005, theta0=(math.pi, -math.pi / 2),
+                          omega=(0.3, 0.2))
+        with pytest.raises(DegeneracyError, match="counterdiabatic drive"):
+            evolve(UP, model, traj, counterdiabatic_band=1)
+
+    def test_gap_error_names_drive_time_and_step(self):
+        # theta_x rises through 0, where the torus wraps it to 2 pi, and
+        # is 2e-5 at the midpoint t = 100.005 of step 10,000, in the second
+        # chunk of the drive; a window that starts at step 8192 names the
+        # same time and step
+        spec = GeodesicSpec(manifold="torus", T=120.0, dt=0.005,
+                            theta0=(-1.00003, 0.3), omega=(0.01, 0.0))
+        traj = trajectory(spec)
+        for run in (traj, _samples(traj, slice(2 * _CHUNK, None))):
+            with pytest.raises(DegeneracyError,
+                               match=r"at t = 100\.005 \(step 10000\)"):
+                evolve(UP, ramp_model(), run, counterdiabatic_band=1)
 
     def test_cancels_diabatic_transitions(self):
         # driving with H + V pins the evolution to the band
@@ -290,10 +337,11 @@ class TestCounterdiabaticTerm:
         assert with_cd.min_gap_t == without.min_gap_t
 
     def test_term_is_built_one_chunk_at_a_time(self):
-        # V, the gradients and the eigensystems behind it are built from
-        # each chunk's midpoints, so the peak besides the states does not
-        # grow with the drive: 30,000 steps are about 3.7 chunks, over
-        # which V built at once with its gradients would take about 14 MiB
+        # V_Q and the Bloch field behind it are built from each chunk's
+        # midpoints, so the peak besides the states does not grow with the
+        # drive: 30,000 steps are about 3.7 chunks, over which the
+        # eigensolved matrix term built at once with its gradients took
+        # about 14 MiB
         from geodrive.models import klein_qubit
 
         model = klein_qubit(2.0)

@@ -27,6 +27,8 @@ from geodrive.response import (
 )
 from geodrive.trajectories import trajectory
 
+import oracles
+
 
 class TestRunningAverage:
     def test_constant_series(self):
@@ -118,6 +120,21 @@ class TestFlatObservables:
         O = observable_cd(meron, *one(z, p), 1, GAP_THRESHOLD)[0]
         assert O.shape == (2, 2)
         assert_allclose(O, O.conj().T, atol=1e-10)
+
+    def test_cd_observable_matches_oracle(self, meron):
+        # the Bloch-vector observable against the matrix one built on the
+        # eigensolved term, at 1000 on-shell samples of a lambda = 0.5
+        # drive, over and beyond the bump; both difference V_Q at the same
+        # step, so they part by its rounding over 2 _FD_STEP
+        rng = np.random.default_rng(4)
+        n, lam = 1000, 0.5
+        z = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * math.pi * rng.random(n))
+        p = 2 * lam / (1 - abs(z) ** 2) * np.exp(2j * math.pi * rng.random(n))
+        for band in (0, 1):
+            assert_allclose(observable_cd(meron, z, p, band, GAP_THRESHOLD),
+                            oracles.observable_cd(meron, z, p, band,
+                                                  GAP_THRESHOLD),
+                            rtol=0, atol=1e-9)
 
 
 @pytest.fixture(scope="module")
