@@ -135,7 +135,8 @@ class FundamentalOctagon:
     r = (2+2sqrt2)^{-1/2}; c^2 - r^2 = 1 so each arc meets the unit circle
     at right angles.  A point is in the closed domain iff it lies outside
     or on all eight arc circles.  centers is an (8,) array, and every test
-    takes a point or an array of points, elementwise.
+    takes a point or an array of points, elementwise.  The arc axis comes
+    first, so a test over many points reduces across eight contiguous rows.
     """
 
     __slots__ = ("c", "r", "vertex_radius", "centers")
@@ -149,8 +150,9 @@ class FundamentalOctagon:
             [self.c * cmath.exp(1j * math.pi * j / 4) for j in range(8)])
 
     def distances(self, z):
-        """|z - c_j| to the eight arc centres, on a new last axis of 8."""
-        return np.abs(np.asarray(z)[..., None] - self.centers)
+        """|z - c_j| to the eight arc centres, on a new first axis of 8."""
+        z = np.asarray(z)
+        return np.abs(z - self.centers.reshape((8,) + (1,) * z.ndim))
 
     def outside(self, distances, tol=1e-12):
         """Per arc, more than tol inside its circle: |z - c_j| < r - tol."""
@@ -158,11 +160,11 @@ class FundamentalOctagon:
 
     def contains(self, z, tol=1e-12):
         """Closed-domain membership, with tol of slack toward inclusion."""
-        return ~self.outside(self.distances(z), tol).any(axis=-1)
+        return ~self.outside(self.distances(z), tol).any(axis=0)
 
     def min_depth(self, z):
         """Least |z - c_j| - r over the arcs; negative means outside."""
-        return (self.distances(z) - self.r).min(axis=-1)
+        return (self.distances(z) - self.r).min(axis=0)
 
 
 class BolzaGroup:
@@ -200,8 +202,10 @@ class BolzaGroup:
         return [(idx, self._maps[idx]) for idx in WORD_ORDER]
 
     def images(self, z):
-        """The eight images of the point z, in canonical order, as an array."""
-        return (self._a * z + self._b) / (self._b.conj() * z + self._a.conj())
+        """The eight images of z, in canonical order, on a new first axis."""
+        z = np.asarray(z)
+        a, b = (x.reshape((8,) + (1,) * z.ndim) for x in (self._a, self._b))
+        return (a * z + b) / (b.conj() * z + a.conj())
 
     def word_map(self, word):
         """Mobius map of a product word, leftmost factor applied last.

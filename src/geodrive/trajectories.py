@@ -10,15 +10,20 @@ grow like e^{s/2} and the flow amplifies errors like e^{s}, so a
 speed-lambda run over horizon T needs roughly 0.434*lambda*T decimal
 digits of headroom.  Only the word and one anchor per crossing run at that
 precision, and they run on fixed-point Python integers, the number layer
-mpmath itself is built on; mpmath builds the side pairings and the initial
-frame once, the exp of each anchor, and the closed form.  The anchor (the
-word composed with the translation to the segment's first sample) has O(1)
-entries.  A walk over the crossings tests membership on plain-double
-samples from the anchor rounded to double, and decides the rare sample
-within 1e-13 of a slack circle in double-double.  One pass over the output
-then evaluates every sample from its anchor rounded to double-double and
-rounds it once, to the correctly rounded closed-form value.  A copy of the
-word at 20 more digits certifies the precision at every anchor.
+mpmath itself is built on; mpmath builds the side pairings, the initial
+frame and E = exp(ds/2) once, and the closed form.  Every other
+exponential of a run is an integer power of E: the translation of each
+anchor comes from E^k, and the sample table holds E^j and E^-j.  The
+anchor M = (a, b) (the word composed with the translation to the
+segment's first sample) has O(1) entries, and sample j of its segment is
+(alpha E^j + beta E^-j) / (conj(alpha) E^j - conj(beta) E^-j) with
+alpha = a + b and beta = b - a.  A walk over the crossings tests
+membership on plain-double samples from alpha and beta rounded to double,
+and decides the rare sample within 1e-13 of a slack circle in
+double-double.  One pass over the output then evaluates every sample from
+alpha and beta rounded to double-double and rounds it once, to the
+correctly rounded closed-form value.  A copy of the word at 20 more digits
+certifies the precision at every anchor.
 
 A high-order Taylor-series integrator for the cogeodesic ODE is kept as
 an independent oracle.  It evolves v = 1 - |z|^2 as a third dynamical
@@ -44,7 +49,7 @@ from dataclasses import dataclass, field, replace
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import dps_to_prec, from_man_exp, mpf_exp, to_fixed
+from mpmath.libmp import dps_to_prec, mpf_exp, to_fixed
 
 from . import PropagationError, ValidationError
 from .hyperbolic import (WORD_ORDER, MobiusMap, _rounded, bolza_group,
@@ -161,7 +166,8 @@ class BolzaTrajectory:
     anchors, vertex passages (steps needing more than one side pairing),
     the largest disagreement of the precision certificate, the membership
     tests decided in double-double (exact_membership) and the wall time in
-    seconds.
+    seconds, in all (propagate_s) and of the walk over the crossings
+    (walk_s) and the evaluation of the samples (evaluate_s).
     """
 
     spec: GeodesicSpec
@@ -434,6 +440,16 @@ _BAND = 1e-13
 _CERT_DIGITS = 20
 _CERT_TOL = 1e-13
 
+# the sample table's powers of E = exp(ds/2) are ints at this many bits:
+# E^j gathers a relative error of a few j units of 2**-_TABLE_BITS, far below
+# the 2**-104 of the double-double product each entry ends in
+_TABLE_BITS = 200
+
+# guard bits of each anchor's E^k: carried over k samples, it gathers a
+# relative error below 6k units of 2**-(prec + _GUARD_BITS), within the
+# chart's 2**-prec for any run under 2**29 samples
+_GUARD_BITS = 32
+
 _SPLIT = 134217729.0  # 2**27 + 1, splits a double into two 26-bit halves
 
 
@@ -453,21 +469,17 @@ class _DD:
         self.hi, self.lo = hi, lo
 
     @classmethod
-    def from_mp(cls, values):
-        """Round mpmath reals (one or an array-like of them) to double-double."""
-        if isinstance(values, mp.mpf):
-            hi = float(values)
-            return cls(hi, float(values - hi))
-        hi = np.array([float(v) for v in values])
-        return cls(hi, np.array([float(v - h) for v, h in zip(values, hi)]))
-
-    @classmethod
     def from_fixed(cls, x, prec):
-        """Round the int x scaled by 2**prec to double-double.
+        """Round the int x scaled by 2**prec, or a list of them, to
+        double-double.
 
         int true division is correctly rounded, and so is the remainder
         x / 2**prec - hi, computed exactly from hi = n / d.
         """
+        if isinstance(x, list):
+            parts = [cls.from_fixed(v, prec) for v in x]
+            return cls(np.array([v.hi for v in parts]),
+                       np.array([v.lo for v in parts]))
         hi = x / (1 << prec)
         n, d = hi.as_integer_ratio()
         return cls(hi, ((x * d) - (n << prec)) / (d << prec))
@@ -524,20 +536,50 @@ class _DD:
         return _DD(other) / self
 
 
-def _tanh_table(n, half_ds):
-    """tanh(j ds/2) for j < n as a double-double array.
+def _fixed_exp(x, prec):
+    """exp(x) of an mpmath real as an int scaled by 2**prec."""
+    return int(to_fixed(mpf_exp(x._mpf_, prec), prec))
 
-    mpmath evaluates about 2 sqrt(n) of them, at the first B multiples of
-    ds/2 and at the multiples of B ds/2; tanh(x + y) = (tanh x + tanh y) /
-    (1 + tanh x tanh y) fills in the rest.
+
+def _pow_fixed(squares, n, prec):
+    """x**n of an int x scaled by 2**prec, from squares = [x, x**2, x**4,
+    ...], which grows as n needs.
+
+    Every product, the squares' included, rounds down by less than one
+    unit of 2**-prec, so for x >= 1 x**n carries n times the relative error
+    of x plus fewer than 2n such units.
+    """
+    result = 1 << prec
+    for b in range(n.bit_length()):
+        if b == len(squares):
+            squares.append(squares[-1] * squares[-1] >> prec)
+        if n >> b & 1:
+            result = result * squares[b] >> prec
+    return result
+
+
+def _exp_table(n, half_ds):
+    """u_j = exp(j ds/2) and 1/u_j for j < n, as two double-double arrays.
+
+    With B = isqrt(n), the powers E^j of E = exp(ds/2) for j < B and E^{iB}
+    are ints at _TABLE_BITS, as are their inverses, each rounded once to
+    double-double; u_{iB+j} is one double-double product of the two.
     """
     B = max(1, math.isqrt(n))
-    with mp.workdps(40):
-        low = _DD.from_mp([mp.tanh(j * half_ds) for j in range(B)])
-        high = _DD.from_mp([mp.tanh(i * B * half_ds) for i in range(-(-n // B))])
-    x, y = high[:, None], low[None, :]
-    t = (x + y) / (1 + x * y)
-    return _DD(t.hi.ravel()[:n], t.lo.ravel()[:n])
+    one = 1 << _TABLE_BITS
+    e = _fixed_exp(half_ds, _TABLE_BITS)
+    columns = []
+    for step in (e, (one << _TABLE_BITS) // e):
+        low, high = [one], [one]
+        for _ in range(B):
+            low.append(low[-1] * step >> _TABLE_BITS)
+        block = low.pop()
+        for _ in range(-(-n // B) - 1):
+            high.append(high[-1] * block >> _TABLE_BITS)
+        x, y = (_DD.from_fixed(c, _TABLE_BITS) for c in (high, low))
+        t = x[:, None] * y[None, :]
+        columns.append(_DD(t.hi.ravel()[:n], t.lo.ravel()[:n]))
+    return columns
 
 
 def _map_fixed(m, prec):
@@ -575,18 +617,25 @@ class _Chart:
     entries and rounds to double-double and double without loss.
 
     Both copies of W are fixed-point ints (_map_fixed) at the binary
-    precision of their digits; mpmath builds the frame and the side
-    pairings once, and the exp of each anchor.
+    precision of their digits; mpmath builds the frame, the side pairings
+    and E = exp(ds/2) once.  T(k ds) comes from E^k, which each copy
+    carries from anchor to anchor in fixed point with _GUARD_BITS more
+    bits, so the certificate still compares two independent roundings.
     """
 
     def __init__(self, spec, digits):
         self.digits = (digits, digits + _CERT_DIGITS)
         self.precs = tuple(dps_to_prec(d) for d in self.digits)
-        self.maps, self.half_ds = [], []
+        self.maps, self.half_ds, self.squares = [], [], []
         for d, prec in zip(self.digits, self.precs):
             self.maps.append(_map_fixed(_frame(spec.z0, spec.direction, d), prec))
             with mp.workdps(d):
                 self.half_ds.append(mp.mpf(spec.speed) * mp.mpf(spec.dt) / 2)
+            # E, E^2, E^4, ... for _pow_fixed
+            self.squares.append([_fixed_exp(self.half_ds[-1], prec + _GUARD_BITS)])
+        # E^k of the last anchor k, per copy
+        self.k = 0
+        self.powers = [1 << (prec + _GUARD_BITS) for prec in self.precs]
         self.anchors = 0
         self.max_diff = 0.0
 
@@ -597,25 +646,28 @@ class _Chart:
 
     def anchor(self, k, t):
         """Anchors at sample k: the working one as a double MobiusMap and as
-        double-double parts (Re a, Im a, Re b, Im b), the certificate's as a
-        double MobiusMap.
+        double-double parts (Re alpha, Im alpha, Re beta, Im beta) of alpha
+        = a + b and beta = b - a, the certificate's as a double MobiusMap.
 
         Raises PropagationError when the two rounded anchors differ by more
         than _CERT_TOL: the working digits no longer carry the chart map at
         drive time t.
         """
         anchors = []
-        for w_map, prec, half_ds in zip(self.maps, self.precs, self.half_ds):
-            # T(k ds) = (cosh, sinh) of k ds/2, from E = exp(k ds/2)
-            _, man, exp, _ = half_ds._mpf_
-            e = int(to_fixed(mpf_exp(from_man_exp(k * man, exp), prec), prec))
+        for i, (w_map, prec) in enumerate(zip(self.maps, self.precs)):
+            bits = prec + _GUARD_BITS
+            self.powers[i] = (self.powers[i]
+                              * _pow_fixed(self.squares[i], k - self.k, bits) >> bits)
+            # T(k ds) = (cosh, sinh) of k ds/2, from E^k = exp(k ds/2)
+            e = self.powers[i] >> _GUARD_BITS
             e_inv = (1 << 2 * prec) // e
             anchors.append(_compose_fixed(
                 w_map, ((e + e_inv) >> 1, 0, (e - e_inv) >> 1, 0), prec))
-        dd = [tuple(_DD.from_fixed(x, prec) for x in a)
-              for a, prec in zip(anchors, self.precs)]
-        m, m_cert = (MobiusMap(complex(ar.hi, ai.hi), complex(br.hi, bi.hi),
-                               check=False) for ar, ai, br, bi in dd)
+        self.k = k
+        m, m_cert = (MobiusMap(complex(ar / (1 << prec), ai / (1 << prec)),
+                               complex(br / (1 << prec), bi / (1 << prec)),
+                               check=False)
+                     for (ar, ai, br, bi), prec in zip(anchors, self.precs))
         diff = max(abs(m.a - m_cert.a), abs(m.b - m_cert.b))
         self.anchors += 1
         self.max_diff = max(self.max_diff, diff)
@@ -624,46 +676,62 @@ class _Chart:
                 f"precision certificate failed at t = {float(t)!r}: the chart map at "
                 f"{self.digits[0]} digits is off by {diff:.1e} from the one at "
                 f"{self.digits[1]} digits; raise digits")
-        return m, dd[0], m_cert
+        ar, ai, br, bi = anchors[0]
+        return m, tuple(_DD.from_fixed(x, self.precs[0])
+                        for x in (ar + br, ai + bi, br - ar, bi - ai)), m_cert
 
 
-def _segment_samples(m_dd, tau, lam):
-    """Positions M(tau) and momenta lam 2/(1-tau^2) conj(den^2), rounded once.
+def _segment_samples(ab_dd, u, v, lam):
+    """Positions (alpha u + beta v)/(conj(alpha) u - conj(beta) v) and
+    momenta lam/2 conj(conj(alpha) u - conj(beta) v)^2, rounded once.
 
-    M is given by the double-double parts (Re a, Im a, Re b, Im b), each a
-    scalar or one entry per sample, tau is a double-double array, and
-    den = conj(b) tau + conj(a).
+    With u = exp(j ds/2) and v = 1/u this is M(tanh(j ds/2)) and its
+    momentum for the anchor M = (a, b), alpha = a + b and beta = b - a.
+    ab_dd holds the double-double parts (Re alpha, Im alpha, Re beta,
+    Im beta), each a scalar or one entry per sample; u and v are
+    double-double arrays.
     """
-    ar, ai, br, bi = m_dd
-    dr, di = br * tau + ar, -(bi * tau + ai)
-    nr, ni = ar * tau + br, ai * tau + bi
+    alpha_r, alpha_i, beta_r, beta_i = ab_dd
+    x, y = alpha_r * u, beta_r * v
+    dr, nr = x - y, x + y
+    x, y = alpha_i * u, beta_i * v
+    di, ni = y - x, x + y
     dr2, di2 = dr * dr, di * di
     norm = dr2 + di2
     z_re = (nr * dr + ni * di) / norm
     z_im = (ni * dr - nr * di) / norm
-    q = (2 * lam) / ((1 - tau) * (1 + tau))
-    p_re = q * (dr2 - di2)
-    p_im = q * (-2 * (dr * di))
+    p_re = (dr2 - di2) * (lam / 2)
+    p_im = (dr * di) * -lam
     return z_re.hi + 1j * z_im.hi, p_re.hi + 1j * p_im.hi
 
 
-def _membership(m, m_dd, tau, j0, j1, lam, octagon):
-    """Samples M(tau_j) for j0 <= j <= j1 and which of them are outside.
+def _plain_samples(ab_dd, u, v):
+    """_segment_samples' positions in plain doubles, from the high parts of
+    alpha, beta and the table entries u and v."""
+    alpha_r, alpha_i, beta_r, beta_i = (x.hi for x in ab_dd)
+    alpha, beta = complex(alpha_r, alpha_i), complex(beta_r, beta_i)
+    return (alpha * u.hi + beta * v.hi) / (alpha.conjugate() * u.hi
+                                           - beta.conjugate() * v.hi)
 
-    The positions are plain doubles from the double anchor m and the high
-    parts of the table.  Those within _BAND of a slack circle, up to the
-    first sample that is outside beyond doubt, are replaced by their
-    correctly rounded values from m_dd, so every decision is the one the
-    stored samples give.  Returns (z, outside, number replaced).
+
+def _membership(ab_dd, u, v, j0, j1, lam, octagon):
+    """Samples j0 <= j <= j1 of a segment and which of them are outside.
+
+    The positions are plain doubles (_plain_samples).  Those within _BAND
+    of a slack circle, up to the first sample that is outside beyond doubt,
+    are replaced by their correctly rounded values, so every decision is
+    the one the stored samples give.  Returns (z, outside, number
+    replaced).
     """
-    z = m(tau.hi[j0:j1 + 1])
+    window = slice(j0, j1 + 1)
+    z = _plain_samples(ab_dd, u[window], v[window])
     d = octagon.distances(z)
-    out = octagon.outside(d).any(axis=1)
-    near = (np.abs(d - (octagon.r - 1e-12)) < _BAND).any(axis=1)
+    out = octagon.outside(d).any(axis=0)
+    near = (np.abs(d - (octagon.r - 1e-12)) < _BAND).any(axis=0)
     sure = np.flatnonzero(out & ~near)
     i = np.flatnonzero(near[:sure[0] if len(sure) else len(z)])
     if len(i):
-        z[i] = _segment_samples(m_dd, tau[j0 + i], lam)[0]
+        z[i] = _segment_samples(ab_dd, u[j0 + i], v[j0 + i], lam)[0]
         out[i] = ~octagon.contains(z[i])
     return z, out, len(i)
 
@@ -706,13 +774,17 @@ def propagate_bolza(spec):
 
     Between boundary crossings the chart map W is constant.  Each segment
     is anchored at its first sample k as M = W o T(k ds), built on
-    fixed-point integers (_Chart), and its samples are M(tau_j) with tau_j
-    = tanh(j ds/2) from one shared double-double table.  The propagation
-    runs in two passes.
+    fixed-point integers (_Chart) from E^k with E = exp(ds/2), and its
+    samples are M(tanh(j ds/2)).  With M's alpha = a + b and beta = b - a,
+    sample j is (alpha u + beta/u) / (conj(alpha) u - conj(beta)/u) and its
+    momentum (lam/2) conj(conj(alpha) u - conj(beta)/u)^2, where u = E^j
+    and 1/u come from one shared double-double table (_exp_table).  The
+    propagation runs in two passes.
 
     The walk finds the crossings, one anchor per iteration of one loop.  It
-    tests membership on plain-double samples from the double anchor, window
-    by window from the anchor's own sample: a sample is outside when it
+    tests membership on plain-double samples from alpha, beta and the
+    table's high parts, window by window from the anchor's own sample: a
+    sample is outside when it
     lies more than 1e-12 inside an arc circle, and one within _BAND of that
     slack radius is decided on its correctly rounded value.  The crossing
     before the first sample outside is the earliest root of the real
@@ -726,10 +798,10 @@ def propagate_bolza(spec):
     with crossings, not samples.
 
     The evaluation pass then rounds every sample once: block by block, each
-    sample gathers the double-double parts of its segment's anchor (the
-    last one at a vertex passage) and its table entry, and is evaluated in
-    double-double and rounded to double, the correctly rounded closed-form
-    value.
+    sample gathers the double-double alpha and beta of its segment's anchor
+    (the last one at a vertex passage) and its table entries, and is
+    evaluated in double-double and rounded to double, the correctly rounded
+    closed-form value.
     """
     if spec.manifold != "bolza":
         raise ValidationError("propagate_bolza needs a bolza-manifold spec")
@@ -752,25 +824,28 @@ def propagate_bolza(spec):
     # a segment is a chord of the octagon, at most its diameter long
     diameter = 4 * math.atanh(octagon.vertex_radius)
     chart = _Chart(spec, digits)
-    tau = _tanh_table(min(n_out, int(diameter / ds) + 3), chart.half_ds[0])
+    u, v = _exp_table(min(n_out, int(diameter / ds) + 3), chart.half_ds[0])
 
+    walk_start = time.perf_counter()
     segments = []  # per anchor: first sample, double-double parts, word length
     k, applications = 0, 0  # the anchor's sample, side pairings of its step
     while True:
-        m, m_dd, m_cert = chart.anchor(k, t_arr[k])
-        segments.append((k, [h for x in m_dd for h in (x.hi, x.lo)], len(word)))
+        m, ab_dd, m_cert = chart.anchor(k, t_arr[k])
+        segments.append((k, [h for x in ab_dd for h in (x.hi, x.lo)], len(word)))
         w_entry = _entry_params(m, octagon)
         # test from the anchor's own sample up to the sample past the
-        # predicted exit, then window by window
-        stop = max(1, int(np.searchsorted(tau.hi, np.fmin.reduce(w_entry),
+        # predicted exit, then window by window; tanh(j ds/2) <= w where
+        # exp(j ds/2) <= sqrt((1 + w)/(1 - w))
+        w = np.fmin.reduce(w_entry)
+        stop = max(1, int(np.searchsorted(u.hi, math.sqrt((1 + w) / (1 - w)),
                                           side="right")))
         j0 = 0
         while True:
-            j1 = min(stop, j0 + _WINDOW - 1, n_out - 1 - k, len(tau.hi) - 1)
+            j1 = min(stop, j0 + _WINDOW - 1, n_out - 1 - k, len(u.hi) - 1)
             if j1 < j0:
                 raise PropagationError(
                     f"segment from t = {float(t_arr[k])!r} outran the octagon's diameter")
-            z, out, n = _membership(m, m_dd, tau, j0, j1, lam, octagon)
+            z, out, n = _membership(ab_dd, u, v, j0, j1, lam, octagon)
             exact += n
             hits = np.flatnonzero(out)
             if len(hits) or k + j1 == n_out - 1:
@@ -813,7 +888,10 @@ def propagate_bolza(spec):
         word.append(idx)
         crossings.append((s_star, idx))
 
+    walk_s = time.perf_counter() - walk_start
+
     # evaluation pass; searchsorted takes the last anchor of a sample
+    evaluate_start = time.perf_counter()
     starts, parts, lengths = (np.array(c) for c in zip(*segments))
     z_arr = np.empty(n_out, dtype=np.complex128)
     p_arr = np.empty(n_out, dtype=np.complex128)
@@ -823,12 +901,15 @@ def propagate_bolza(spec):
         i = np.searchsorted(starts, ks, side="right") - 1
         block_dd = [_DD(parts[i, q], parts[i, q + 1]) for q in range(0, 8, 2)]
         sl = slice(b0, b0 + len(ks))
-        z_arr[sl], p_arr[sl] = _segment_samples(block_dd, tau[ks - starts[i]], lam)
+        j = ks - starts[i]
+        z_arr[sl], p_arr[sl] = _segment_samples(block_dd, u[j], v[j], lam)
         wlen_arr[sl] = lengths[i]
+    evaluate_s = time.perf_counter() - evaluate_start
     stats = {"digits": digits, "crossings": len(crossings),
              "anchors": chart.anchors, "vertex_passages": vertex_passages,
              "certificate_max_diff": chart.max_diff, "exact_membership": exact,
-             "propagate_s": time.perf_counter() - start}
+             "propagate_s": time.perf_counter() - start, "walk_s": walk_s,
+             "evaluate_s": evaluate_s}
     return BolzaTrajectory(
         spec, digits, t_arr, z_arr, p_arr, wlen_arr, word, crossings, stats
     )

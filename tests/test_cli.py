@@ -659,7 +659,8 @@ class TestRunKinds:
     def test_bolza_runs_report_propagation(self, tmp_path):
         drive = {"T": 4.0, "dt": 0.01, "lambda": 1.0, "direction": 0.3}
         keys = {"digits", "crossings", "anchors", "vertex_passages",
-                "certificate_max_diff", "exact_membership", "propagate_s"}
+                "certificate_max_diff", "exact_membership", "propagate_s",
+                "walk_s", "evaluate_s"}
         traj_cfg = {"kind": "trajectory", "manifold": "bolza", "drive": drive,
                     "output": {"prefix": str(tmp_path / "traj_")}}
         resp_cfg = {"kind": "response", "manifold": "bolza",
@@ -668,9 +669,13 @@ class TestRunKinds:
                     "output": {"prefix": str(tmp_path / "resp_")}}
         for cfg in (traj_cfg, resp_cfg):
             summary = self.run_ok(tmp_path, cfg)["summary"]
-            assert set(summary["propagation"]) == keys
-            assert summary["propagation"]["anchors"] == \
-                summary["propagation"]["crossings"] + 1
+            propagation = summary["propagation"]
+            assert set(propagation) == keys
+            assert propagation["anchors"] == propagation["crossings"] + 1
+            # the walk and the evaluation pass are two parts of the whole
+            assert min(propagation["walk_s"], propagation["evaluate_s"]) > 0
+            assert propagation["walk_s"] + propagation["evaluate_s"] \
+                <= propagation["propagate_s"]
 
 
 class TestPreset:

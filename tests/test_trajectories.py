@@ -17,12 +17,12 @@ from geodrive.hyperbolic import (MobiusMap, bolza_group, in_fundamental_domain,
                                  kinetic_energy)
 from geodrive.trajectories import (
     _BAND,
-    _DD,
     GeodesicSpec,
     _Chart,
+    _exp_table,
     _frame,
+    _plain_samples,
     _segment_samples,
-    _tanh_table,
     bolza_closed_form,
     cogeodesic_energy,
     default_digits,
@@ -304,17 +304,29 @@ class TestPropagateBolza:
         # each stored sample is the exact closed form pushed through its
         # chart, rounded once to double: bit for bit what an evaluation at
         # the working precision gives
-        traj = short_bolza_run
-        spec = traj.spec
-        for k in range(0, len(traj), 97):
-            with mp.workdps(traj.digits):
-                t = mp.mpf(k) * mp.mpf(spec.dt)
-            z_ref, p_ref = bolza_closed_form(spec.z0, spec.direction,
-                                             spec.speed, t, digits=traj.digits)
-            m = traj.chart_map(k)
-            with mp.workdps(traj.digits):
-                assert complex(m(z_ref)) == traj.z[k], k
-                assert complex(m.push_forward(z_ref, p_ref)) == traj.p[k], k
+        slow = trajectory(GeodesicSpec(manifold="bolza", T=100.0, dt=0.005,
+                                       speed=0.05, direction=math.pi / 9,
+                                       digits=74))
+        # each segment of the slow drive (903 to 9,572 samples) is evaluated
+        # from one anchor and the table: its first, middle and last samples
+        starts = [0] + list(np.flatnonzero(np.diff(slow.word_len)) + 1)
+        assert len(starts) == slow.stats["anchors"] > 2
+        ends = starts[1:] + [len(slow)]
+        cases = [(short_bolza_run, range(0, len(short_bolza_run), 97)),
+                 (slow, [int(k) for first, end in zip(starts, ends)
+                         for k in (first, (first + end - 1) // 2, end - 1)])]
+        for traj, samples in cases:
+            spec = traj.spec
+            for k in samples:
+                with mp.workdps(traj.digits):
+                    t = mp.mpf(k) * mp.mpf(spec.dt)
+                z_ref, p_ref = bolza_closed_form(
+                    spec.z0, spec.direction, spec.speed, t, digits=traj.digits)
+                m = traj.chart_map(k)
+                with mp.workdps(traj.digits):
+                    assert complex(m(z_ref)) == traj.z[k], k
+                    assert complex(m.push_forward(z_ref, p_ref)) \
+                        == traj.p[k], k
 
     def test_unreduced_phase_inverts_the_word(self, short_bolza_run):
         # at double accuracy (the samples are stored rounded) undoing the
@@ -462,7 +474,8 @@ class TestPropagateBolza:
     def test_integer_chart_matches_mpmath(self):
         # every anchor of a 161-digit unit-speed drive, rebuilt in mpmath
         # from the word: M = (word map) o frame o T(k ds).  Its rounded
-        # double map and double-double parts are the integer chart's
+        # double map and the double-double parts of alpha = a + b and
+        # beta = b - a are the integer chart's
         spec = GeodesicSpec(manifold="bolza", T=150.0, dt=0.01, speed=1.0,
                             direction=math.pi / 9, digits=161)
         traj = trajectory(spec)
@@ -476,17 +489,38 @@ class TestPropagateBolza:
         for n, k in enumerate(firsts):
             if n:
                 chart.apply(traj.word[n - 1])
-            m, m_dd, _ = chart.anchor(k, traj.t[k])
+            m, ab_dd, _ = chart.anchor(k, traj.t[k])
             with mp.workdps(digits):
                 h = k * (mp.mpf(spec.speed) * mp.mpf(spec.dt) / 2)
                 ref = (group.word_map(list(reversed(traj.word[:n])))
                        @ _frame(spec.z0, spec.direction, digits)
                        @ MobiusMap(mp.cosh(h), mp.sinh(h), check=False))
+                alpha, beta = ref.a + ref.b, ref.b - ref.a
+                parts = [(float(x), float(x - float(x)))
+                         for x in (alpha.real, alpha.imag,
+                                   beta.real, beta.imag)]
             assert (m.a, m.b) == (complex(ref.a), complex(ref.b)), n
-            parts = [_DD.from_mp(x) for x in (ref.a.real, ref.a.imag,
-                                              ref.b.real, ref.b.imag)]
-            assert [(x.hi, x.lo) for x in m_dd] \
-                == [(x.hi, x.lo) for x in parts], n
+            assert [(x.hi, x.lo) for x in ab_dd] == parts, n
+
+    @pytest.mark.parametrize("n, ds", [(19590, 0.05 * 0.005), (492, 0.01)])
+    def test_exp_table_matches_mpmath(self, n, ds):
+        # the table sizes of the two benchmark drives, whose segments can
+        # span the octagon's diameter; every entry is a product of one
+        # block power and one power within the block, so check both sides
+        # of a block edge
+        diameter = 4 * math.atanh(bolza_group().octagon.vertex_radius)
+        assert int(diameter / ds) + 3 == n
+        with mp.workdps(60):
+            half_ds = mp.mpf(ds) / 2
+            u, v = _exp_table(n, half_ds)
+            B = math.isqrt(n)
+            for j in (0, 1, B - 1, B, B + 1, n - 1):
+                exact = mp.exp(j * half_ds)
+                got_u = mp.mpf(u.hi[j]) + mp.mpf(u.lo[j])
+                got_v = mp.mpf(v.hi[j]) + mp.mpf(v.lo[j])
+                assert abs(got_u / exact - 1) < mp.mpf(2) ** -104, j
+                assert abs(got_v * exact - 1) < mp.mpf(2) ** -104, j
+                assert abs(got_u * got_v - 1) < mp.mpf(2) ** -104, j
 
     @settings(max_examples=40, deadline=None)
     @given(x=st.floats(-0.85, 0.85), y=st.floats(-0.85, 0.85),
@@ -494,18 +528,18 @@ class TestPropagateBolza:
            ds=st.sampled_from([0.005, 0.01, 0.05]))
     def test_plain_double_samples_sit_well_inside_the_band(self, x, y,
                                                            direction, ds):
-        # the walk's plain-double M(tau) against the correctly rounded
-        # samples, for an anchor anywhere in the octagon and over the whole
-        # tanh table a segment can use
+        # the walk's plain-double samples, from alpha, beta and the table's
+        # high parts, against the correctly rounded samples, for an anchor
+        # anywhere in the octagon and over the whole table a segment can use
         assume(abs(complex(x, y)) < 1 and in_fundamental_domain(complex(x, y)))
         spec = GeodesicSpec(manifold="bolza", T=1.0, dt=ds, z0=complex(x, y),
                             direction=direction)
         chart = _Chart(spec, 50)
-        m, m_dd, _ = chart.anchor(0, 0.0)
+        _, ab_dd, _ = chart.anchor(0, 0.0)
         diameter = 4 * math.atanh(bolza_group().octagon.vertex_radius)
-        tau = _tanh_table(int(diameter / ds) + 3, chart.half_ds[0])
-        z_ref, _ = _segment_samples(m_dd, tau, 1.0)
-        assert np.abs(m(tau.hi) - z_ref).max() < _BAND / 50
+        u, v = _exp_table(int(diameter / ds) + 3, chart.half_ds[0])
+        z_ref, _ = _segment_samples(ab_dd, u, v, 1.0)
+        assert np.abs(_plain_samples(ab_dd, u, v) - z_ref).max() < _BAND / 50
 
     def test_subsample_alignment(self, short_bolza_run):
         sub = short_bolza_run.subsample(2)
